@@ -10,8 +10,8 @@ from .linop import (DenseSymmetric, SpdOperator, SymmetricOperator,
                     as_dense_array, check_symmetry, identity_operator,
                     make_dense, make_spd, read_symmat, write_symmat)
 from .eigsolve import (EigenResult, build_degeneracy, eig_dense, eig_iterative)
-from .sylvester import (SylvesterProblem, SylvesterSolution, project_rhs,
-                        solve_dense, solve_iterative)
+from .sylvester import (Linearization, SylvesterProblem, SylvesterSolution,
+                        linearize, project_rhs, solve_dense, solve_iterative)
 from .jvp import (TangentInput, TangentOutput, check_forward_validity,
                   eigenvalue_jvp, eigenvector_jvp, jvp)
 from .vjp import (CotangentInput, CotangentOutput, check_backward_validity,
@@ -28,6 +28,7 @@ __all__ = [
     "make_dense", "make_spd", "identity_operator", "as_dense_array",
     "check_symmetry", "read_symmat", "write_symmat",
     "EigenResult", "eig_dense", "eig_iterative", "build_degeneracy",
+    "Linearization", "linearize",
     "SylvesterProblem", "SylvesterSolution", "project_rhs",
     "solve_dense", "solve_iterative",
     "TangentInput", "TangentOutput", "check_forward_validity",

@@ -14,7 +14,6 @@ import os
 import sys
 import time
 import zlib
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,26 +26,6 @@ from .linop import (as_dense_array, check_symmetry, make_dense, make_spd,
 from .vjp import check_backward_validity, vjp
 
 REPORT_SCHEMA = 1
-
-
-@dataclass
-class RunConfig:
-    command: str = "verify"
-    n: int = 6
-    k: int = 2
-    which: str = "smallest"
-    seed: int = 0
-    degeneracy_spec: list = field(default_factory=list)  # [(value, multiplicity)]
-    mass: str = "identity"
-    solver: str = "dense"
-    tol_eig: float = 1e-9
-    tol_solv: float = 1e-10
-    tol_cond: float = 1e-7
-    fd_step: float = 1e-5
-    a_path: str = ""
-    m_path: str = ""
-    out: str = "."
-    inject_invalid_tangent: bool = False
 
 
 def parse_degeneracy(text):
@@ -94,43 +73,25 @@ def _solve_eig(A, M, cfg):
     return eig_dense(A, M, cfg.k, cfg.which)
 
 
-def run_jvp(cfg):
-    """Eigendecompose the input pencil and push a sampled valid tangent."""
+def run_derivative(cfg):
+    """Eigendecompose the input pencil, then push a sampled valid tangent
+    (``jvp``) or pull back a sampled valid cotangent (``vjp``)."""
     A, M = _load_pencil(cfg)
     eig = _solve_eig(A, M, cfg)
-    rng = np.random.default_rng(cfg.seed + 1)
-    t = sampling.valid_tangent(eig, M, rng)
-    out = jvp(A, M, eig, t, solver=cfg.solver,
-              tol_cond=cfg.tol_cond, tol_solv=cfg.tol_solv)
-    payload = {
-        "lambdas": eig.lambdas.tolist(),
-        "lambda_prime": out.lambda_prime.tolist(),
-        "X_prime": out.X_prime.tolist(),
-        "validity_defect": out.validity_defect,
-    }
+    opts = dict(solver=cfg.solver, tol_cond=cfg.tol_cond, tol_solv=cfg.tol_solv)
+    if cfg.command == "jvp":
+        t = sampling.valid_tangent(eig, M, np.random.default_rng(cfg.seed + 1))
+        out = jvp(A, M, eig, t, **opts)
+        fields = {"lambda_prime": out.lambda_prime, "X_prime": out.X_prime}
+    else:
+        c = sampling.valid_cotangent(eig, M, np.random.default_rng(cfg.seed + 2))
+        out = vjp(A, M, eig, c, **opts)
+        fields = {"A_bar": out.A_bar, "M_bar": out.M_bar}
+    payload = {"lambdas": eig.lambdas.tolist(),
+               **{key: value.tolist() for key, value in fields.items()},
+               "validity_defect": out.validity_defect}
     os.makedirs(cfg.out, exist_ok=True)
-    path = os.path.join(cfg.out, "jvp.json")
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
-    return path
-
-
-def run_vjp(cfg):
-    """Eigendecompose the input pencil and pull back a sampled valid cotangent."""
-    A, M = _load_pencil(cfg)
-    eig = _solve_eig(A, M, cfg)
-    rng = np.random.default_rng(cfg.seed + 2)
-    c = sampling.valid_cotangent(eig, M, rng)
-    out = vjp(A, M, eig, c, solver=cfg.solver,
-              tol_cond=cfg.tol_cond, tol_solv=cfg.tol_solv)
-    payload = {
-        "lambdas": eig.lambdas.tolist(),
-        "A_bar": out.A_bar.tolist(),
-        "M_bar": out.M_bar.tolist(),
-        "validity_defect": out.validity_defect,
-    }
-    os.makedirs(cfg.out, exist_ok=True)
-    path = os.path.join(cfg.out, "vjp.json")
+    path = os.path.join(cfg.out, f"{cfg.command}.json")
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=1)
     return path
@@ -163,7 +124,7 @@ def _verify_instance(label, A_arr, M_arr, k, cfg, checks, solver="dense"):
     """Run the full check battery on one pencil instance."""
     A = make_dense(A_arr)
     M = make_spd(M_arr)
-    n = A_arr.shape[0]
+    opts = dict(solver=solver, tol_cond=cfg.tol_cond, tol_solv=cfg.tol_solv)
     rng = np.random.default_rng(cfg.seed + zlib.crc32(label.encode()) % 100000)
 
     checks.add(f"{label}/symmetry_A", 0.0 if check_symmetry(A) else 1.0, 0.5)
@@ -194,8 +155,7 @@ def _verify_instance(label, A_arr, M_arr, k, cfg, checks, solver="dense"):
     _, fdefect = check_forward_validity(eig, t, cfg.tol_cond)
     checks.add(f"{label}/forward_validity_defect", fdefect, 1e-10)
 
-    out = jvp(A, M, eig, t, solver=solver, tol_cond=cfg.tol_cond,
-              tol_solv=cfg.tol_solv)
+    out = jvp(A, M, eig, t, **opts)
     ser = oracle.jvp_series(fs, M, eig, t)
     checks.add(f"{label}/jvp_vs_series",
                max(np.max(np.abs(out.lambda_prime - ser.lambda_prime)),
@@ -205,34 +165,29 @@ def _verify_instance(label, A_arr, M_arr, k, cfg, checks, solver="dense"):
                                       step=cfg.fd_step, base=eig)
     lam_scale = max(1.0, np.max(np.abs(out.lambda_prime)))
     lam_err = 0.0
+    errs = [0.0]
     for grp in eig.groups:
         if len(grp) == 1:
             j = grp[0]
             lam_err = max(lam_err, abs(out.lambda_prime[j] - fd.lambda_prime[j]))
+            errs.append(np.max(np.abs(out.X_prime[:, j] - fd.X_prime[:, j]))
+                        / max(1.0, np.max(np.abs(out.X_prime[:, j]))))
         else:
             # individual rates are only O(step) after a split; the trace rate
             # of the group is second-order clean
             lam_err = max(lam_err, abs(np.sum(out.lambda_prime[grp])
                                        - np.sum(fd.lambda_prime[grp])))
-    checks.add(f"{label}/jvp_eigenvalues_vs_fd", lam_err / lam_scale, 1e-7)
-    errs = [0.0]
-    for grp in eig.groups:
-        if len(grp) == 1:
-            j = grp[0]
-            errs.append(np.max(np.abs(out.X_prime[:, j] - fd.X_prime[:, j]))
-                        / max(1.0, np.max(np.abs(out.X_prime[:, j]))))
-        else:
             Pp = oracle.analytic_projector_derivative(eig, out, M, t.Mprime, grp)
             errs.append(np.max(np.abs(Pp - fd.proj_prime[tuple(grp)]))
                         / max(1.0, np.max(np.abs(Pp))))
+    checks.add(f"{label}/jvp_eigenvalues_vs_fd", lam_err / lam_scale, 1e-7)
     checks.add(f"{label}/jvp_eigenvectors_vs_fd", max(errs), 1e-6)
 
     c = sampling.valid_cotangent(eig, M, rng)
     _, bdefect = check_backward_validity(eig, c, cfg.tol_cond)
     checks.add(f"{label}/backward_validity_defect", bdefect, 1e-10)
 
-    bout = vjp(A, M, eig, c, solver=solver, tol_cond=cfg.tol_cond,
-               tol_solv=cfg.tol_solv)
+    bout = vjp(A, M, eig, c, **opts)
     bser = oracle.vjp_series(fs, M, eig, c)
     checks.add(f"{label}/vjp_vs_series",
                max(np.max(np.abs(bout.A_bar - bser.A_bar)),
@@ -242,10 +197,8 @@ def _verify_instance(label, A_arr, M_arr, k, cfg, checks, solver="dense"):
     for _ in range(20):
         tt = sampling.valid_tangent(eig, M, rng)
         cc = sampling.valid_cotangent(eig, M, rng)
-        fwd = jvp(A, M, eig, tt, solver=solver, tol_cond=cfg.tol_cond,
-                  tol_solv=cfg.tol_solv)
-        bwd = vjp(A, M, eig, cc, solver=solver, tol_cond=cfg.tol_cond,
-                  tol_solv=cfg.tol_solv)
+        fwd = jvp(A, M, eig, tt, **opts)
+        bwd = vjp(A, M, eig, cc, **opts)
         lhs = (cc.lambda_bar @ fwd.lambda_prime
                + np.sum(cc.X_bar * fwd.X_prime))
         rhs = (np.sum(bwd.A_bar * as_dense_array(tt.Aprime))
@@ -338,27 +291,14 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        cfg = RunConfig(
-            command=args.command, n=args.n, k=args.k, which=args.which,
-            seed=args.seed, solver=args.solver, tol_eig=args.tol_eig,
-            tol_solv=args.tol_solv, tol_cond=args.tol_cond,
-            fd_step=args.fd_step, out=args.out,
-            a_path=getattr(args, "a_path", ""),
-            m_path=getattr(args, "m_path", ""),
-            degeneracy_spec=parse_degeneracy(getattr(args, "degeneracy", "")),
-            mass=getattr(args, "mass", "identity"),
-            inject_invalid_tangent=getattr(args, "inject_invalid_tangent", False),
-        )
+        cfg = parser.parse_args(argv)    # the run's configuration
+        cfg.degeneracy_spec = parse_degeneracy(getattr(cfg, "degeneracy", ""))
         if cfg.command == "generate":
             for path in generate(cfg):
                 print(path)
             return 0
-        if cfg.command == "jvp":
-            print(run_jvp(cfg))
-            return 0
-        if cfg.command == "vjp":
-            print(run_vjp(cfg))
+        if cfg.command in ("jvp", "vjp"):
+            print(run_derivative(cfg))
             return 0
         report = run_verify(cfg)
         for rec in report["checks"]:

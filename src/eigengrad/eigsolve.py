@@ -29,17 +29,22 @@ class EigenResult:
     D: np.ndarray           # k x k 0/1 degeneracy matrix
     groups: list = field(default_factory=list)  # partition of {0..k-1}
     which: str = "smallest"
+    group_id: np.ndarray = field(init=False, repr=False)  # column -> index into groups
+    # memo of sylvester.linearize; freed with this result
+    _linearization: object = field(default=None, init=False, repr=False)
 
-    @property
-    def n(self):
-        return self.X.shape[0]
+    def __post_init__(self):
+        self.group_id = group_index(self.groups, self.k)
 
-    def group_of(self, j):
-        """Indices sharing eigenvalue lambda_j (including j itself)."""
-        for grp in self.groups:
-            if j in grp:
-                return grp
-        raise IndexError(f"column {j} not in any group")
+
+def group_index(groups, k):
+    """Length-k array giving, for each column, the index of its group in ``groups``."""
+    gid = np.full(k, -1)
+    for g, grp in enumerate(groups):
+        gid[grp] = g
+    if np.any(gid < 0):
+        raise ValueError(f"groups {groups} do not cover all {k} columns")
+    return gid
 
 
 def build_degeneracy(lambdas, tol_rel=DEFAULT_DEGENERACY_RTOL, tol_abs=0.0):
@@ -54,32 +59,13 @@ def build_degeneracy(lambdas, tol_rel=DEFAULT_DEGENERACY_RTOL, tol_abs=0.0):
     k = lam.size
     thresh = tol_abs + tol_rel * (np.max(np.abs(lam)) if k else 0.0)
 
-    parent = list(range(k))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(k):
-        for j in range(i + 1, k):
-            if abs(lam[i] - lam[j]) <= thresh:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-
-    roots = {}
-    for i in range(k):
-        roots.setdefault(find(i), []).append(i)
-    groups = sorted(roots.values(), key=lambda g: g[0])
-
-    D = np.zeros((k, k), dtype=int)
-    for grp in groups:
-        for i in grp:
-            for j in grp:
-                D[i, j] = 1
-    return D, groups
+    # in ascending order, the closure is broken exactly by gaps above thresh
+    order = np.argsort(lam, kind="stable")
+    cuts = np.flatnonzero(np.diff(lam[order]) > thresh) + 1
+    groups = sorted((sorted(c.tolist()) for c in np.split(order, cuts) if c.size),
+                    key=lambda g: g[0])
+    gid = group_index(groups, k)
+    return (gid[:, None] == gid).astype(int), groups
 
 
 def _fix_gauge(X):
@@ -126,12 +112,11 @@ def eig_dense(A, M, k, which="smallest", degeneracy_rtol=DEFAULT_DEGENERACY_RTOL
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
     if which not in ("smallest", "largest"):
         raise ValueError(f"which must be 'smallest' or 'largest', got {which!r}")
+    sel = [0, k - 1] if which == "smallest" else [n - k, n - 1]
     try:
-        np.linalg.cholesky(Md)
+        lam, X = scipy.linalg.eigh(Ad, Md, subset_by_index=sel)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("M is not positive definite") from exc
-    sel = [0, k - 1] if which == "smallest" else [n - k, n - 1]
-    lam, X = scipy.linalg.eigh(Ad, Md, subset_by_index=sel)
     Mop = M if isinstance(M, SpdOperator) else make_dense(Md)
     return _finalize(X, lam, which, Mop, tol_rel=degeneracy_rtol, tol_abs=degeneracy_atol)
 
@@ -143,9 +128,14 @@ def _m_orthonormalize(S, M, drop_tol=1e-12):
     G = 0.5 * (G + G.T)
     try:
         L = np.linalg.cholesky(G)
-        return scipy.linalg.solve_triangular(L, S.T, lower=True).T
+        # numpy's solve, not scipy's solve_triangular: numpy and scipy ship
+        # separate OpenBLAS thread pools, which contend when a loop alternates
+        return np.linalg.solve(L, S.T).T
     except np.linalg.LinAlgError:
         w, V = np.linalg.eigh(G)
+        if w.min() < -drop_tol * max(w.max(), 0.0):
+            raise NotPositiveDefinite(
+                f"M-Gram matrix has eigenvalue {w.min():.3e} (largest {w.max():.3e})")
         keep = w > drop_tol * max(w.max(), 0.0)
         if not np.any(keep):
             return S[:, :0]
@@ -165,6 +155,8 @@ def eig_iterative(A, M, k, which="smallest", maxiter=500, tol=1e-9,
     n = A.dim
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+    if maxiter < 1:
+        raise ValueError(f"maxiter must be >= 1, got {maxiter}")
     if not spot_check_spd(M, seed=seed):
         raise NotPositiveDefinite("M failed the positivity spot-check")
     if n <= max(4 * k, 12):

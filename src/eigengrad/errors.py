@@ -57,7 +57,14 @@ class GaugeAlignmentFailed(EigengradError):
 
 
 class ClusterSplit(EigengradError):
-    """A degenerate group separated under perturbation; per-column FD is meaningless."""
+    """A degenerate group separated under an FD step, or k cut an eigenspace.
+
+    ``defect`` is the measured size of the split, when there is one.
+    """
+
+    def __init__(self, message, defect=None):
+        super().__init__(message)
+        self.defect = defect
 
 
 class InvalidSpec(EigengradError, ValueError):

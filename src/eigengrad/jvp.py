@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, ValidityViolated
-from .sylvester import (DEFAULT_TOL_SOLV, SylvesterProblem, project_rhs,
-                        solve_dense, solve_iterative)
+from .sylvester import (DEFAULT_TOL_SOLV, linearize, project_rhs, solve_dense,
+                        solve_iterative)
 
 DEFAULT_TOL_COND = 1e-7
 
@@ -36,64 +36,67 @@ class TangentOutput:
     validity_defect: float = 0.0
 
 
-def _coupling_matrix(eig, t):
-    """X^T (A' X - M' X Lambda), the k x k coupling of the perturbation."""
+def _coupling(eig, t):
+    """M'X, V = A'X - M'X Lambda and the k x k coupling F = X^T V."""
     X = eig.X
     if t.Aprime.dim != X.shape[0] or t.Mprime.dim != X.shape[0]:
         raise DimensionMismatch(
             f"tangent dim ({t.Aprime.dim}, {t.Mprime.dim}) != primal dim {X.shape[0]}")
-    V = t.Aprime.apply_batch(X) - t.Mprime.apply_batch(X) * eig.lambdas
-    return X.T @ V, V
+    MpX = t.Mprime.apply_batch(X)
+    V = t.Aprime.apply_batch(X) - MpX * eig.lambdas
+    return MpX, V, X.T @ V
 
 
-def check_forward_validity(eig, t, tol_cond=DEFAULT_TOL_COND):
-    """Degenerate-group off-diagonal coupling must vanish; returns (ok, defect)."""
-    F, _ = _coupling_matrix(eig, t)
-    mask = eig.D - np.eye(eig.k, dtype=int)
-    defect = float(np.max(np.abs(mask * F))) if eig.k else 0.0
-    scale = max(1.0, float(np.max(np.abs(F)))) if eig.k else 1.0
-    return defect <= tol_cond * scale, defect
+def check_forward_validity(eig, t, tol_cond=DEFAULT_TOL_COND, F=None):
+    """Degenerate-group off-diagonal coupling must vanish; returns (ok, defect).
+
+    ``F`` is the coupling X^T (A'X - M'X Lambda) if the caller holds it.
+    """
+    if F is None:
+        F = _coupling(eig, t)[2]
+    return in_group_defect(eig, F, F, tol_cond)
+
+
+def in_group_defect(eig, C, S, tol_cond):
+    """(ok, defect): largest in-group off-diagonal |C_ij| vs tol_cond max(1, max|S|)."""
+    defect = float(np.max(np.abs((eig.D - np.eye(eig.k, dtype=int)) * C), initial=0.0))
+    return defect <= tol_cond * max(1.0, float(np.max(np.abs(S), initial=0.0))), defect
 
 
 def eigenvalue_jvp(eig, t):
     """lambda'_j = x_j^T (A' - lambda_j M') x_j for each retrieved pair."""
-    F, _ = _coupling_matrix(eig, t)
-    return np.diag(F).copy()
+    return np.diag(_coupling(eig, t)[2]).copy()
 
 
-def eigenvector_jvp(A, M, eig, t, solver="dense", force=False,
-                    tol_cond=DEFAULT_TOL_COND, tol_solv=DEFAULT_TOL_SOLV,
-                    maxiter=None):
-    """First-order eigenvector response; requires the forward validity condition.
+def eigenvector_jvp(A, M, eig, t, solver="dense", **opts):
+    """Eigenvalue and eigenvector forward derivatives; see :func:`jvp`."""
+    return jvp(A, M, eig, t, solver=solver, **opts)
 
-    Pipeline: build V' = A'X - M'X Lambda, project its degenerate-group
-    component out, solve the shifted systems for Y', and assemble
-    X' = -1/2 X [I o (X^T M' X)] - Y' + X [D o (X^T M Y')].
+
+def forward(lin, t, force=False, tol_cond=DEFAULT_TOL_COND,
+            tol_solv=DEFAULT_TOL_SOLV, maxiter=None):
+    """First-order response (Lambda', X') on a linearization; requires forward validity.
+
+    Pipeline: build V = A'X - M'X Lambda and F = X^T V once; check validity
+    on F and take Lambda' = diag F; project V's degenerate-group component
+    out and solve the shifted systems for Y', which the solvers gauge
+    M-orthogonal to each group; assemble X' = -1/2 X [I o (X^T M' X)] - Y'.
     """
-    ok, defect = check_forward_validity(eig, t, tol_cond)
+    eig = lin.eig
+    X = eig.X
+    MpX, V, F = _coupling(eig, t)
+    ok, defect = check_forward_validity(eig, t, tol_cond, F=F)
     if not ok and not force:
         raise ValidityViolated(defect)
-
-    X = eig.X
-    _, V = _coupling_matrix(eig, t)
-    B = project_rhs(V, X, M, eig.groups)
-    prob = SylvesterProblem(A=A, M=M, lambdas=eig.lambdas, B=B, X=X, groups=eig.groups)
-    if solver == "dense":
-        sol = solve_dense(prob, tol_solv=tol_solv)
-    elif solver == "iterative":
-        sol = solve_iterative(prob, maxiter=maxiter, tol_solv=tol_solv)
-    else:
-        raise ValueError(f"solver must be 'dense' or 'iterative', got {solver!r}")
-    Y = sol.Y
-
-    MpX = t.Mprime.apply_batch(X)
-    diag_norm = np.diag(X.T @ MpX)
-    correction = eig.D * (X.T @ M.apply_batch(Y))
-    X_prime = -0.5 * X * diag_norm - Y + X @ correction
-    return TangentOutput(lambda_prime=eigenvalue_jvp(eig, t),
-                         X_prime=X_prime, validity_defect=defect)
+    p = lin.problem(project_rhs(V, X, lin.M, eig.groups, MX=lin.MX))
+    sol = (solve_dense(p, tol_solv=tol_solv) if lin.solver == "dense"
+           else solve_iterative(p, maxiter=maxiter, tol_solv=tol_solv))
+    X_prime = -0.5 * X * np.einsum("ij,ij->j", X, MpX) - sol.Y
+    return TangentOutput(lambda_prime=np.diag(F).copy(), X_prime=X_prime,
+                         validity_defect=defect)
 
 
 def jvp(A, M, eig, t, solver="dense", **opts):
-    """Single entry point: eigenvalue and eigenvector forward derivatives."""
-    return eigenvector_jvp(A, M, eig, t, solver=solver, **opts)
+    """Forward derivatives along t = (A', M') on the linearization memoized on
+    ``eig`` (see :func:`linearize`); ``opts`` are those of :func:`forward`."""
+    return forward(linearize(A, M, eig, solver), t, **opts)

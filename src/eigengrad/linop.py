@@ -99,15 +99,16 @@ def identity_operator(n):
     return make_spd(np.eye(n))
 
 
-def as_dense_array(op):
+def as_dense_array(op, copy=True):
     """Materialize an operator as a dense array.
 
     Cheap for dense-backed operators; otherwise costs ``dim`` applies.
+    ``copy=False`` returns a dense-backed operator's entries: do not modify.
     """
     if isinstance(op, SpdOperator):
-        return as_dense_array(op.base)
+        return as_dense_array(op.base, copy)
     if isinstance(op, DenseSymmetric):
-        return op.entries.copy()
+        return op.entries.copy() if copy else op.entries
     return np.asarray(op.apply_batch(np.eye(op.dim)), dtype=float)
 
 

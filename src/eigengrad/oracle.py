@@ -39,10 +39,9 @@ def full_spectrum(A, M):
     if n > ORACLE_SIZE_CAP:
         raise ValueError(f"oracle capped at n <= {ORACLE_SIZE_CAP}, got {n}")
     try:
-        np.linalg.cholesky(Md)
+        ee, U = scipy.linalg.eigh(Ad, Md)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("M is not positive definite") from exc
-    ee, U = scipy.linalg.eigh(Ad, Md)
     return FullSpectrum(U=U, E=ee)
 
 
@@ -52,8 +51,7 @@ def pseudo_inverse_apply(fs, lam, v, group_tol=None):
     Terms with |e_i - lam| <= group_tol are dropped (the nullspace).
     """
     v = np.asarray(v, dtype=float)
-    if group_tol is None:
-        group_tol = DEFAULT_DEGENERACY_RTOL * max(np.max(np.abs(fs.E)), 1e-300)
+    group_tol = _series_group_tol(fs) if group_tol is None else group_tol
     denom = fs.E - lam
     keep = np.abs(denom) > group_tol
     c = fs.U.T @ v

@@ -12,7 +12,7 @@ import numpy as np
 
 from .jvp import TangentInput
 from .vjp import CotangentInput
-from .linop import make_dense
+from .linop import as_dense_array, make_dense
 
 
 def random_orthogonal(n, rng):
@@ -137,5 +137,4 @@ def violating_cotangent(eig, M, group):
 
 
 def _dense(M, n):
-    from .linop import as_dense_array
     return as_dense_array(M) if hasattr(M, "apply") else np.asarray(M, dtype=float)

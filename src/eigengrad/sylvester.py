@@ -5,18 +5,23 @@ linear solves (A - lambda_j M) y_j = b_j. When lambda_j is an eigenvalue the
 operator is singular with nullspace spanned by the eigenvectors of its
 degeneracy group; the right-hand side must be orthogonal to that group and
 the returned representative is gauged M-orthogonal to it (minimum-norm in M).
+
+Both modes share one :class:`Linearization` of (A, M) at the retrieved
+eigenpairs: the dense route factors a bordered matrix per degeneracy group,
+the iterative route runs MINRES on the deflated operator.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from .errors import MaxIterExceeded, NotPositiveDefinite, NotSolvable
-from .eigsolve import DEFAULT_DEGENERACY_RTOL
+from .errors import ClusterSplit, MaxIterExceeded, NotSolvable
+from .eigsolve import group_index
 from .linop import as_dense_array
 
 DEFAULT_TOL_SOLV = 1e-10
@@ -30,12 +35,10 @@ class SylvesterProblem:
     B: np.ndarray              # n x k right-hand block
     X: np.ndarray              # n x k M-orthonormal eigenblock (nullspace data)
     groups: list = field(default_factory=list)
+    lin: object = None         # Linearization to solve with; None: one for this problem
 
-    def group_of(self, j):
-        for grp in self.groups:
-            if j in grp:
-                return grp
-        return [j]
+    def __post_init__(self):
+        self.group_id = group_index(self.groups, len(self.lambdas))
 
 
 @dataclass
@@ -45,88 +48,150 @@ class SylvesterSolution:
     iterations: np.ndarray     # per-column iteration counts (0 for dense)
 
 
-def project_rhs(B, X, M, groups):
+class Linearization:
+    """(A, M) linearized at the eigenpairs ``eig``; build it with :func:`linearize`.
+
+    Holds M X and, on the dense route, one bordered LU per degeneracy group,
+    made by the first solve that needs them; each derivative then costs
+    O(n^2 k). It refers to A and M, never copies them.
+    """
+
+    def __init__(self, A, M, eig, solver):
+        if solver not in ("dense", "iterative"):
+            raise ValueError(f"solver must be 'dense' or 'iterative', got {solver!r}")
+        self.A, self.M, self.eig, self.solver = A, M, eig, solver
+        self.MX = M.apply_batch(eig.X)
+        self.lu = None
+
+    def factors(self):
+        """The bordered LU of every group (see :meth:`_factor`), made on first call."""
+        if self.lu is None:
+            dense = as_dense_array(self.A, copy=False), as_dense_array(self.M, copy=False)
+            self.lu = [self._factor(grp, *dense) for grp in self.eig.groups]
+        return self.lu
+
+    def _factor(self, grp, Ad, Md):
+        """LU of K = [[A - s M, M X_g], [X_g^T M, 0]], s the group's mean eigenvalue.
+
+        K is singular exactly when the group lacks an eigenvector of its
+        eigenvalue. It is built in one buffer and factored in place as K^T.
+        """
+        n, m = Ad.shape[0], len(grp)
+        K = np.empty((n + m, n + m))
+        np.multiply(Md, -np.mean(self.eig.lambdas[grp]), out=K[:n, :n])
+        K[:n, :n] += Ad
+        K[:n, n:] = self.MX[:, grp]
+        K[n:, :n] = self.MX[:, grp].T
+        K[n:, n:] = 0.0
+        lu, piv, _ = scipy.linalg.lapack.dgetrf(K.T, overwrite_a=True)
+        return lu, piv    # a zero pivot is caught by solve_dense's residual
+
+    def problem(self, B):
+        """The shifted solve for right-hand sides B; the first dense one factors."""
+        if self.solver == "dense":
+            self.factors()
+        return SylvesterProblem(A=self.A, M=self.M, lambdas=self.eig.lambdas, B=B,
+                                X=self.eig.X, groups=self.eig.groups, lin=self)
+
+    def jvp(self, t, **opts):
+        """Forward derivatives along ``t``; options as for :func:`eigengrad.jvp.jvp`."""
+        from .jvp import forward
+        return forward(self, t, **opts)
+
+    def vjp(self, c, **opts):
+        """Reverse derivatives of ``c``; options as for :func:`eigengrad.vjp.vjp`."""
+        from .vjp import reverse
+        return reverse(self, c, **opts)
+
+
+def linearize(A, M, eig, solver="dense"):
+    """The :class:`Linearization` of (A, M) at ``eig``, memoized on ``eig``.
+
+    The memo holds one entry, keyed by the identity of A and M and by
+    ``solver``; operators are immutable, so a hit is exact. It dies with ``eig``.
+    """
+    lin = eig._linearization
+    if lin is None or lin.A is not A or lin.M is not M or lin.solver != solver:
+        # on a copy of eig sharing its arrays: eig -> lin -> eig would be a cycle
+        lin = Linearization(A, M, dataclasses.replace(eig), solver)
+        eig._linearization = lin
+    return lin
+
+
+def project_rhs(B, X, M, groups, MX=None):
     """Remove the degenerate-group component: b_j <- b_j - M X_g (X_g^T b_j)."""
     B = np.asarray(B, dtype=float)
-    out = B.copy()
-    MX = M.apply_batch(X)
-    for j in range(B.shape[1]):
-        grp = _grp(groups, j)
-        Xg = X[:, grp]
-        out[:, j] = B[:, j] - MX[:, grp] @ (Xg.T @ B[:, j])
-    return out
-
-
-def _grp(groups, j):
-    for grp in groups:
-        if j in grp:
-            return grp
-    return [j]
+    gid = group_index(groups, X.shape[1])
+    MX = M.apply_batch(X) if MX is None else MX
+    return B - MX @ ((gid[:, None] == gid) * (X.T @ B))
 
 
 def _check_solvable(p, tol_solv):
     """Per-column nullspace-component check; raises NotSolvable on violation."""
-    for j in range(p.B.shape[1]):
-        grp = p.group_of(j)
-        b = p.B[:, j]
-        bnorm = np.linalg.norm(b)
-        if bnorm == 0.0:
-            continue
-        defect = np.linalg.norm(p.X[:, grp].T @ b)
-        if defect > tol_solv * bnorm * 10:
-            raise NotSolvable(j, defect / bnorm)
+    C = (p.group_id[:, None] == p.group_id) * (p.X.T @ p.B)
+    defect = np.linalg.norm(C, axis=0)
+    bnorm = np.linalg.norm(p.B, axis=0)
+    bad = np.flatnonzero(defect > tol_solv * bnorm * 10)
+    if bad.size:
+        raise NotSolvable(int(bad[0]), defect[bad[0]] / bnorm[bad[0]])
 
 
-def _apply_group_gauge(Y, p):
-    """Zero the group-parallel components: y_j <- y_j - X_g (X_g^T M y_j)."""
-    MY = p.M.apply_batch(Y)
-    for j in range(Y.shape[1]):
-        grp = p.group_of(j)
-        Xg = p.X[:, grp]
-        Y[:, j] -= Xg @ (Xg.T @ MY[:, j])
-    return Y
+def _check_split(residuals, B, tol_solv):
+    """Raise ClusterSplit where a solve left a residual above sqrt(tol_solv) |b_j|.
+
+    A solve leaves about eps times the condition number; more means the shift
+    is singular beyond the group: lambda_j has eigenvectors not retrieved.
+    """
+    bnorm = np.maximum(np.linalg.norm(B, axis=0), 1e-300)
+    defect = np.nan_to_num(residuals / bnorm, nan=np.inf)
+    j = int(np.argmax(defect))
+    if defect[j] > np.sqrt(tol_solv):
+        raise ClusterSplit(
+            f"column {j}: shifted system is singular (relative residual {defect[j]:.3e}); "
+            "its eigenvalue has eigenvectors outside the retrieved set", defect=defect[j])
 
 
 def solve_dense(p, tol_solv=DEFAULT_TOL_SOLV):
-    """Columnwise pseudo-inverse solve via a full dense eigendecomposition."""
-    _check_solvable(p, tol_solv)
-    Ad = as_dense_array(p.A)
-    Md = as_dense_array(p.M)
-    try:
-        ee, U = scipy.linalg.eigh(Ad, Md)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("M is not positive definite") from exc
-    cut = DEFAULT_DEGENERACY_RTOL * max(np.max(np.abs(ee)), 1e-300)
+    """Columnwise solve through the bordered LU of each column's group.
 
+    The solve at the group's mean shift is refined once at the exact shift
+    unless it already meets MINRES's target; the border keeps y_j M-orthogonal
+    to its group. Factors come from ``p.lin``, else are made for ``p`` alone.
+    """
+    _check_solvable(p, tol_solv)
+    lin = p.lin or Linearization(p.A, p.M, p, "dense")
+    lu = lin.factors()
     n, k = p.B.shape
-    Y = np.zeros((n, k))
-    residuals = np.zeros(k)
-    for j in range(k):
-        b = p.B[:, j]
-        if np.linalg.norm(b) == 0.0:
-            continue
-        lam = p.lambdas[j]
-        c = U.T @ b
-        denom = ee - lam
-        keep = np.abs(denom) > cut
-        y = U[:, keep] @ (c[keep] / denom[keep])
-        Y[:, j] = y
-        bproj = b - Md @ (U[:, ~keep] @ c[~keep])
-        residuals[j] = np.linalg.norm(Ad @ y - lam * (Md @ y) - bproj)
-    Y = _apply_group_gauge(Y, p)
-    return SylvesterSolution(Y=Y, residuals=residuals, iterations=np.zeros(k, dtype=int))
+    same = p.group_id[:, None] == p.group_id
+    target = 1e-2 * tol_solv * np.linalg.norm(p.B, axis=0)
+    Z = np.zeros((n + k, k))    # [Y; mu], mu_j nonzero only on the rows of j's group
+    R = np.vstack([p.B, np.zeros((k, k))])
+    for _ in range(2):
+        for g, grp in enumerate(p.groups):
+            idx = np.ix_(np.r_[:n, n + np.asarray(grp)], grp)
+            Z[idx] += scipy.linalg.lapack.dgetrs(*lu[g], R[idx], trans=1)[0]
+        Y = Z[:n]
+        R = np.vstack([p.B - p.A.apply_batch(Y) + p.M.apply_batch(Y) * p.lambdas
+                       - lin.MX @ Z[n:], same * -(lin.MX.T @ Y)])
+        residuals = np.linalg.norm(R, axis=0)
+        if np.all(residuals <= target):
+            break
+    _check_split(residuals, p.B, tol_solv)
+    return SylvesterSolution(Y=Z[:n].copy(), residuals=residuals,
+                             iterations=np.zeros(k, dtype=int))
 
 
 def solve_iterative(p, maxiter=None, tol_solv=DEFAULT_TOL_SOLV):
     """Columnwise MINRES on the shifted symmetric-indefinite operator.
 
     Each column solves P_L (A - lambda_j M) P_S y = P_L b_j where P_L and
-    P_S deflate the degenerate group on the range and solution side.
+    P_S deflate the degenerate group on the range and solution side. Uses
+    M X from ``p.lin`` when given.
     """
     _check_solvable(p, tol_solv)
+    MX = p.lin.MX if p.lin is not None else p.M.apply_batch(p.X)
     n, k = p.B.shape
-    if maxiter is None:
-        maxiter = 20 * n
+    maxiter = 20 * n if maxiter is None else maxiter
     Y = np.zeros((n, k))
     residuals = np.zeros(k)
     iterations = np.zeros(k, dtype=int)
@@ -137,9 +202,8 @@ def solve_iterative(p, maxiter=None, tol_solv=DEFAULT_TOL_SOLV):
         if bnorm == 0.0:
             continue
         lam = p.lambdas[j]
-        grp = p.group_of(j)
-        Xg = p.X[:, grp]
-        MXg = p.M.apply_batch(Xg)
+        grp = p.groups[p.group_id[j]]
+        Xg, MXg = p.X[:, grp], MX[:, grp]
 
         def proj_left(v):
             return v - MXg @ (Xg.T @ v)
@@ -148,25 +212,21 @@ def solve_iterative(p, maxiter=None, tol_solv=DEFAULT_TOL_SOLV):
             return v - Xg @ (MXg.T @ v)
 
         def opmat(v):
-            return proj_left(p.A.apply(proj_sol(v)) - lam * p.M.apply(proj_sol(v)))
+            s = proj_sol(v)
+            return proj_left(p.A.apply(s) - lam * p.M.apply(s))
 
         op = scipy.sparse.linalg.LinearOperator((n, n), matvec=opmat, dtype=float)
         bproj = proj_left(b)
-        count = [0]
-
-        def cb(_):
-            count[0] += 1
-
+        steps = []
         y, info = scipy.sparse.linalg.minres(
-            op, bproj, rtol=max(tol_solv * 1e-2, 1e-13), maxiter=maxiter, callback=cb)
+            op, bproj, rtol=max(tol_solv * 1e-2, 1e-13), maxiter=maxiter,
+            callback=steps.append)
         y = proj_sol(y)
         res = np.linalg.norm(p.A.apply(y) - lam * p.M.apply(y) - bproj)
-        Y[:, j] = y
-        residuals[j] = res
-        iterations[j] = count[0]
+        Y[:, j], residuals[j], iterations[j] = y, res, len(steps)
         if info != 0 and res > tol_solv * max(bnorm, 1e-300) * 10:
-            sol = SylvesterSolution(Y=Y, residuals=residuals, iterations=iterations)
             raise MaxIterExceeded(
                 f"column {j}: MINRES stopped (info={info}) at residual {res:.3e}",
-                payload=sol)
+                payload=SylvesterSolution(Y=Y, residuals=residuals, iterations=iterations))
+    _check_split(residuals, p.B, tol_solv)
     return SylvesterSolution(Y=Y, residuals=residuals, iterations=iterations)

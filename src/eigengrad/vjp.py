@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, ValidityViolated
-from .jvp import DEFAULT_TOL_COND
-from .sylvester import (DEFAULT_TOL_SOLV, SylvesterProblem, project_rhs,
-                        solve_dense, solve_iterative)
+from .jvp import DEFAULT_TOL_COND, in_group_defect
+from .sylvester import (DEFAULT_TOL_SOLV, linearize, project_rhs, solve_dense,
+                        solve_iterative)
 
 
 @dataclass
@@ -38,31 +38,28 @@ def check_backward_validity(eig, c, tol_cond=DEFAULT_TOL_COND):
     if Xb.shape != eig.X.shape:
         raise DimensionMismatch(f"X_bar shape {Xb.shape} != X shape {eig.X.shape}")
     S = eig.X.T @ Xb
-    anti = S - S.T
-    mask = eig.D - np.eye(eig.k, dtype=int)
-    defect = float(np.max(np.abs(mask * anti))) if eig.k else 0.0
-    scale = max(1.0, float(np.max(np.abs(S)))) if eig.k else 1.0
-    return defect <= tol_cond * scale, defect
+    return in_group_defect(eig, S - S.T, S, tol_cond)
 
 
-def vjp(A, M, eig, c, solver="dense", force=False,
-        tol_cond=DEFAULT_TOL_COND, tol_solv=DEFAULT_TOL_SOLV, maxiter=None):
-    """Adjoint map (Lambda_bar, X_bar) -> (A_bar, M_bar).
+def reverse(lin, c, force=False, tol_cond=DEFAULT_TOL_COND,
+            tol_solv=DEFAULT_TOL_SOLV, maxiter=None):
+    """Adjoint map (Lambda_bar, X_bar) -> (A_bar, M_bar) on a linearization.
 
     Solves the shifted systems (A - lambda_j M) ybar_j = xbar_j projected off
-    the degenerate group, forms Vbar, and assembles
+    the degenerate group, which the solvers gauge M-orthogonal to it (Vbar =
+    Ybar), and assembles
         A_bar = X Lambda_bar X^T - Vbar X^T
         M_bar = -X Lambda Lambda_bar X^T
                 - 1/2 X [I o (X^T X_bar)] X^T + Vbar Lambda X^T.
     The eigenvalue term of M_bar carries a minus sign, matching the
     single-pair adjoint and the pairing identity with forward mode.
     """
+    eig = lin.eig
     ok, defect = check_backward_validity(eig, c, tol_cond)
     if not ok and not force:
         raise ValidityViolated(defect)
 
-    X = eig.X
-    lam = eig.lambdas
+    X, lam = eig.X, eig.lambdas
     lbar = np.asarray(c.lambda_bar, dtype=float)
     Xb = np.asarray(c.X_bar, dtype=float)
     if lbar.shape != (eig.k,):
@@ -72,23 +69,20 @@ def vjp(A, M, eig, c, solver="dense", force=False,
         Vbar = np.zeros_like(X)
         S_diag = np.zeros(eig.k)
     else:
-        B = project_rhs(Xb, X, M, eig.groups)
-        prob = SylvesterProblem(A=A, M=M, lambdas=lam, B=B, X=X, groups=eig.groups)
-        if solver == "dense":
-            sol = solve_dense(prob, tol_solv=tol_solv)
-        elif solver == "iterative":
-            sol = solve_iterative(prob, maxiter=maxiter, tol_solv=tol_solv)
-        else:
-            raise ValueError(f"solver must be 'dense' or 'iterative', got {solver!r}")
-        Ybar = sol.Y
-        Vbar = Ybar - X * np.diag(X.T @ M.apply_batch(Ybar))
-        S_diag = np.diag(X.T @ Xb)
+        p = lin.problem(project_rhs(Xb, X, lin.M, eig.groups, MX=lin.MX))
+        Vbar = (solve_dense(p, tol_solv=tol_solv) if lin.solver == "dense"
+                else solve_iterative(p, maxiter=maxiter, tol_solv=tol_solv)).Y
+        S_diag = np.einsum("ij,ij->j", X, Xb)
 
-    A_bar = (X * lbar) @ X.T - Vbar @ X.T
-    M_bar = (-(X * (lam * lbar)) @ X.T
-             - 0.5 * (X * S_diag) @ X.T
-             + (Vbar * lam) @ X.T)
+    A_bar = (X * lbar - Vbar) @ X.T
+    M_bar = (Vbar * lam - X * (lam * lbar + 0.5 * S_diag)) @ X.T
     return CotangentOutput(A_bar=A_bar, M_bar=M_bar, validity_defect=defect)
+
+
+def vjp(A, M, eig, c, solver="dense", **opts):
+    """Reverse derivatives of ``c`` on the linearization memoized on ``eig``
+    (see :func:`linearize`); ``opts`` are those of :func:`reverse`."""
+    return reverse(linearize(A, M, eig, solver), c, **opts)
 
 
 def vjp_symmetrized(A, M, eig, c, **opts):

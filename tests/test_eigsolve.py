@@ -149,3 +149,18 @@ def test_eig_iterative_deterministic():
     r2 = eg.eig_iterative(A, M, 3, seed=7)
     np.testing.assert_array_equal(r1.X, r2.X)
     np.testing.assert_array_equal(r1.lambdas, r2.lambdas)
+
+
+def test_eig_iterative_rejects_zero_maxiter():
+    A, M = make_pencil([], 30, 3, mass="random")
+    with pytest.raises(ValueError):
+        eg.eig_iterative(A, M, 3, maxiter=0)
+
+
+def test_eig_iterative_negative_mass_direction():
+    # one negative diagonal entry passes the positivity spot-check, and the
+    # residual of A = I concentrates on it, so a Gram matrix turns indefinite
+    Md = np.eye(60)
+    Md[5, 5] = -1e-3
+    with pytest.raises(NotPositiveDefinite):
+        eg.eig_iterative(eg.make_dense(np.eye(60)), eg.make_spd(Md), 3)

@@ -1,0 +1,134 @@
+import gc
+import weakref
+
+import numpy as np
+import pytest
+
+import eigengrad as eg
+from eigengrad import sampling
+from eigengrad.errors import ClusterSplit
+
+from conftest import make_pencil
+
+SOLVERS = ["dense", "iterative"]
+
+
+def pairing(lin, t, c):
+    fwd = lin.jvp(t)
+    bwd = lin.vjp(c)
+    lhs = c.lambda_bar @ fwd.lambda_prime + np.sum(c.X_bar * fwd.X_prime)
+    rhs = (np.sum(bwd.A_bar * eg.as_dense_array(t.Aprime))
+           + np.sum(bwd.M_bar * eg.as_dense_array(t.Mprime)))
+    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_cached_matches_uncached(solver):
+    A, M = make_pencil([2.0, 2.0, 4.0], 30, 5, mass="random")
+    eig = eg.eig_dense(A, M, 4)
+    rng = np.random.default_rng(5)
+    t = sampling.valid_tangent(eig, M, rng)
+    c = sampling.valid_cotangent(eig, M, rng)
+    lin = eg.linearize(A, M, eig, solver)
+    lin.jvp(sampling.valid_tangent(eig, M, rng))
+    assert eg.linearize(A, M, eig, solver) is lin
+    fresh = eg.eig_dense(A, M, 4)
+    fwd, ref = lin.jvp(t), eg.jvp(A, M, fresh, t, solver=solver)
+    np.testing.assert_allclose(fwd.X_prime, ref.X_prime, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(fwd.lambda_prime, ref.lambda_prime, rtol=0, atol=1e-12)
+    bwd, ref = lin.vjp(c), eg.vjp(A, M, fresh, c, solver=solver)
+    np.testing.assert_allclose(bwd.A_bar, ref.A_bar, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(bwd.M_bar, ref.M_bar, rtol=0, atol=1e-12)
+
+
+def test_cache_keyed_by_operator_identity_and_solver():
+    A, M = make_pencil([], 12, 2, mass="random")
+    eig = eg.eig_dense(A, M, 3)
+    lin = eg.linearize(A, M, eig)
+    assert eg.linearize(A, M, eig, "dense") is lin
+    same_A = eg.make_dense(eg.as_dense_array(A))
+    same_M = eg.make_spd(eg.as_dense_array(M))
+    for other in (eg.linearize(same_A, M, eig), eg.linearize(A, same_M, eig),
+                  eg.linearize(A, M, eig, "iterative")):
+        assert other is not lin
+    with pytest.raises(ValueError):
+        eg.linearize(A, M, eig, "cholesky")
+
+
+def test_cache_freed_with_eigen_result():
+    A, M = make_pencil([], 12, 3)
+    eig = eg.eig_dense(A, M, 3)
+    ref = weakref.ref(eg.linearize(A, M, eig))
+    gc.disable()   # freed by reference counting alone, so the memo holds no cycle
+    try:
+        del eig
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_eigenvalue_only_vjp_does_not_factor():
+    A, M = make_pencil([], 12, 6, mass="random")
+    eig = eg.eig_dense(A, M, 3)
+    eg.vjp(A, M, eig, eg.CotangentInput(lambda_bar=np.ones(3), X_bar=np.zeros((12, 3))))
+    assert eg.linearize(A, M, eig).lu is None
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+@pytest.mark.parametrize("mass", ["identity", "random"])
+def test_pairing_on_one_linearization(solver, mass):
+    A, M = make_pencil([1.0, 1.0, 3.0, 3.0, 3.0, 6.0], 20, 7, mass=mass)
+    eig = eg.eig_dense(A, M, 6)
+    assert [len(g) for g in eig.groups] == [2, 3, 1]
+    lin = eg.linearize(A, M, eig, solver)
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        t = sampling.valid_tangent(eig, M, rng)
+        c = sampling.valid_cotangent(eig, M, rng)
+        assert pairing(lin, t, c) < 1e-9
+
+
+def test_cached_dense_solve_matches_spectral_series():
+    A, M = make_pencil([2.0, 2.0, 5.0, 5.0, 5.0], 11, 4, mass="random")
+    eig = eg.eig_dense(A, M, 5)
+    lin = eg.linearize(A, M, eig)
+    fs = eg.full_spectrum(A, M)
+    rng = np.random.default_rng(4)
+    for _ in range(2):
+        B = eg.project_rhs(rng.standard_normal((11, 5)), eig.X, M, eig.groups)
+        sol = eg.solve_dense(lin.problem(B))
+        for j in range(5):
+            ref = eg.pseudo_inverse_apply(fs, eig.lambdas[j], B[:, j])
+            np.testing.assert_allclose(sol.Y[:, j], ref, atol=1e-9)
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_group_cut_by_k_raises_cluster_split(solver):
+    # lambda = 2 is double but k = 2 retrieves one of its eigenvectors
+    A = eg.make_dense(np.diag([1.0, 2.0, 2.0, 3.0, 4.0]))
+    M = eg.identity_operator(5)
+    eig = eg.eig_dense(A, M, 2)
+    rng = np.random.default_rng(0)
+    with pytest.raises(ClusterSplit) as excinfo:
+        eg.jvp(A, M, eig, sampling.valid_tangent(eig, M, rng), solver=solver)
+    assert excinfo.value.defect > 1e-3
+    with pytest.raises(ClusterSplit):
+        eg.vjp(A, M, eig, sampling.valid_cotangent(eig, M, rng), solver=solver)
+
+
+def test_near_degenerate_pair_outside_group_tolerance():
+    # a relative gap of 1e-6 is above the grouping tolerance, so each column is
+    # its own group and X' carries the 1/gap coupling
+    A_arr, M_arr = sampling.pencil_from_spectrum([1, 1 + 1e-6, 2, 3, 4, 5, 6, 1000], 8,
+                                                 np.random.default_rng(1))
+    A, M = eg.make_dense(A_arr), eg.make_spd(M_arr)
+    eig = eg.eig_dense(A, M, 3)
+    assert eig.groups == [[0], [1], [2]]
+    t = sampling.valid_tangent(eig, M, np.random.default_rng(2))
+    dense = eg.jvp(A, M, eig, t)
+    iterative = eg.jvp(A, M, eig, t, solver="iterative")
+    scale = np.max(np.abs(dense.X_prime))
+    assert scale > 1e5
+    assert np.max(np.abs(dense.X_prime - iterative.X_prime)) < 1e-6 * scale
+    fd = eg.finite_difference_jvp(A, M, 3, "smallest", t, step=1e-9, base=eig)
+    assert np.max(np.abs(dense.X_prime - fd.X_prime)) < 1e-3 * scale
