@@ -6,14 +6,14 @@ eigenvalues, with matrix-free solvers and dense verification oracles.
 """
 
 from . import errors, sampling
-from .linop import (DenseSymmetric, SpdOperator, SymmetricOperator,
-                    as_dense_array, check_symmetry, identity_operator,
-                    make_dense, make_spd, read_symmat, write_symmat)
+from .linop import (DenseSymmetric, SymmetricOperator, as_dense_array,
+                    check_symmetry, identity_operator, make_dense, make_spd,
+                    read_symmat, write_symmat)
 from .eigsolve import (EigenResult, build_degeneracy, eig_dense, eig_iterative)
-from .sylvester import (Linearization, SylvesterProblem, SylvesterSolution,
-                        linearize, project_rhs, solve_dense, solve_iterative)
+from .sylvester import (Linearization, SylvesterSolution, linearize,
+                        project_rhs, solve_dense, solve_iterative)
 from .jvp import (TangentInput, TangentOutput, check_forward_validity,
-                  eigenvalue_jvp, eigenvector_jvp, jvp)
+                  eigenvalue_jvp, jvp)
 from .vjp import (CotangentInput, CotangentOutput, check_backward_validity,
                   vjp, vjp_symmetrized)
 from .oracle import (FullSpectrum, FdTangent, analytic_projector_derivative,
@@ -24,15 +24,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "errors", "sampling",
-    "SymmetricOperator", "DenseSymmetric", "SpdOperator",
+    "SymmetricOperator", "DenseSymmetric",
     "make_dense", "make_spd", "identity_operator", "as_dense_array",
     "check_symmetry", "read_symmat", "write_symmat",
     "EigenResult", "eig_dense", "eig_iterative", "build_degeneracy",
     "Linearization", "linearize",
-    "SylvesterProblem", "SylvesterSolution", "project_rhs",
-    "solve_dense", "solve_iterative",
+    "SylvesterSolution", "project_rhs", "solve_dense", "solve_iterative",
     "TangentInput", "TangentOutput", "check_forward_validity",
-    "eigenvalue_jvp", "eigenvector_jvp", "jvp",
+    "eigenvalue_jvp", "jvp",
     "CotangentInput", "CotangentOutput", "check_backward_validity",
     "vjp", "vjp_symmetrized",
     "FullSpectrum", "FdTangent", "full_spectrum", "pseudo_inverse_apply",

@@ -3,7 +3,7 @@
 ``eigengrad verify`` runs the full cross-check battery (symmetry, primal
 residuals, validity conditions, series oracle, finite differences, adjoint
 pairing) and writes a machine-readable JSON report. Exit codes: 0 all checks
-passed, 1 at least one failed, 2 configuration or IO error.
+passed, 1 at least one failed, 2 configuration, IO or input error.
 """
 
 from __future__ import annotations
@@ -131,13 +131,14 @@ def _verify_instance(label, A_arr, M_arr, k, cfg, checks, solver="dense"):
     checks.add(f"{label}/symmetry_M", 0.0 if check_symmetry(M) else 1.0, 0.5)
 
     if solver == "iterative":
-        eig = eig_iterative(A, M, k, tol=min(cfg.tol_eig, 1e-9), seed=cfg.seed)
-        ref = eig_dense(A, M, k)
+        eig = eig_iterative(A, M, k, cfg.which, tol=min(cfg.tol_eig, 1e-9),
+                            seed=cfg.seed)
+        ref = eig_dense(A, M, k, cfg.which)
         checks.add(f"{label}/iter_vs_dense_eigenvalues",
                    np.max(np.abs(eig.lambdas - ref.lambdas))
                    / max(1.0, np.max(np.abs(ref.lambdas))), 1e-7)
     else:
-        eig = eig_dense(A, M, k)
+        eig = eig_dense(A, M, k, cfg.which)
 
     resid = np.linalg.norm(A_arr @ eig.X - M_arr @ eig.X * eig.lambdas)
     scale = np.linalg.norm(A_arr) * np.linalg.norm(eig.X)
@@ -306,7 +307,7 @@ def main(argv=None):
                   f"measured={rec['measured']:.3e} tol={rec['tolerance']:.3e}")
         print("all_passed:", report["all_passed"])
         return 0 if report["all_passed"] else 1
-    except (InvalidSpec, OSError, ValueError) as exc:
+    except (EigengradError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import MaxIterExceeded, NotPositiveDefinite
-from .linop import SpdOperator, as_dense_array, make_dense, spot_check_spd
+from .linop import as_dense_array, make_dense, spot_check_spd
 
 DEFAULT_DEGENERACY_RTOL = 1e-8
 
@@ -29,22 +29,22 @@ class EigenResult:
     D: np.ndarray           # k x k 0/1 degeneracy matrix
     groups: list = field(default_factory=list)  # partition of {0..k-1}
     which: str = "smallest"
-    group_id: np.ndarray = field(init=False, repr=False)  # column -> index into groups
     # memo of sylvester.linearize; freed with this result
     _linearization: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        self.group_id = group_index(self.groups, self.k)
+        if not np.array_equal(self.D, group_mask(self.groups, self.k)):
+            raise ValueError(f"D is not the block mask of groups {self.groups}")
 
 
-def group_index(groups, k):
-    """Length-k array giving, for each column, the index of its group in ``groups``."""
+def group_mask(groups, k):
+    """The k x k 0/1 matrix with D_ij = 1 when columns i and j share a group."""
     gid = np.full(k, -1)
     for g, grp in enumerate(groups):
         gid[grp] = g
     if np.any(gid < 0):
         raise ValueError(f"groups {groups} do not cover all {k} columns")
-    return gid
+    return (gid[:, None] == gid).astype(int)
 
 
 def build_degeneracy(lambdas, tol_rel=DEFAULT_DEGENERACY_RTOL, tol_abs=0.0):
@@ -64,8 +64,7 @@ def build_degeneracy(lambdas, tol_rel=DEFAULT_DEGENERACY_RTOL, tol_abs=0.0):
     cuts = np.flatnonzero(np.diff(lam[order]) > thresh) + 1
     groups = sorted((sorted(c.tolist()) for c in np.split(order, cuts) if c.size),
                     key=lambda g: g[0])
-    gid = group_index(groups, k)
-    return (gid[:, None] == gid).astype(int), groups
+    return group_mask(groups, k), groups
 
 
 def _fix_gauge(X):
@@ -117,8 +116,7 @@ def eig_dense(A, M, k, which="smallest", degeneracy_rtol=DEFAULT_DEGENERACY_RTOL
         lam, X = scipy.linalg.eigh(Ad, Md, subset_by_index=sel)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("M is not positive definite") from exc
-    Mop = M if isinstance(M, SpdOperator) else make_dense(Md)
-    return _finalize(X, lam, which, Mop, tol_rel=degeneracy_rtol, tol_abs=degeneracy_atol)
+    return _finalize(X, lam, which, M, tol_rel=degeneracy_rtol, tol_abs=degeneracy_atol)
 
 
 def _m_orthonormalize(S, M, drop_tol=1e-12):
@@ -140,6 +138,14 @@ def _m_orthonormalize(S, M, drop_tol=1e-12):
         if not np.any(keep):
             return S[:, :0]
         return S @ (V[:, keep] / np.sqrt(w[keep]))
+
+
+def _m_orthonormal_fill(S, M, k, rng):
+    """M-orthonormalize S, then add random directions until it has k columns."""
+    S = _m_orthonormalize(S, M)
+    while S.shape[1] < k:
+        S = _m_orthonormalize(np.hstack([S, rng.standard_normal((S.shape[0], 1))]), M)
+    return S
 
 
 def eig_iterative(A, M, k, which="smallest", maxiter=500, tol=1e-9,
@@ -166,9 +172,7 @@ def eig_iterative(A, M, k, which="smallest", maxiter=500, tol=1e-9,
 
     rng = np.random.default_rng(seed)
     X = np.array(X0, dtype=float) if X0 is not None else rng.standard_normal((n, k))
-    X = _m_orthonormalize(X, M)
-    while X.shape[1] < k:
-        X = _m_orthonormalize(np.hstack([X, rng.standard_normal((n, 1))]), M)
+    X = _m_orthonormal_fill(X, M, k, rng)
     P = None
     theta = np.zeros(k)
 
@@ -189,9 +193,7 @@ def eig_iterative(A, M, k, which="smallest", maxiter=500, tol=1e-9,
 
         W = precond(R) if precond is not None else R
         blocks = [X, W] + ([P] if P is not None and P.shape[1] > 0 else [])
-        S = _m_orthonormalize(np.hstack(blocks), M)
-        while S.shape[1] < k:
-            S = _m_orthonormalize(np.hstack([S, rng.standard_normal((n, 1))]), M)
+        S = _m_orthonormal_fill(np.hstack(blocks), M, k, rng)
         AS = A.apply_batch(S)
         T = 0.5 * (S.T @ AS + AS.T @ S)
         w, Cs = np.linalg.eigh(T)
@@ -202,9 +204,7 @@ def eig_iterative(A, M, k, which="smallest", maxiter=500, tol=1e-9,
         Cp = Ck.copy()
         Cp[:k, :] = 0.0
         P = _m_orthonormalize(S @ Cp, M)
-        X = _m_orthonormalize(Xnew, M)
-        while X.shape[1] < k:
-            X = _m_orthonormalize(np.hstack([X, rng.standard_normal((n, 1))]), M)
+        X = _m_orthonormal_fill(Xnew, M, k, rng)
     else:
         best = _finalize(X, theta, which, M, tol_rel=degeneracy_rtol, tol_abs=degeneracy_atol)
         raise MaxIterExceeded(

@@ -68,11 +68,6 @@ def eigenvalue_jvp(eig, t):
     return np.diag(_coupling(eig, t)[2]).copy()
 
 
-def eigenvector_jvp(A, M, eig, t, solver="dense", **opts):
-    """Eigenvalue and eigenvector forward derivatives; see :func:`jvp`."""
-    return jvp(A, M, eig, t, solver=solver, **opts)
-
-
 def forward(lin, t, force=False, tol_cond=DEFAULT_TOL_COND,
             tol_solv=DEFAULT_TOL_SOLV, maxiter=None):
     """First-order response (Lambda', X') on a linearization; requires forward validity.
@@ -88,9 +83,9 @@ def forward(lin, t, force=False, tol_cond=DEFAULT_TOL_COND,
     ok, defect = check_forward_validity(eig, t, tol_cond, F=F)
     if not ok and not force:
         raise ValidityViolated(defect)
-    p = lin.problem(project_rhs(V, X, lin.M, eig.groups, MX=lin.MX))
-    sol = (solve_dense(p, tol_solv=tol_solv) if lin.solver == "dense"
-           else solve_iterative(p, maxiter=maxiter, tol_solv=tol_solv))
+    B = project_rhs(lin, V)
+    sol = (solve_dense(lin, B, tol_solv=tol_solv) if lin.solver == "dense"
+           else solve_iterative(lin, B, maxiter=maxiter, tol_solv=tol_solv))
     X_prime = -0.5 * X * np.einsum("ij,ij->j", X, MpX) - sol.Y
     return TangentOutput(lambda_prime=np.diag(F).copy(), X_prime=X_prime,
                          validity_defect=defect)

@@ -71,28 +71,15 @@ class DenseSymmetric(SymmetricOperator):
         return self.entries @ V
 
 
-class SpdOperator(SymmetricOperator):
-    """Wrapper marking an operator as positive definite (attested by caller)."""
-
-    def __init__(self, base):
-        self.base = base
-        super().__init__(base.dim, base.apply, base.apply_batch)
-
-    def apply(self, v):
-        return self.base.apply(v)
-
-    def apply_batch(self, V):
-        return self.base.apply_batch(V)
-
-
 def make_dense(entries):
     """Wrap a square array as a :class:`DenseSymmetric` (symmetrizing it)."""
     return DenseSymmetric(entries)
 
 
 def make_spd(entries):
-    """Wrap a square array as an SPD-attested dense operator."""
-    return SpdOperator(make_dense(entries))
+    """:func:`make_dense` for a mass matrix, whose positive definiteness the
+    caller attests; :func:`spot_check_spd` probes it."""
+    return make_dense(entries)
 
 
 def identity_operator(n):
@@ -105,8 +92,6 @@ def as_dense_array(op, copy=True):
     Cheap for dense-backed operators; otherwise costs ``dim`` applies.
     ``copy=False`` returns a dense-backed operator's entries: do not modify.
     """
-    if isinstance(op, SpdOperator):
-        return as_dense_array(op.base, copy)
     if isinstance(op, DenseSymmetric):
         return op.entries.copy() if copy else op.entries
     return np.asarray(op.apply_batch(np.eye(op.dim)), dtype=float)

@@ -14,31 +14,16 @@ the iterative route runs MINRES on the deflated operator.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
 from .errors import ClusterSplit, MaxIterExceeded, NotSolvable
-from .eigsolve import group_index
 from .linop import as_dense_array
 
 DEFAULT_TOL_SOLV = 1e-10
-
-
-@dataclass
-class SylvesterProblem:
-    A: object                  # SymmetricOperator
-    M: object                  # SpdOperator
-    lambdas: np.ndarray        # per-column shifts, length k
-    B: np.ndarray              # n x k right-hand block
-    X: np.ndarray              # n x k M-orthonormal eigenblock (nullspace data)
-    groups: list = field(default_factory=list)
-    lin: object = None         # Linearization to solve with; None: one for this problem
-
-    def __post_init__(self):
-        self.group_id = group_index(self.groups, len(self.lambdas))
 
 
 @dataclass
@@ -86,13 +71,6 @@ class Linearization:
         lu, piv, _ = scipy.linalg.lapack.dgetrf(K.T, overwrite_a=True)
         return lu, piv    # a zero pivot is caught by solve_dense's residual
 
-    def problem(self, B):
-        """The shifted solve for right-hand sides B; the first dense one factors."""
-        if self.solver == "dense":
-            self.factors()
-        return SylvesterProblem(A=self.A, M=self.M, lambdas=self.eig.lambdas, B=B,
-                                X=self.eig.X, groups=self.eig.groups, lin=self)
-
     def jvp(self, t, **opts):
         """Forward derivatives along ``t``; options as for :func:`eigengrad.jvp.jvp`."""
         from .jvp import forward
@@ -118,19 +96,16 @@ def linearize(A, M, eig, solver="dense"):
     return lin
 
 
-def project_rhs(B, X, M, groups, MX=None):
+def project_rhs(lin, B):
     """Remove the degenerate-group component: b_j <- b_j - M X_g (X_g^T b_j)."""
     B = np.asarray(B, dtype=float)
-    gid = group_index(groups, X.shape[1])
-    MX = M.apply_batch(X) if MX is None else MX
-    return B - MX @ ((gid[:, None] == gid) * (X.T @ B))
+    return B - lin.MX @ (lin.eig.D * (lin.eig.X.T @ B))
 
 
-def _check_solvable(p, tol_solv):
+def _check_solvable(eig, B, tol_solv):
     """Per-column nullspace-component check; raises NotSolvable on violation."""
-    C = (p.group_id[:, None] == p.group_id) * (p.X.T @ p.B)
-    defect = np.linalg.norm(C, axis=0)
-    bnorm = np.linalg.norm(p.B, axis=0)
+    defect = np.linalg.norm(eig.D * (eig.X.T @ B), axis=0)
+    bnorm = np.linalg.norm(B, axis=0)
     bad = np.flatnonzero(defect > tol_solv * bnorm * 10)
     if bad.size:
         raise NotSolvable(int(bad[0]), defect[bad[0]] / bnorm[bad[0]])
@@ -151,59 +126,53 @@ def _check_split(residuals, B, tol_solv):
             "its eigenvalue has eigenvectors outside the retrieved set", defect=defect[j])
 
 
-def solve_dense(p, tol_solv=DEFAULT_TOL_SOLV):
-    """Columnwise solve through the bordered LU of each column's group.
+def solve_dense(lin, B, tol_solv=DEFAULT_TOL_SOLV):
+    """Columnwise solve of (A - lambda_j M) y_j = b_j through the bordered LU
+    of each column's group; the first call on ``lin`` factors.
 
     The solve at the group's mean shift is refined once at the exact shift
     unless it already meets MINRES's target; the border keeps y_j M-orthogonal
-    to its group. Factors come from ``p.lin``, else are made for ``p`` alone.
+    to its group.
     """
-    _check_solvable(p, tol_solv)
-    lin = p.lin or Linearization(p.A, p.M, p, "dense")
+    eig = lin.eig
+    _check_solvable(eig, B, tol_solv)
     lu = lin.factors()
-    n, k = p.B.shape
-    same = p.group_id[:, None] == p.group_id
-    target = 1e-2 * tol_solv * np.linalg.norm(p.B, axis=0)
+    n, k = B.shape
+    target = 1e-2 * tol_solv * np.linalg.norm(B, axis=0)
     Z = np.zeros((n + k, k))    # [Y; mu], mu_j nonzero only on the rows of j's group
-    R = np.vstack([p.B, np.zeros((k, k))])
+    R = np.vstack([B, np.zeros((k, k))])
     for _ in range(2):
-        for g, grp in enumerate(p.groups):
+        for g, grp in enumerate(eig.groups):
             idx = np.ix_(np.r_[:n, n + np.asarray(grp)], grp)
             Z[idx] += scipy.linalg.lapack.dgetrs(*lu[g], R[idx], trans=1)[0]
         Y = Z[:n]
-        R = np.vstack([p.B - p.A.apply_batch(Y) + p.M.apply_batch(Y) * p.lambdas
-                       - lin.MX @ Z[n:], same * -(lin.MX.T @ Y)])
+        R = np.vstack([B - lin.A.apply_batch(Y) + lin.M.apply_batch(Y) * eig.lambdas
+                       - lin.MX @ Z[n:], eig.D * -(lin.MX.T @ Y)])
         residuals = np.linalg.norm(R, axis=0)
         if np.all(residuals <= target):
             break
-    _check_split(residuals, p.B, tol_solv)
+    _check_split(residuals, B, tol_solv)
     return SylvesterSolution(Y=Z[:n].copy(), residuals=residuals,
                              iterations=np.zeros(k, dtype=int))
 
 
-def solve_iterative(p, maxiter=None, tol_solv=DEFAULT_TOL_SOLV):
+def solve_iterative(lin, B, maxiter=None, tol_solv=DEFAULT_TOL_SOLV):
     """Columnwise MINRES on the shifted symmetric-indefinite operator.
 
     Each column solves P_L (A - lambda_j M) P_S y = P_L b_j where P_L and
-    P_S deflate the degenerate group on the range and solution side. Uses
-    M X from ``p.lin`` when given.
+    P_S deflate the column's degenerate group on the range and solution side.
     """
-    _check_solvable(p, tol_solv)
-    MX = p.lin.MX if p.lin is not None else p.M.apply_batch(p.X)
-    n, k = p.B.shape
+    eig = lin.eig
+    _check_solvable(eig, B, tol_solv)
+    A, M = lin.A, lin.M
+    n, k = B.shape
     maxiter = 20 * n if maxiter is None else maxiter
     Y = np.zeros((n, k))
     residuals = np.zeros(k)
     iterations = np.zeros(k, dtype=int)
 
-    for j in range(k):
-        b = p.B[:, j]
-        bnorm = np.linalg.norm(b)
-        if bnorm == 0.0:
-            continue
-        lam = p.lambdas[j]
-        grp = p.groups[p.group_id[j]]
-        Xg, MXg = p.X[:, grp], MX[:, grp]
+    for grp in eig.groups:
+        Xg, MXg = eig.X[:, grp], lin.MX[:, grp]
 
         def proj_left(v):
             return v - MXg @ (Xg.T @ v)
@@ -211,22 +180,30 @@ def solve_iterative(p, maxiter=None, tol_solv=DEFAULT_TOL_SOLV):
         def proj_sol(v):
             return v - Xg @ (MXg.T @ v)
 
-        def opmat(v):
-            s = proj_sol(v)
-            return proj_left(p.A.apply(s) - lam * p.M.apply(s))
+        for j in grp:
+            b = B[:, j]
+            bnorm = np.linalg.norm(b)
+            if bnorm == 0.0:
+                continue
+            lam = eig.lambdas[j]
 
-        op = scipy.sparse.linalg.LinearOperator((n, n), matvec=opmat, dtype=float)
-        bproj = proj_left(b)
-        steps = []
-        y, info = scipy.sparse.linalg.minres(
-            op, bproj, rtol=max(tol_solv * 1e-2, 1e-13), maxiter=maxiter,
-            callback=steps.append)
-        y = proj_sol(y)
-        res = np.linalg.norm(p.A.apply(y) - lam * p.M.apply(y) - bproj)
-        Y[:, j], residuals[j], iterations[j] = y, res, len(steps)
-        if info != 0 and res > tol_solv * max(bnorm, 1e-300) * 10:
-            raise MaxIterExceeded(
-                f"column {j}: MINRES stopped (info={info}) at residual {res:.3e}",
-                payload=SylvesterSolution(Y=Y, residuals=residuals, iterations=iterations))
-    _check_split(residuals, p.B, tol_solv)
+            def opmat(v):
+                s = proj_sol(v)
+                return proj_left(A.apply(s) - lam * M.apply(s))
+
+            op = scipy.sparse.linalg.LinearOperator((n, n), matvec=opmat, dtype=float)
+            bproj = proj_left(b)
+            steps = []
+            y, info = scipy.sparse.linalg.minres(
+                op, bproj, rtol=max(tol_solv * 1e-2, 1e-13), maxiter=maxiter,
+                callback=steps.append)
+            y = proj_sol(y)
+            res = np.linalg.norm(A.apply(y) - lam * M.apply(y) - bproj)
+            Y[:, j], residuals[j], iterations[j] = y, res, len(steps)
+            if info != 0 and res > tol_solv * max(bnorm, 1e-300) * 10:
+                raise MaxIterExceeded(
+                    f"column {j}: MINRES stopped (info={info}) at residual {res:.3e}",
+                    payload=SylvesterSolution(Y=Y, residuals=residuals,
+                                              iterations=iterations))
+    _check_split(residuals, B, tol_solv)
     return SylvesterSolution(Y=Y, residuals=residuals, iterations=iterations)

@@ -69,9 +69,9 @@ def reverse(lin, c, force=False, tol_cond=DEFAULT_TOL_COND,
         Vbar = np.zeros_like(X)
         S_diag = np.zeros(eig.k)
     else:
-        p = lin.problem(project_rhs(Xb, X, lin.M, eig.groups, MX=lin.MX))
-        Vbar = (solve_dense(p, tol_solv=tol_solv) if lin.solver == "dense"
-                else solve_iterative(p, maxiter=maxiter, tol_solv=tol_solv)).Y
+        B = project_rhs(lin, Xb)
+        Vbar = (solve_dense(lin, B, tol_solv=tol_solv) if lin.solver == "dense"
+                else solve_iterative(lin, B, maxiter=maxiter, tol_solv=tol_solv)).Y
         S_diag = np.einsum("ij,ij->j", X, Xb)
 
     A_bar = (X * lbar - Vbar) @ X.T

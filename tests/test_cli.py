@@ -143,3 +143,19 @@ def test_default_suite_passes(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     labels = {r["name"].split("/")[0] for r in report["checks"]}
     assert {"diag123", "degen225", "degen1114", "random20", "iter50"} <= labels
+
+
+def test_typed_error_exits_2(tmp_path):
+    # k = 1 retrieves one eigenvector of the double eigenvalue 2: ClusterSplit
+    run(["generate", "--n", 6, "--degeneracy", "2x2,5x1", "--out", tmp_path])
+    assert run(["jvp", "--a", tmp_path / "A.mat", "--m", tmp_path / "M.mat",
+                "--k", 1, "--out", tmp_path]) == 2
+
+
+def test_verify_honours_which(tmp_path):
+    # the double eigenvalue 1 is the smallest; k = 1 would cut it, the largest is simple
+    run(["generate", "--n", 6, "--degeneracy", "1x2", "--out", tmp_path])
+    for solver in ("dense", "iterative"):
+        assert run(["verify", "--a", tmp_path / "A.mat", "--m", tmp_path / "M.mat",
+                    "--k", 1, "--which", "largest", "--solver", solver,
+                    "--out", tmp_path]) == 0

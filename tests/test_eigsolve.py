@@ -98,7 +98,7 @@ def test_degeneracy_is_equivalence():
 def test_eig_iterative_matrix_free_closure():
     d = np.arange(1.0, 11.0)
     A = eg.SymmetricOperator(10, lambda v: d * v, lambda V: d[:, None] * V)
-    M = eg.SpdOperator(eg.SymmetricOperator(10, lambda v: v, lambda V: V))
+    M = eg.SymmetricOperator(10, lambda v: v, lambda V: V)
     res = eg.eig_iterative(A, M, 3)
     np.testing.assert_allclose(res.lambdas, [1.0, 2.0, 3.0], atol=1e-8)
 
@@ -164,3 +164,14 @@ def test_eig_iterative_negative_mass_direction():
     Md[5, 5] = -1e-3
     with pytest.raises(NotPositiveDefinite):
         eg.eig_iterative(eg.make_dense(np.eye(60)), eg.make_spd(Md), 3)
+
+
+def test_eigen_result_rejects_mask_not_matching_groups():
+    X, lam = np.eye(3)[:, :2], np.array([2.0, 2.0])
+    with pytest.raises(ValueError):
+        eg.EigenResult(k=2, X=X, lambdas=lam, D=np.eye(2, dtype=int), groups=[[0, 1]])
+    with pytest.raises(ValueError):
+        eg.EigenResult(k=2, X=X, lambdas=lam, D=np.eye(2, dtype=int), groups=[[0]])
+    res = eg.EigenResult(k=2, X=X, lambdas=lam, D=np.ones((2, 2), dtype=int),
+                         groups=[[0, 1]])
+    assert res.groups == [[0, 1]]

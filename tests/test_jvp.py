@@ -81,7 +81,7 @@ def test_eigenvalue_jvp_dimension_mismatch(diag123):
 
 def test_eigenvector_jvp_offdiagonal(diag123):
     A, M, eig = diag123
-    out = eg.eigenvector_jvp(A, M, eig, tangent(coupling(3, 0, 1)))
+    out = eg.jvp(A, M, eig, tangent(coupling(3, 0, 1)))
     # frozen from the spectral series sum_i x_i (x_i^T A' x_j)/(lambda_j - lambda_i)
     np.testing.assert_allclose(out.X_prime[:, 0], [0.0, -1.0, 0.0], atol=1e-10)
     np.testing.assert_allclose(out.X_prime[:, 1], [1.0, 0.0, 0.0], atol=1e-10)
@@ -89,22 +89,22 @@ def test_eigenvector_jvp_offdiagonal(diag123):
 
 def test_eigenvector_jvp_zero_tangent(diag123):
     A, M, eig = diag123
-    out = eg.eigenvector_jvp(A, M, eig, tangent(np.zeros((3, 3))))
+    out = eg.jvp(A, M, eig, tangent(np.zeros((3, 3))))
     np.testing.assert_array_equal(out.X_prime, np.zeros((3, 2)))
 
 
 def test_eigenvector_jvp_group_diagonal_stationary(degen225):
     A, M, eig = degen225
-    out = eg.eigenvector_jvp(A, M, eig, tangent(np.diag([3.0, 7.0, 0.0])))
+    out = eg.jvp(A, M, eig, tangent(np.diag([3.0, 7.0, 0.0])))
     np.testing.assert_allclose(out.X_prime, np.zeros((3, 2)), atol=1e-10)
 
 
 def test_eigenvector_jvp_rejects_invalid(degen225):
     A, M, eig = degen225
     with pytest.raises(ValidityViolated):
-        eg.eigenvector_jvp(A, M, eig, tangent(coupling(3, 0, 1)))
+        eg.jvp(A, M, eig, tangent(coupling(3, 0, 1)))
     # force escape hatch returns the projected answer plus the defect
-    out = eg.eigenvector_jvp(A, M, eig, tangent(coupling(3, 0, 1)), force=True)
+    out = eg.jvp(A, M, eig, tangent(coupling(3, 0, 1)), force=True)
     assert out.validity_defect > 0.5
     assert np.all(np.isfinite(out.X_prime))
 

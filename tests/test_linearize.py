@@ -95,8 +95,8 @@ def test_cached_dense_solve_matches_spectral_series():
     fs = eg.full_spectrum(A, M)
     rng = np.random.default_rng(4)
     for _ in range(2):
-        B = eg.project_rhs(rng.standard_normal((11, 5)), eig.X, M, eig.groups)
-        sol = eg.solve_dense(lin.problem(B))
+        B = eg.project_rhs(lin, rng.standard_normal((11, 5)))
+        sol = eg.solve_dense(lin, B)
         for j in range(5):
             ref = eg.pseudo_inverse_apply(fs, eig.lambdas[j], B[:, j])
             np.testing.assert_allclose(sol.Y[:, j], ref, atol=1e-9)
