@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 import eigengrad as eg
+from eigengrad import sampling
 from eigengrad.errors import MaxIterExceeded, NotPositiveDefinite
 
 from conftest import make_pencil
@@ -175,3 +178,59 @@ def test_eigen_result_rejects_mask_not_matching_groups():
     res = eg.EigenResult(k=2, X=X, lambdas=lam, D=np.ones((2, 2), dtype=int),
                          groups=[[0, 1]])
     assert res.groups == [[0, 1]]
+
+
+def _counting(mat, counts, key):
+    """A SymmetricOperator over ``mat`` that counts the columns it is applied to."""
+    def apply(V):
+        counts[key] += 1 if V.ndim == 1 else V.shape[1]
+        return mat @ V
+    return eg.SymmetricOperator(mat.shape[0], apply, apply)
+
+
+def _membrane(m):
+    """Q1 FEM stiffness and mass of the unit square with m x m interior nodes;
+    modes (i, j) and (j, i) are exactly degenerate."""
+    h = 1.0 / (m + 1)
+    ones = np.ones(m)
+    K1 = sp.diags([-ones[1:], 2.0 * ones, -ones[1:]], [-1, 0, 1]) / h
+    M1 = sp.diags([ones[1:], 4.0 * ones, ones[1:]], [-1, 0, 1]) * (h / 6.0)
+    return (sp.kron(K1, M1) + sp.kron(M1, K1)).tocsc(), sp.kron(M1, M1).tocsc()
+
+
+def test_eig_iterative_maxiter_payload_pairs_lambdas_with_X():
+    A, M = make_pencil([], 30, 3, mass="random")
+    with pytest.raises(MaxIterExceeded) as excinfo:
+        eg.eig_iterative(A, M, 3, maxiter=3, tol=1e-14)
+    best = excinfo.value.payload
+    X = best.X
+    rayleigh = (np.sum(X * (A.entries @ X), axis=0)
+                / np.sum(X * (eg.as_dense_array(M) @ X), axis=0))
+    np.testing.assert_allclose(best.lambdas, rayleigh, rtol=1e-10)
+
+
+def test_eig_iterative_applies_each_operator_once_per_direction():
+    n, k, maxiter = 200, 4, 10
+    A_arr, M_arr = sampling.pencil_from_spectrum([], n, np.random.default_rng(4),
+                                                 mass="random")
+    counts = {"A": 0, "M": 0}
+    with pytest.raises(MaxIterExceeded):
+        eg.eig_iterative(_counting(A_arr, counts, "A"), _counting(M_arr, counts, "M"),
+                         k, maxiter=maxiter, tol=1e-14)
+    assert counts["A"] <= (maxiter + 3) * k
+    assert counts["M"] <= (maxiter + 3) * k + 5   # + spot_check_spd's probes
+
+
+def test_eig_iterative_preconditioned_membrane():
+    K, Mm = _membrane(15)
+    k = 4
+    de = eg.eig_dense(eg.make_dense(K.toarray()), eg.make_spd(Mm.toarray()), k)
+    runs = {}
+    for name, precond in (("plain", None), ("precond", splu(K).solve)):
+        counts = {"A": 0, "M": 0}
+        res = eg.eig_iterative(_counting(K, counts, "A"), _counting(Mm, counts, "M"), k,
+                               precond=precond)
+        np.testing.assert_allclose(res.lambdas, de.lambdas, rtol=1e-8)
+        assert res.groups == [[0], [1, 2], [3]]
+        runs[name] = counts["A"]
+    assert runs["precond"] <= runs["plain"] / 2
