@@ -82,16 +82,15 @@ def _group_orthonormalize(X, M, groups):
     return X
 
 
-def _finalize(X, lam, which, M, tol_rel=DEFAULT_DEGENERACY_RTOL, tol_abs=0.0):
-    D, groups = build_degeneracy(lam, tol_rel=tol_rel, tol_abs=tol_abs)
+def _finalize(X, lam, which, M, tol_rel):
+    D, groups = build_degeneracy(lam, tol_rel=tol_rel)
     X = _group_orthonormalize(X, M, groups)
     X = _fix_gauge(X)
     return EigenResult(k=len(lam), X=X, lambdas=np.asarray(lam, float),
                        D=D, groups=groups, which=which)
 
 
-def eig_dense(A, M, k, which="smallest", degeneracy_rtol=DEFAULT_DEGENERACY_RTOL,
-              degeneracy_atol=0.0):
+def eig_dense(A, M, k, which="smallest", degeneracy_rtol=DEFAULT_DEGENERACY_RTOL):
     """Dense path: k extremal eigenpairs via LAPACK on the materialized pencil."""
     Ad = as_dense_array(A)
     Md = as_dense_array(M)
@@ -105,17 +104,18 @@ def eig_dense(A, M, k, which="smallest", degeneracy_rtol=DEFAULT_DEGENERACY_RTOL
         lam, X = scipy.linalg.eigh(Ad, Md, subset_by_index=sel)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("M is not positive definite") from exc
-    return _finalize(X, lam, which, M, tol_rel=degeneracy_rtol, tol_abs=degeneracy_atol)
+    return _finalize(X, lam, which, M, degeneracy_rtol)
 
 
-def _whitening(G, drop_tol=1e-12):
+def _whitening(G):
     """F with F^T G F = I for the M-Gram matrix G of a block (lower triangle
-    read), without near-dependent directions; raises if G is indefinite."""
+    read), without directions below 1e-12 of its largest eigenvalue; raises
+    if G is indefinite beyond that."""
     try:   # numpy only (one OpenBLAS pool); inv + GEMM: ~10x faster than n solves
         return np.linalg.inv(np.linalg.cholesky(G)).T
     except np.linalg.LinAlgError:
         w, V = np.linalg.eigh(G)
-        floor = drop_tol * max(w.max(), 0.0)
+        floor = 1e-12 * max(w.max(), 0.0)
         if w.min() < -floor:
             raise NotPositiveDefinite(
                 f"M-Gram matrix has eigenvalue {w.min():.3e} (largest {w.max():.3e})")
@@ -131,8 +131,7 @@ def _ritz(X, AX, MX):
 
 
 def eig_iterative(A, M, k, which="smallest", maxiter=500, tol=1e-9,
-                  precond=None, seed=0, X0=None,
-                  degeneracy_rtol=DEFAULT_DEGENERACY_RTOL, degeneracy_atol=0.0):
+                  precond=None, seed=0, degeneracy_rtol=DEFAULT_DEGENERACY_RTOL):
     """Matrix-free path: LOBPCG (Knyazev 2001) with carried block products.
 
     Rayleigh-Ritz runs on S = [X, P, W]: the Ritz block, the conjugate
@@ -153,15 +152,10 @@ def eig_iterative(A, M, k, which="smallest", maxiter=500, tol=1e-9,
         raise NotPositiveDefinite("M failed the positivity spot-check")
     if n <= max(4 * k, 12):
         return eig_dense(make_dense(as_dense_array(A)), make_dense(as_dense_array(M)),
-                         k, which, degeneracy_rtol, degeneracy_atol)
+                         k, which, degeneracy_rtol)
 
-    rng = np.random.default_rng(seed)
-    X = np.array(X0, dtype=float) if X0 is not None else rng.standard_normal((n, k))
-    while True:
-        theta, X, AX, MX = _ritz(X, A.apply_batch(X), M.apply_batch(X))
-        if X.shape[1] >= k:
-            break
-        X = np.hstack([X, rng.standard_normal((n, k - X.shape[1]))])
+    X = np.random.default_rng(seed).standard_normal((n, k))
+    theta, X, AX, MX = _ritz(X, A.apply_batch(X), M.apply_batch(X))
     # column-major, so the column blocks X, [X, P] and W are contiguous
     S, AS, MS = (np.empty((n, 3 * k), order="F") for _ in range(3))
     S[:, :k], AS[:, :k], MS[:, :k] = X, AX, MX
@@ -183,7 +177,7 @@ def eig_iterative(A, M, k, which="smallest", maxiter=500, tol=1e-9,
         if converged:
             break
         if it == maxiter:
-            best = _finalize(X.copy(), theta, which, M, degeneracy_rtol, degeneracy_atol)
+            best = _finalize(X.copy(), theta, which, M, degeneracy_rtol)
             raise MaxIterExceeded(
                 f"eig_iterative: {maxiter} iterations, residuals {resnorms}", payload=best)
         it += 1
@@ -212,4 +206,4 @@ def eig_iterative(A, M, k, which="smallest", maxiter=500, tol=1e-9,
         for B in (S, AS, MS):
             B[:, :q] = B[:, :p] @ C
 
-    return _finalize(S[:, :k].copy(), theta, which, M, degeneracy_rtol, degeneracy_atol)
+    return _finalize(S[:, :k].copy(), theta, which, M, degeneracy_rtol)

@@ -69,7 +69,7 @@ def eigenvalue_jvp(eig, t):
 
 
 def forward(lin, t, force=False, tol_cond=DEFAULT_TOL_COND,
-            tol_solv=DEFAULT_TOL_SOLV, maxiter=None):
+            tol_solv=DEFAULT_TOL_SOLV):
     """First-order response (Lambda', X') on a linearization; requires forward validity.
 
     Pipeline: build V = A'X - M'X Lambda and F = X^T V once; check validity
@@ -85,7 +85,7 @@ def forward(lin, t, force=False, tol_cond=DEFAULT_TOL_COND,
         raise ValidityViolated(defect)
     B = project_rhs(lin, V)
     sol = (solve_dense(lin, B, tol_solv=tol_solv) if lin.solver == "dense"
-           else solve_iterative(lin, B, maxiter=maxiter, tol_solv=tol_solv))
+           else solve_iterative(lin, B, tol_solv=tol_solv))
     X_prime = -0.5 * X * np.einsum("ij,ij->j", X, MpX) - sol.Y
     return TangentOutput(lambda_prime=np.diag(F).copy(), X_prime=X_prime,
                          validity_defect=defect)

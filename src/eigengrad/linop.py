@@ -123,25 +123,25 @@ def check_symmetry(op, trials=10, tol=1e-12, seed=0):
     return True
 
 
-def spot_check_spd(op, trials=5, seed=0):
-    """Probabilistic positivity check: <v, Mv> > 0 for random v."""
+def spot_check_spd(op, seed=0):
+    """Probabilistic positivity check: <v, Mv> > 0 for five random v."""
     rng = np.random.default_rng(seed)
-    for _ in range(trials):
+    for _ in range(5):
         v = rng.standard_normal(op.dim)
         if v @ op.apply(v) <= 0.0:
             return False
     return True
 
 
-def read_symmat(path):
-    """Read the ``symmat`` text format and return a :class:`DenseSymmetric`.
+def read_rows(path):
+    """Read the ``symmat`` text format: the n x n array as written.
 
     Format: first line ``symmat <n>``, then n rows of n whitespace-separated
-    floats. The parser symmetrizes.
+    floats, all finite.
     """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().split()
-        if len(header) != 2 or header[0] != "symmat":
+        if len(header) != 2 or header[0] != "symmat" or int(header[1]) < 1:
             raise ValueError(f"{path}: bad symmat header {header!r}")
         n = int(header[1])
         rows = []
@@ -150,7 +150,15 @@ def read_symmat(path):
             if len(row) != n:
                 raise ValueError(f"{path}: row {i} has {len(row)} entries, expected {n}")
             rows.append(row)
-    return make_dense(np.array(rows))
+    if not np.all(np.isfinite(rows)):
+        raise NonFiniteError(f"{path}: matrix entries must be finite")
+    return np.array(rows)
+
+
+def read_symmat(path):
+    """Read a ``symmat`` file (:func:`read_rows`) as a :class:`DenseSymmetric`;
+    the parser symmetrizes."""
+    return make_dense(read_rows(path))
 
 
 def write_symmat(path, entries):

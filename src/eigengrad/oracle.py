@@ -48,25 +48,38 @@ def full_spectrum(A, M):
 def pseudo_inverse_apply(fs, lam, v, group_tol=None):
     """(A - lam M)^+ v via the spectral series sum_i u_i (u_i^T v)/(e_i - lam).
 
-    Terms with |e_i - lam| <= group_tol are dropped (the nullspace).
+    Terms with |e_i - lam| <= group_tol are dropped (the nullspace); the
+    default is DEFAULT_DEGENERACY_RTOL * max|e|.
     """
     v = np.asarray(v, dtype=float)
-    group_tol = _series_group_tol(fs) if group_tol is None else group_tol
+    if group_tol is None:
+        group_tol = DEFAULT_DEGENERACY_RTOL * max(np.max(np.abs(fs.E)), 1e-300)
     denom = fs.E - lam
     keep = np.abs(denom) > group_tol
     c = fs.U.T @ v
     return fs.U[:, keep] @ (c[keep] / denom[keep])
 
 
-def _series_group_tol(fs):
-    return DEFAULT_DEGENERACY_RTOL * max(np.max(np.abs(fs.E)), 1e-300)
+def _series_weights(fs, M, eig):
+    """W (n x k) with W_ij = 1/(e_i - lambda_j), and 0 on column j's nullspace,
+    so U (W o U^T B) applies (A - lambda_j M)^+ to each column b_j.
+
+    Column j's nullspace is the |g| full-spectrum eigenvectors u_i with the
+    largest ||X_g^T M u_i||, g the retrieved group of j: the ones that span
+    the group, however close other eigenvalues are.
+    """
+    overlap = eig.D @ (M.apply_batch(eig.X).T @ fs.U) ** 2     # ||X_g^T M u_i||^2
+    rank = np.argsort(np.argsort(-overlap, axis=1, kind="stable"), axis=1)
+    keep = rank >= eig.D.sum(axis=1)[:, None]
+    denom = fs.E - eig.lambdas[:, None]
+    return np.divide(1.0, denom, out=np.zeros_like(denom), where=keep).T
 
 
 def jvp_series(fs, M, eig, t, tol_cond=DEFAULT_TOL_COND, force=False):
     """Forward derivative by explicit summation over the full spectrum.
 
     x'_j = -1/2 x_j (x_j^T M' x_j)
-           + sum_{i outside the lambda_j eigenspace}
+           + sum_{i outside column j's nullspace (see _series_weights)}
              u_i (u_i^T (A' - lambda_j M') x_j) / (lambda_j - e_i)
     """
     ok, defect = check_forward_validity(eig, t, tol_cond)
@@ -74,22 +87,11 @@ def jvp_series(fs, M, eig, t, tol_cond=DEFAULT_TOL_COND, force=False):
         raise ValidityViolated(defect)
 
     X = eig.X
-    n, k = X.shape
-    tol = _series_group_tol(fs)
-    ApX = t.Aprime.apply_batch(X)
     MpX = t.Mprime.apply_batch(X)
-    lam_prime = np.zeros(k)
-    X_prime = np.zeros((n, k))
-    for j in range(k):
-        lam = eig.lambdas[j]
-        vj = ApX[:, j] - lam * MpX[:, j]
-        lam_prime[j] = X[:, j] @ vj
-        denom = lam - fs.E
-        keep = np.abs(denom) > tol
-        c = fs.U.T @ vj
-        X_prime[:, j] = (fs.U[:, keep] @ (c[keep] / denom[keep])
-                         - 0.5 * X[:, j] * (X[:, j] @ MpX[:, j]))
-    return TangentOutput(lambda_prime=lam_prime, X_prime=X_prime,
+    V = t.Aprime.apply_batch(X) - MpX * eig.lambdas
+    X_prime = (-fs.U @ (_series_weights(fs, M, eig) * (fs.U.T @ V))
+               - 0.5 * X * np.einsum("ij,ij->j", X, MpX))
+    return TangentOutput(lambda_prime=np.einsum("ij,ij->j", X, V), X_prime=X_prime,
                          validity_defect=defect)
 
 
@@ -101,9 +103,9 @@ def vjp_series(fs, M, eig, c, tol_cond=DEFAULT_TOL_COND, force=False):
 
     X = eig.X
     n, k = X.shape
-    tol = _series_group_tol(fs)
     lbar = np.asarray(c.lambda_bar, dtype=float)
     Xb = np.asarray(c.X_bar, dtype=float)
+    perps = fs.U @ (_series_weights(fs, M, eig) * (fs.U.T @ Xb))
     A_bar = np.zeros((n, n))
     M_bar = np.zeros((n, n))
     for j in range(k):
@@ -113,12 +115,8 @@ def vjp_series(fs, M, eig, c, tol_cond=DEFAULT_TOL_COND, force=False):
         A_bar += lbar[j] * np.outer(x, x)
         M_bar += (-lam * lbar[j] * np.outer(x, x)
                   - 0.5 * (x @ xb) * np.outer(x, x))
-        denom = fs.E - lam
-        keep = np.abs(denom) > tol
-        coeff = (fs.U[:, keep].T @ xb) / denom[keep]
-        perp = fs.U[:, keep] @ coeff
-        A_bar -= np.outer(perp, x)
-        M_bar += lam * np.outer(perp, x)
+        A_bar -= np.outer(perps[:, j], x)
+        M_bar += lam * np.outer(perps[:, j], x)
     return CotangentOutput(A_bar=A_bar, M_bar=M_bar, validity_defect=defect)
 
 

@@ -42,7 +42,7 @@ def check_backward_validity(eig, c, tol_cond=DEFAULT_TOL_COND):
 
 
 def reverse(lin, c, force=False, tol_cond=DEFAULT_TOL_COND,
-            tol_solv=DEFAULT_TOL_SOLV, maxiter=None):
+            tol_solv=DEFAULT_TOL_SOLV):
     """Adjoint map (Lambda_bar, X_bar) -> (A_bar, M_bar) on a linearization.
 
     Solves the shifted systems (A - lambda_j M) ybar_j = xbar_j projected off
@@ -71,7 +71,7 @@ def reverse(lin, c, force=False, tol_cond=DEFAULT_TOL_COND,
     else:
         B = project_rhs(lin, Xb)
         Vbar = (solve_dense(lin, B, tol_solv=tol_solv) if lin.solver == "dense"
-                else solve_iterative(lin, B, maxiter=maxiter, tol_solv=tol_solv)).Y
+                else solve_iterative(lin, B, tol_solv=tol_solv)).Y
         S_diag = np.einsum("ij,ij->j", X, Xb)
 
     A_bar = (X * lbar - Vbar) @ X.T

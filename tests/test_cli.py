@@ -62,6 +62,13 @@ def test_missing_input_exit_2(tmp_path):
                 "--m", tmp_path / "no.mat", "--out", tmp_path]) == 2
 
 
+def test_non_finite_input_exit_2(tmp_path, diag_pencil):
+    a, m = diag_pencil
+    a.write_text("symmat 3\n1 0 0\n0 nan 0\n0 0 3\n")
+    for command in ("jvp", "verify"):
+        assert run([command, "--a", a, "--m", m, "--out", tmp_path]) == 2
+
+
 def test_jvp_subcommand_writes_json(tmp_path, diag_pencil):
     a, m = diag_pencil
     assert run(["jvp", "--a", a, "--m", m, "--k", 2, "--out", tmp_path]) == 0
@@ -90,7 +97,7 @@ def test_verify_input_pencil_all_pass(tmp_path, diag_pencil):
                            "timing"}
     assert report["schema"] == 1
     assert report["all_passed"] is True
-    assert set(report["environment"]) == {"seed", "n", "k", "solver"}
+    assert set(report["environment"]) == {"seed", "k", "solver"}
     for rec in report["checks"]:
         assert rec["status"] == ("pass" if rec["measured"] <= rec["tolerance"]
                                  else "fail")
@@ -159,3 +166,24 @@ def test_verify_honours_which(tmp_path):
         assert run(["verify", "--a", tmp_path / "A.mat", "--m", tmp_path / "M.mat",
                     "--k", 1, "--which", "largest", "--solver", solver,
                     "--out", tmp_path]) == 0
+
+
+@pytest.mark.parametrize("args", [["generate", "--k", 2],
+                                  ["jvp", "--fd-step", 1e-5],
+                                  ["verify", "--n", 5]])
+def test_option_the_subcommand_does_not_read_exit_2(args):
+    with pytest.raises(SystemExit) as exc:
+        run(args)
+    assert exc.value.code == 2
+
+
+def test_verify_non_symmetric_input_fails(tmp_path):
+    rng = np.random.default_rng(0)
+    eg.write_symmat(tmp_path / "A.mat", rng.standard_normal((6, 6)))
+    eg.write_symmat(tmp_path / "M.mat", np.eye(6))
+    assert run(["verify", "--a", tmp_path / "A.mat", "--m", tmp_path / "M.mat",
+                "--out", tmp_path]) == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    by_name = {r["name"]: r["status"] for r in report["checks"]}
+    assert by_name["input/symmetry_A"] == "fail"
+    assert by_name["input/symmetry_M"] == "pass"

@@ -137,6 +137,22 @@ def test_series_match_production_modules(spectrum, rng):
     assert np.max(np.abs(b.M_bar - bser.M_bar)) <= 1e-9
 
 
+def test_series_follow_groups_on_near_degenerate_pair():
+    # relative gap 1e-6 is above the grouping tolerance but below
+    # 1e-8 max|full spectrum|: the series must keep the 1/gap terms
+    A, M = make_pencil([1, 1 + 1e-6, 2, 3, 4, 5, 6, 1000], 8, 1)
+    eig = eg.eig_dense(A, M, 3)
+    assert eig.groups == [[0], [1], [2]]
+    fs = eg.full_spectrum(A, M)
+    t = sampling.valid_tangent(eig, M, np.random.default_rng(2))
+    c = sampling.valid_cotangent(eig, M, np.random.default_rng(3))
+    f, fser = eg.jvp(A, M, eig, t), eg.jvp_series(fs, M, eig, t)
+    b, bser = eg.vjp(A, M, eig, c), eg.vjp_series(fs, M, eig, c)
+    for ref, ser in ((f.X_prime, fser.X_prime), (b.A_bar, bser.A_bar),
+                     (b.M_bar, bser.M_bar)):
+        assert np.max(np.abs(ref - ser)) <= 1e-6 * np.max(np.abs(ref))
+
+
 def test_series_internal_adjoint_consistency(rng):
     A, M = make_pencil([2.0, 2.0, 6.0], 6, 47, mass="random")
     eig = eg.eig_dense(A, M, 3)

@@ -3,7 +3,7 @@ import pytest
 
 import eigengrad as eg
 from eigengrad.eigsolve import group_mask
-from eigengrad.errors import NotSolvable
+from eigengrad.errors import MaxIterExceeded, NotSolvable
 from eigengrad.sylvester import project_rhs, solve_dense, solve_iterative
 
 from conftest import make_pencil
@@ -136,3 +136,15 @@ def test_dense_solve_matches_spectral_series():
     for j in range(3):
         ref = eg.pseudo_inverse_apply(fs, eig.lambdas[j], B[:, j])
         np.testing.assert_allclose(sol.Y[:, j], ref, atol=1e-9)
+
+
+def test_iterative_maxiter_payload():
+    A, M = make_pencil([2, 2, 5], 30, 0, mass="random")
+    eig = eg.eig_dense(A, M, 3)
+    lin = eg.linearize(A, M, eig, "iterative")
+    B = project_rhs(lin, np.random.default_rng(0).standard_normal((30, 3)))
+    with pytest.raises(MaxIterExceeded) as exc:
+        solve_iterative(lin, B, maxiter=1)
+    sol = exc.value.payload
+    assert isinstance(sol, eg.SylvesterSolution)
+    assert sol.iterations[0] == 1
