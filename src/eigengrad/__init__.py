@@ -15,7 +15,7 @@ from .sylvester import (Linearization, SylvesterSolution, linearize,
 from .jvp import (TangentInput, TangentOutput, check_forward_validity,
                   eigenvalue_jvp, jvp)
 from .vjp import (CotangentInput, CotangentOutput, check_backward_validity,
-                  vjp, vjp_symmetrized)
+                  vjp)
 from .oracle import (FullSpectrum, FdTangent, analytic_projector_derivative,
                      finite_difference_jvp, full_spectrum, jvp_series,
                      pseudo_inverse_apply, vjp_series)
@@ -33,7 +33,7 @@ __all__ = [
     "TangentInput", "TangentOutput", "check_forward_validity",
     "eigenvalue_jvp", "jvp",
     "CotangentInput", "CotangentOutput", "check_backward_validity",
-    "vjp", "vjp_symmetrized",
+    "vjp",
     "FullSpectrum", "FdTangent", "full_spectrum", "pseudo_inverse_apply",
     "jvp_series", "vjp_series", "finite_difference_jvp",
     "analytic_projector_derivative",

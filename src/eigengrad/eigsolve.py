@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import MaxIterExceeded, NotPositiveDefinite
-from .linop import as_dense_array, make_dense, spot_check_spd
+from .linop import as_dense_array, spot_check_spd
 
 DEFAULT_DEGENERACY_RTOL = 1e-8
 
@@ -151,8 +151,7 @@ def eig_iterative(A, M, k, which="smallest", maxiter=500, tol=1e-9,
     if not spot_check_spd(M, seed=seed):
         raise NotPositiveDefinite("M failed the positivity spot-check")
     if n <= max(4 * k, 12):
-        return eig_dense(make_dense(as_dense_array(A)), make_dense(as_dense_array(M)),
-                         k, which, degeneracy_rtol)
+        return eig_dense(A, M, k, which, degeneracy_rtol)
 
     X = np.random.default_rng(seed).standard_normal((n, k))
     theta, X, AX, MX = _ritz(X, A.apply_batch(X), M.apply_batch(X))

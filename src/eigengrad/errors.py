@@ -21,11 +21,7 @@ class NotPositiveDefinite(EigengradError):
     pass
 
 
-class ConvergenceFailure(EigengradError):
-    pass
-
-
-class MaxIterExceeded(ConvergenceFailure):
+class MaxIterExceeded(EigengradError):
     """Iteration budget exhausted; `payload` carries the best iterate."""
 
     def __init__(self, message, payload=None):

@@ -1,9 +1,10 @@
 """Matrix-free symmetric linear operators and the dense reference implementation.
 
-All solver modules consume operators only through ``apply``/``apply_batch``,
-so a user can supply a closure for matrices too large to store. Operators are
+All solver modules consume operators only through ``apply_batch`` on n-by-m
+blocks, so a user can supply a closure for matrices too large to store; a
+closure on single vectors is applied column by column. Operators are
 immutable after construction and hold no mutable state, so concurrent applies
-on distinct vectors are safe.
+on distinct blocks are safe.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ from .errors import NonFiniteError, NonSquareError
 
 
 class SymmetricOperator:
-    """Real symmetric linear map of dimension ``dim`` given by matvec closures.
+    """Real symmetric linear map of dimension ``dim``, applied to n-by-m blocks.
 
+    ``apply_batch_fn`` maps a block to a block. Without it, ``apply_fn`` maps
+    one vector to one vector and is applied column by column.
     Symmetry is the caller's promise; use :func:`check_symmetry` to spot-check.
     """
 
@@ -24,30 +27,20 @@ class SymmetricOperator:
         if dim <= 0:
             raise ValueError(f"dim must be positive, got {dim}")
         self.dim = dim
-        self._apply = apply_fn
+        if apply_batch_fn is None:    # a vector closure, applied column by column
+            def apply_batch_fn(V):
+                out = np.empty_like(V)
+                for j in range(V.shape[1]):
+                    out[:, j] = np.asarray(apply_fn(V[:, j]), dtype=float).reshape(dim)
+                return out
         self._apply_batch = apply_batch_fn
 
-    def apply(self, v):
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.dim,):
-            raise ValueError(f"expected vector of shape ({self.dim},), got {v.shape}")
-        out = np.asarray(self._apply(v), dtype=float)
-        return out.reshape(self.dim)
-
     def apply_batch(self, V):
-        """Apply to an n-by-m block; defaults to columnwise apply."""
+        """Apply to an n-by-m block."""
         V = np.asarray(V, dtype=float)
-        if V.ndim == 1:
-            return self.apply(V)
-        if V.shape[0] != self.dim:
-            raise ValueError(f"expected block with {self.dim} rows, got {V.shape}")
-        if self._apply_batch is not None:
-            out = np.asarray(self._apply_batch(V), dtype=float)
-            return out.reshape(V.shape)
-        out = np.empty_like(V)
-        for j in range(V.shape[1]):
-            out[:, j] = self.apply(V[:, j])
-        return out
+        if V.ndim != 2 or V.shape[0] != self.dim:
+            raise ValueError(f"expected a block with {self.dim} rows, got shape {V.shape}")
+        return np.asarray(self._apply_batch(V), dtype=float).reshape(V.shape)
 
 
 class DenseSymmetric(SymmetricOperator):
@@ -60,15 +53,7 @@ class DenseSymmetric(SymmetricOperator):
         if not np.all(np.isfinite(entries)):
             raise NonFiniteError("matrix entries must be finite")
         self.entries = 0.5 * (entries + entries.T)
-        super().__init__(entries.shape[0], None)
-
-    def apply(self, v):
-        v = np.asarray(v, dtype=float)
-        return self.entries @ v
-
-    def apply_batch(self, V):
-        V = np.asarray(V, dtype=float)
-        return self.entries @ V
+        super().__init__(entries.shape[0], None, self.entries.__matmul__)
 
 
 def make_dense(entries):
@@ -94,43 +79,30 @@ def as_dense_array(op, copy=True):
     """
     if isinstance(op, DenseSymmetric):
         return op.entries.copy() if copy else op.entries
-    return np.asarray(op.apply_batch(np.eye(op.dim)), dtype=float)
+    return op.apply_batch(np.eye(op.dim))
 
 
 def check_symmetry(op, trials=10, tol=1e-12, seed=0):
-    """Spot-check <u, Av> == <v, Au> on random probe pairs.
-
-    Returns False on the first violating probe; never raises.
-    """
+    """Spot-check <u, Av> == <v, Au> on ``trials`` random probe pairs, applied as
+    one u-block and one v-block; False if any pair violates, never raises."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    n = op.dim
+    P = np.random.default_rng(seed).standard_normal((trials, 2, op.dim))
+    U, V = P[:, 0].T, P[:, 1].T
+    AU, AV = op.apply_batch(U), op.apply_batch(V)
+    nu, nv = np.linalg.norm(U, axis=0), np.linalg.norm(V, axis=0)
     # crude operator norm estimate from the probes themselves
-    for _ in range(trials):
-        u = rng.standard_normal(n)
-        v = rng.standard_normal(n)
-        au = op.apply(u)
-        av = op.apply(v)
-        opnorm = max(
-            np.linalg.norm(au) / max(np.linalg.norm(u), 1e-300),
-            np.linalg.norm(av) / max(np.linalg.norm(v), 1e-300),
-            1.0,
-        )
-        gap = abs(u @ av - v @ au)
-        if gap > tol * np.linalg.norm(u) * np.linalg.norm(v) * opnorm:
-            return False
-    return True
+    opnorm = np.max([np.linalg.norm(AU, axis=0) / np.maximum(nu, 1e-300),
+                     np.linalg.norm(AV, axis=0) / np.maximum(nv, 1e-300),
+                     np.ones(trials)], axis=0)
+    gap = np.abs(np.einsum("ij,ij->j", U, AV) - np.einsum("ij,ij->j", V, AU))
+    return not np.any(gap > tol * nu * nv * opnorm)
 
 
 def spot_check_spd(op, seed=0):
-    """Probabilistic positivity check: <v, Mv> > 0 for five random v."""
-    rng = np.random.default_rng(seed)
-    for _ in range(5):
-        v = rng.standard_normal(op.dim)
-        if v @ op.apply(v) <= 0.0:
-            return False
-    return True
+    """Probabilistic positivity check: <v, Mv> > 0 for five random v, one block."""
+    V = np.random.default_rng(seed).standard_normal((5, op.dim)).T
+    return not np.any(np.einsum("ij,ij->j", V, op.apply_batch(V)) <= 0.0)
 
 
 def read_rows(path):

@@ -125,5 +125,5 @@ def violating_cotangent(eig, M, group):
         raise ValueError("need a group of size >= 2 to construct a violation")
     i, j = group[0], group[1]
     Xb = np.zeros(eig.X.shape)
-    Xb[:, j] = M.apply(eig.X[:, i])
+    Xb[:, j:j + 1] = M.apply_batch(eig.X[:, i:i + 1])
     return CotangentInput(lambda_bar=np.zeros(eig.k), X_bar=Xb)

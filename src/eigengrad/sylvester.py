@@ -188,8 +188,8 @@ def solve_iterative(lin, B, maxiter=None, tol_solv=DEFAULT_TOL_SOLV):
             lam = eig.lambdas[j]
 
             def opmat(v):
-                s = proj_sol(v)
-                return proj_left(A.apply(s) - lam * M.apply(s))
+                s = proj_sol(v.reshape(n, 1))
+                return proj_left(A.apply_batch(s) - lam * M.apply_batch(s))
 
             op = scipy.sparse.linalg.LinearOperator((n, n), matvec=opmat, dtype=float)
             bproj = proj_left(b)
@@ -197,9 +197,9 @@ def solve_iterative(lin, B, maxiter=None, tol_solv=DEFAULT_TOL_SOLV):
             y, info = scipy.sparse.linalg.minres(
                 op, bproj, rtol=max(tol_solv * 1e-2, 1e-13), maxiter=maxiter,
                 callback=steps.append)
-            y = proj_sol(y)
-            res = np.linalg.norm(A.apply(y) - lam * M.apply(y) - bproj)
-            Y[:, j], residuals[j], iterations[j] = y, res, len(steps)
+            y = proj_sol(y)[:, None]
+            res = np.linalg.norm(A.apply_batch(y) - lam * M.apply_batch(y) - bproj[:, None])
+            Y[:, j], residuals[j], iterations[j] = y[:, 0], res, len(steps)
             if info != 0 and res > tol_solv * max(bnorm, 1e-300) * 10:
                 raise MaxIterExceeded(
                     f"column {j}: MINRES stopped (info={info}) at residual {res:.3e}",

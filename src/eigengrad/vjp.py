@@ -83,11 +83,3 @@ def vjp(A, M, eig, c, solver="dense", **opts):
     """Reverse derivatives of ``c`` on the linearization memoized on ``eig``
     (see :func:`linearize`); ``opts`` are those of :func:`reverse`."""
     return reverse(linearize(A, M, eig, solver), c, **opts)
-
-
-def vjp_symmetrized(A, M, eig, c, **opts):
-    """Gradient convention for symmetric parameterizations: symmetrized outputs."""
-    out = vjp(A, M, eig, c, **opts)
-    return CotangentOutput(A_bar=0.5 * (out.A_bar + out.A_bar.T),
-                           M_bar=0.5 * (out.M_bar + out.M_bar.T),
-                           validity_defect=out.validity_defect)

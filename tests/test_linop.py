@@ -7,12 +7,12 @@ from eigengrad.errors import NonFiniteError, NonSquareError
 
 def test_make_dense_diagonal():
     op = eg.make_dense([[1.0, 0.0], [0.0, 2.0]])
-    np.testing.assert_allclose(op.apply([1.0, 0.0]), [1.0, 0.0])
+    np.testing.assert_allclose(op.apply_batch([[1.0], [0.0]]), [[1.0], [0.0]])
 
 
 def test_make_dense_permutation():
     op = eg.make_dense([[0.0, 1.0], [1.0, 0.0]])
-    np.testing.assert_allclose(op.apply([1.0, 0.0]), [0.0, 1.0])
+    np.testing.assert_allclose(op.apply_batch([[1.0], [0.0]]), [[0.0], [1.0]])
 
 
 def test_make_dense_symmetrizes():
@@ -63,7 +63,7 @@ def test_apply_batch_matches_columnwise(rng):
     V = rng.standard_normal((5, 3))
     out = op.apply_batch(V)
     for j in range(3):
-        np.testing.assert_array_equal(out[:, j], op.apply(V[:, j]))
+        np.testing.assert_array_equal(out[:, j], op.apply_batch(V[:, j:j + 1])[:, 0])
     # dense-backed batch goes through GEMM; equal up to roundoff
     np.testing.assert_allclose(eg.make_dense(S).apply_batch(V), out,
                                atol=1e-12)
@@ -72,17 +72,56 @@ def test_apply_batch_matches_columnwise(rng):
 def test_apply_linearity(rng):
     B = rng.standard_normal((6, 6))
     op = eg.make_dense(B + B.T)
-    u, v = rng.standard_normal(6), rng.standard_normal(6)
-    np.testing.assert_allclose(op.apply(2.0 * u - 3.0 * v),
-                               2.0 * op.apply(u) - 3.0 * op.apply(v),
+    u, v = rng.standard_normal((6, 1)), rng.standard_normal((6, 1))
+    np.testing.assert_allclose(op.apply_batch(2.0 * u - 3.0 * v),
+                               2.0 * op.apply_batch(u) - 3.0 * op.apply_batch(v),
                                atol=1e-12)
 
 
 def test_spd_wrapper_delegates(rng):
     M = eg.make_spd(np.diag([1.0, 4.0]))
-    np.testing.assert_allclose(M.apply([1.0, 1.0]), [1.0, 4.0])
+    np.testing.assert_allclose(M.apply_batch([[1.0], [1.0]]), [[1.0], [4.0]])
     assert eg.linop.spot_check_spd(M)
     assert not eg.linop.spot_check_spd(eg.make_dense(-np.eye(3)))
+
+
+def test_apply_batch_takes_blocks_only():
+    ops = (eg.make_dense(np.eye(3)), eg.SymmetricOperator(3, lambda v: v),
+           eg.SymmetricOperator(3, None, lambda V: V))
+    for op in ops:
+        with pytest.raises(ValueError):
+            op.apply_batch(np.ones(3))
+        with pytest.raises(ValueError):
+            op.apply_batch(np.ones((2, 1)))
+        np.testing.assert_array_equal(op.apply_batch(np.ones((3, 2))), np.ones((3, 2)))
+
+
+def test_vector_closure_block_equals_columnwise_bitwise(rng):
+    S = rng.standard_normal((7, 7))
+    S = S + S.T
+    V = rng.standard_normal((7, 4))
+    op = eg.SymmetricOperator(7, lambda v: S @ v)
+    ref = np.column_stack([S @ V[:, j] for j in range(4)])
+    np.testing.assert_array_equal(op.apply_batch(V), ref)
+
+
+def _counting(mat, calls):
+    def apply(V):
+        calls.append(V.shape)
+        return mat @ V
+    return eg.SymmetricOperator(mat.shape[0], apply, apply)
+
+
+def test_spot_checks_apply_one_block_per_probe_set():
+    cases = ((np.diag([1.0, 2.0]), True), (np.array([[1.0, 1.0], [0.0, 1.0]]), False))
+    for mat, symmetric in cases:
+        calls = []
+        assert eg.check_symmetry(_counting(mat, calls), trials=10) == symmetric
+        assert calls == [(2, 10), (2, 10)]
+    for mat, spd in ((np.diag([1.0, 4.0]), True), (-np.eye(3), False)):
+        calls = []
+        assert eg.linop.spot_check_spd(_counting(mat, calls)) == spd
+        assert calls == [(mat.shape[0], 5)]
 
 
 def test_symmat_roundtrip(tmp_path, rng):

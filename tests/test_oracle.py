@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import eigengrad as eg
 from eigengrad import sampling
-from eigengrad.errors import ValidityViolated
+from eigengrad.errors import ClusterSplit, ValidityViolated
 
 from conftest import make_pencil
 
@@ -151,6 +153,24 @@ def test_series_follow_groups_on_near_degenerate_pair():
     for ref, ser in ((f.X_prime, fser.X_prime), (b.A_bar, bser.A_bar),
                      (b.M_bar, bser.M_bar)):
         assert np.max(np.abs(ref - ser)) <= 1e-6 * np.max(np.abs(ref))
+
+
+def test_series_raise_cluster_split_on_a_cut_group():
+    # k = 2 retrieves one eigenvector of the double eigenvalue 2, as jvp/vjp do
+    A, M = eg.make_dense(np.diag([1.0, 2.0, 2.0, 3.0, 4.0])), eg.identity_operator(5)
+    eig = eg.eig_dense(A, M, 2)
+    assert eig.groups == [[0], [1]]
+    fs = eg.full_spectrum(A, M)
+    t = sampling.valid_tangent(eig, M, np.random.default_rng(0))
+    c = sampling.valid_cotangent(eig, M, np.random.default_rng(1))
+    with pytest.raises(ClusterSplit):
+        eg.jvp(A, M, eig, t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for series, arg in ((eg.jvp_series, t), (eg.vjp_series, c)):
+            with pytest.raises(ClusterSplit) as excinfo:
+                series(fs, M, eig, arg)
+            assert excinfo.value.defect <= 1e-8
 
 
 def test_series_internal_adjoint_consistency(rng):

@@ -109,35 +109,6 @@ def test_vjp_linearity(rng):
     np.testing.assert_allclose(oc.M_bar, 3.0 * o1.M_bar - o2.M_bar, atol=1e-9)
 
 
-def test_vjp_symmetrized(rng):
-    A, M = make_pencil([], 6, 19, mass="random")
-    eig = eg.eig_dense(A, M, 2)
-    c = sampling.valid_cotangent(eig, M, rng)
-    raw = eg.vjp(A, M, eig, c)
-    sym = eg.vjp_symmetrized(A, M, eig, c)
-    np.testing.assert_allclose(sym.A_bar, 0.5 * (raw.A_bar + raw.A_bar.T), atol=1e-14)
-    np.testing.assert_allclose(sym.M_bar, 0.5 * (raw.M_bar + raw.M_bar.T), atol=1e-14)
-    # idempotent on already-symmetric outputs
-    c0 = eg.CotangentInput(lambda_bar=np.ones(2), X_bar=np.zeros((6, 2)))
-    raw0 = eg.vjp(A, M, eig, c0)
-    sym0 = eg.vjp_symmetrized(A, M, eig, c0)
-    np.testing.assert_allclose(sym0.A_bar, raw0.A_bar, atol=1e-14)
-
-
-def test_symmetrized_pairing_with_symmetric_tangents(rng):
-    A, M = make_pencil([], 6, 23, mass="random")
-    eig = eg.eig_dense(A, M, 3)
-    for _ in range(5):
-        t = sampling.valid_tangent(eig, M, rng)  # tangents are symmetric
-        c = sampling.valid_cotangent(eig, M, rng)
-        fwd = eg.jvp(A, M, eig, t)
-        bwd = eg.vjp_symmetrized(A, M, eig, c)
-        lhs = c.lambda_bar @ fwd.lambda_prime + np.sum(c.X_bar * fwd.X_prime)
-        rhs = (np.sum(bwd.A_bar * eg.as_dense_array(t.Aprime))
-               + np.sum(bwd.M_bar * eg.as_dense_array(t.Mprime)))
-        assert abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0) <= 1e-8
-
-
 def test_degenerate_path_reduces_to_nondegenerate(rng):
     # when D = I the D-masked equations coincide with the plain ones
     A, M = make_pencil([], 6, 29, mass="random")
