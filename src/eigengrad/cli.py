@@ -130,7 +130,7 @@ def _verify_instance(label, A_arr, M_arr, k, cfg, checks, solver="dense"):
 
     # on the arrays as given: A and M above are symmetrized
     for name, arr in (("A", A_arr), ("M", M_arr)):
-        symmetric = check_symmetry(SymmetricOperator(arr.shape[0], arr.__matmul__))
+        symmetric = check_symmetry(SymmetricOperator(arr.shape[0], None, arr.__matmul__))
         checks.add(f"{label}/symmetry_{name}", 0.0 if symmetric else 1.0, 0.5)
 
     if solver == "iterative":

@@ -66,18 +66,21 @@ def _series_weights(fs, M, eig):
 
     Column j's nullspace is the |g| full-spectrum eigenvectors u_i with the
     largest ||X_g^T M u_i||, g the retrieved group of j: the ones that span
-    the group, however close other eigenvalues are (ClusterSplit if within 1e-8 max|lambda|).
+    the group, however close other eigenvalues are. ClusterSplit if k cut an eigenspace:
+    more full-spectrum than retrieved eigenvalues within 1e-8 max|lambda| of lambda_j.
     """
     overlap = eig.D @ (M.apply_batch(eig.X).T @ fs.U) ** 2     # ||X_g^T M u_i||^2
     rank = np.argsort(np.argsort(-overlap, axis=1, kind="stable"), axis=1)
     keep = rank >= eig.D.sum(axis=1)[:, None]
     denom = fs.E - eig.lambdas[:, None]
-    # build_degeneracy's rule groups a kept e_i with lambda_j: k cut an eigenspace
-    gap = np.where(keep, np.abs(denom), np.inf) / max(np.max(np.abs(eig.lambdas)), 1e-300)
-    j, i = np.unravel_index(np.argmin(gap), gap.shape)
-    if gap[j, i] <= DEFAULT_DEGENERACY_RTOL:
-        raise ClusterSplit(f"column {j}: e_{i} = {fs.E[i]:.6g} is degenerate with lambda_{j} "
-                           "but outside its retrieved group", defect=gap[j, i])
+    scale = max(np.max(np.abs(eig.lambdas)), 1e-300)
+    near = DEFAULT_DEGENERACY_RTOL * scale
+    excess = ((np.abs(denom) <= near).sum(axis=1)
+              - (np.abs(eig.lambdas[:, None] - eig.lambdas) <= near).sum(axis=1))
+    j = np.argmax(excess)
+    if excess[j] > 0:
+        raise ClusterSplit(f"column {j}: k cut the eigenspace of lambda_{j} = {eig.lambdas[j]:.6g}",
+                           defect=np.min(np.abs(denom[j][keep[j]])) / scale)
     return np.divide(1.0, denom, out=np.zeros_like(denom), where=keep).T
 
 
