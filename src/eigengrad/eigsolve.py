@@ -2,8 +2,8 @@
 
 Eigenvectors are returned M-orthonormal (X^T M X = I) with a deterministic
 gauge: each column's largest-magnitude entry is made positive. Repeated
-eigenvalues are grouped (transitive closure within tolerance) and recorded in
-the 0/1 degeneracy matrix D.
+eigenvalues are grouped (transitive closure within tolerance); the groups,
+a partition of the columns, are the one record of that structure.
 """
 
 from __future__ import annotations
@@ -23,48 +23,47 @@ DEFAULT_DEGENERACY_RTOL = 1e-8
 class EigenResult:
     """k eigenpairs plus degeneracy structure of the retrieved spectrum."""
 
-    k: int
     X: np.ndarray           # n x k, M-orthonormal
     lambdas: np.ndarray     # ascending
-    D: np.ndarray           # k x k 0/1 degeneracy matrix
-    groups: list = field(default_factory=list)  # partition of {0..k-1}
+    groups: list            # partition of {0..k-1}; k and D derive from it
     which: str = "smallest"
+    k: int = field(init=False)
+    D: np.ndarray = field(init=False)   # k x k 0/1 mask of groups
     # memo of sylvester.linearize; freed with this result
     _linearization: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if not np.array_equal(self.D, group_mask(self.groups, self.k)):
-            raise ValueError(f"D is not the block mask of groups {self.groups}")
+        self.k = len(self.lambdas)
+        self.D = group_mask(self.groups, self.k)
 
 
 def group_mask(groups, k):
-    """The k x k 0/1 matrix with D_ij = 1 when columns i and j share a group."""
-    gid = np.full(k, -1)
+    """The k x k 0/1 matrix with D_ij = 1 when columns i and j share a group;
+    ValueError unless ``groups`` partition 0..k-1, each column exactly once."""
+    if sorted(j for grp in groups for j in grp) != list(range(k)):
+        raise ValueError(f"groups {groups} do not partition the {k} columns")
+    gid = np.empty(k, dtype=int)
     for g, grp in enumerate(groups):
         gid[grp] = g
-    if np.any(gid < 0):
-        raise ValueError(f"groups {groups} do not cover all {k} columns")
     return (gid[:, None] == gid).astype(int)
 
 
-def build_degeneracy(lambdas, tol_rel=DEFAULT_DEGENERACY_RTOL, tol_abs=0.0):
-    """Group eigenvalues equal within tolerance; returns (D, groups).
+def build_degeneracy(lambdas, tol_rel=DEFAULT_DEGENERACY_RTOL):
+    """Group eigenvalues equal within tolerance; returns the groups.
 
-    Pairs with |l_i - l_j| <= tol_abs + tol_rel * max|l| are merged, and the
-    grouping is the transitive closure so D is a valid equivalence relation.
+    Pairs with |l_i - l_j| <= tol_rel * max|l| are merged, and the grouping
+    is the transitive closure, so the groups partition the indices.
     """
     lam = np.asarray(lambdas, dtype=float)
     if not np.all(np.isfinite(lam)):
         raise ValueError("eigenvalues must be finite")
-    k = lam.size
-    thresh = tol_abs + tol_rel * (np.max(np.abs(lam)) if k else 0.0)
+    thresh = tol_rel * (np.max(np.abs(lam)) if lam.size else 0.0)
 
     # in ascending order, the closure is broken exactly by gaps above thresh
     order = np.argsort(lam, kind="stable")
     cuts = np.flatnonzero(np.diff(lam[order]) > thresh) + 1
-    groups = sorted((sorted(c.tolist()) for c in np.split(order, cuts) if c.size),
-                    key=lambda g: g[0])
-    return group_mask(groups, k), groups
+    return sorted((sorted(c.tolist()) for c in np.split(order, cuts) if c.size),
+                  key=lambda g: g[0])
 
 
 def _fix_gauge(X):
@@ -83,22 +82,26 @@ def _group_orthonormalize(X, M, groups):
 
 
 def _finalize(X, lam, which, M, tol_rel):
-    D, groups = build_degeneracy(lam, tol_rel=tol_rel)
+    groups = build_degeneracy(lam, tol_rel=tol_rel)
     X = _group_orthonormalize(X, M, groups)
     X = _fix_gauge(X)
-    return EigenResult(k=len(lam), X=X, lambdas=np.asarray(lam, float),
-                       D=D, groups=groups, which=which)
+    return EigenResult(X=X, lambdas=np.asarray(lam, float), groups=groups, which=which)
 
 
-def eig_dense(A, M, k, which="smallest", degeneracy_rtol=DEFAULT_DEGENERACY_RTOL):
-    """Dense path: k extremal eigenpairs via LAPACK on the materialized pencil."""
-    Ad = as_dense_array(A)
-    Md = as_dense_array(M)
-    n = Ad.shape[0]
+def _check_request(n, k, which):
+    """The checks both eigensolvers make on (k, which) before any work."""
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
     if which not in ("smallest", "largest"):
         raise ValueError(f"which must be 'smallest' or 'largest', got {which!r}")
+
+
+def eig_dense(A, M, k, which="smallest", degeneracy_rtol=DEFAULT_DEGENERACY_RTOL):
+    """Dense path: k extremal eigenpairs via LAPACK on the materialized pencil."""
+    n = A.dim
+    _check_request(n, k, which)
+    Ad = as_dense_array(A)
+    Md = as_dense_array(M)
     sel = [0, k - 1] if which == "smallest" else [n - k, n - 1]
     try:
         lam, X = scipy.linalg.eigh(Ad, Md, subset_by_index=sel)
@@ -144,8 +147,7 @@ def eig_iterative(A, M, k, which="smallest", maxiter=500, tol=1e-9,
     problems (n <= max(4k, 12)) are materialized and solved densely.
     """
     n = A.dim
-    if not 1 <= k < n:
-        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+    _check_request(n, k, which)
     if maxiter < 1:
         raise ValueError(f"maxiter must be >= 1, got {maxiter}")
     if not spot_check_spd(M, seed=seed):

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, ValidityViolated
-from .sylvester import (DEFAULT_TOL_SOLV, linearize, project_rhs, solve_dense,
-                        solve_iterative)
+from .sylvester import linearize, project_rhs, solve_dense, solve_iterative
 
-DEFAULT_TOL_COND = 1e-7
+TOL_COND = 1e-7
 
 
 @dataclass
@@ -47,20 +46,20 @@ def _coupling(eig, t):
     return MpX, V, X.T @ V
 
 
-def check_forward_validity(eig, t, tol_cond=DEFAULT_TOL_COND, F=None):
+def check_forward_validity(eig, t, F=None):
     """Degenerate-group off-diagonal coupling must vanish; returns (ok, defect).
 
     ``F`` is the coupling X^T (A'X - M'X Lambda) if the caller holds it.
     """
     if F is None:
         F = _coupling(eig, t)[2]
-    return in_group_defect(eig, F, F, tol_cond)
+    return in_group_defect(eig, F, F)
 
 
-def in_group_defect(eig, C, S, tol_cond):
-    """(ok, defect): largest in-group off-diagonal |C_ij| vs tol_cond max(1, max|S|)."""
+def in_group_defect(eig, C, S):
+    """(ok, defect): largest in-group off-diagonal |C_ij| vs TOL_COND max(1, max|S|)."""
     defect = float(np.max(np.abs((eig.D - np.eye(eig.k, dtype=int)) * C), initial=0.0))
-    return defect <= tol_cond * max(1.0, float(np.max(np.abs(S), initial=0.0))), defect
+    return defect <= TOL_COND * max(1.0, float(np.max(np.abs(S), initial=0.0))), defect
 
 
 def eigenvalue_jvp(eig, t):
@@ -68,8 +67,7 @@ def eigenvalue_jvp(eig, t):
     return np.diag(_coupling(eig, t)[2]).copy()
 
 
-def forward(lin, t, force=False, tol_cond=DEFAULT_TOL_COND,
-            tol_solv=DEFAULT_TOL_SOLV):
+def forward(lin, t, force=False):
     """First-order response (Lambda', X') on a linearization; requires forward validity.
 
     Pipeline: build V = A'X - M'X Lambda and F = X^T V once; check validity
@@ -80,12 +78,11 @@ def forward(lin, t, force=False, tol_cond=DEFAULT_TOL_COND,
     eig = lin.eig
     X = eig.X
     MpX, V, F = _coupling(eig, t)
-    ok, defect = check_forward_validity(eig, t, tol_cond, F=F)
+    ok, defect = check_forward_validity(eig, t, F=F)
     if not ok and not force:
         raise ValidityViolated(defect)
     B = project_rhs(lin, V)
-    sol = (solve_dense(lin, B, tol_solv=tol_solv) if lin.solver == "dense"
-           else solve_iterative(lin, B, tol_solv=tol_solv))
+    sol = solve_dense(lin, B) if lin.solver == "dense" else solve_iterative(lin, B)
     X_prime = -0.5 * X * np.einsum("ij,ij->j", X, MpX) - sol.Y
     return TangentOutput(lambda_prime=np.diag(F).copy(), X_prime=X_prime,
                          validity_defect=defect)

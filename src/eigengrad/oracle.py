@@ -18,7 +18,7 @@ import scipy.linalg
 from .errors import (ClusterSplit, GaugeAlignmentFailed, NotPositiveDefinite,
                      ValidityViolated)
 from .eigsolve import DEFAULT_DEGENERACY_RTOL, eig_dense
-from .jvp import DEFAULT_TOL_COND, TangentOutput, check_forward_validity
+from .jvp import TangentOutput, check_forward_validity
 from .vjp import CotangentOutput, check_backward_validity
 from .linop import as_dense_array, make_dense, make_spd
 
@@ -45,17 +45,15 @@ def full_spectrum(A, M):
     return FullSpectrum(U=U, E=ee)
 
 
-def pseudo_inverse_apply(fs, lam, v, group_tol=None):
+def pseudo_inverse_apply(fs, lam, v):
     """(A - lam M)^+ v via the spectral series sum_i u_i (u_i^T v)/(e_i - lam).
 
-    Terms with |e_i - lam| <= group_tol are dropped (the nullspace); the
-    default is DEFAULT_DEGENERACY_RTOL * max|e|.
+    Terms with |e_i - lam| <= DEFAULT_DEGENERACY_RTOL * max|e| are dropped
+    (the nullspace).
     """
     v = np.asarray(v, dtype=float)
-    if group_tol is None:
-        group_tol = DEFAULT_DEGENERACY_RTOL * max(np.max(np.abs(fs.E)), 1e-300)
     denom = fs.E - lam
-    keep = np.abs(denom) > group_tol
+    keep = np.abs(denom) > DEFAULT_DEGENERACY_RTOL * max(np.max(np.abs(fs.E)), 1e-300)
     c = fs.U.T @ v
     return fs.U[:, keep] @ (c[keep] / denom[keep])
 
@@ -84,15 +82,15 @@ def _series_weights(fs, M, eig):
     return np.divide(1.0, denom, out=np.zeros_like(denom), where=keep).T
 
 
-def jvp_series(fs, M, eig, t, tol_cond=DEFAULT_TOL_COND, force=False):
+def jvp_series(fs, M, eig, t):
     """Forward derivative by explicit summation over the full spectrum.
 
     x'_j = -1/2 x_j (x_j^T M' x_j)
            + sum_{i outside column j's nullspace (see _series_weights)}
              u_i (u_i^T (A' - lambda_j M') x_j) / (lambda_j - e_i)
     """
-    ok, defect = check_forward_validity(eig, t, tol_cond)
-    if not ok and not force:
+    ok, defect = check_forward_validity(eig, t)
+    if not ok:
         raise ValidityViolated(defect)
 
     X = eig.X
@@ -104,10 +102,10 @@ def jvp_series(fs, M, eig, t, tol_cond=DEFAULT_TOL_COND, force=False):
                          validity_defect=defect)
 
 
-def vjp_series(fs, M, eig, c, tol_cond=DEFAULT_TOL_COND, force=False):
+def vjp_series(fs, M, eig, c):
     """Backward derivative by explicit double summation over the full spectrum."""
-    ok, defect = check_backward_validity(eig, c, tol_cond)
-    if not ok and not force:
+    ok, defect = check_backward_validity(eig, c)
+    if not ok:
         raise ValidityViolated(defect)
 
     X = eig.X

@@ -23,7 +23,8 @@ import scipy.sparse.linalg
 from .errors import ClusterSplit, MaxIterExceeded, NotSolvable
 from .linop import as_dense_array
 
-DEFAULT_TOL_SOLV = 1e-10
+# solves aim at 1e-2 TOL_SOLV |b_j|; NotSolvable and ClusterSplit are gated on it
+TOL_SOLV = 1e-10
 
 
 @dataclass
@@ -102,17 +103,17 @@ def project_rhs(lin, B):
     return B - lin.MX @ (lin.eig.D * (lin.eig.X.T @ B))
 
 
-def _check_solvable(eig, B, tol_solv):
+def _check_solvable(eig, B):
     """Per-column nullspace-component check; raises NotSolvable on violation."""
     defect = np.linalg.norm(eig.D * (eig.X.T @ B), axis=0)
     bnorm = np.linalg.norm(B, axis=0)
-    bad = np.flatnonzero(defect > tol_solv * bnorm * 10)
+    bad = np.flatnonzero(defect > TOL_SOLV * bnorm * 10)
     if bad.size:
         raise NotSolvable(int(bad[0]), defect[bad[0]] / bnorm[bad[0]])
 
 
-def _check_split(residuals, B, tol_solv):
-    """Raise ClusterSplit where a solve left a residual above sqrt(tol_solv) |b_j|.
+def _check_split(residuals, B):
+    """Raise ClusterSplit where a solve left a residual above sqrt(TOL_SOLV) |b_j|.
 
     A solve leaves about eps times the condition number; more means the shift
     is singular beyond the group: lambda_j has eigenvectors not retrieved.
@@ -120,13 +121,13 @@ def _check_split(residuals, B, tol_solv):
     bnorm = np.maximum(np.linalg.norm(B, axis=0), 1e-300)
     defect = np.nan_to_num(residuals / bnorm, nan=np.inf)
     j = int(np.argmax(defect))
-    if defect[j] > np.sqrt(tol_solv):
+    if defect[j] > np.sqrt(TOL_SOLV):
         raise ClusterSplit(
             f"column {j}: shifted system is singular (relative residual {defect[j]:.3e}); "
             "its eigenvalue has eigenvectors outside the retrieved set", defect=defect[j])
 
 
-def solve_dense(lin, B, tol_solv=DEFAULT_TOL_SOLV):
+def solve_dense(lin, B):
     """Columnwise solve of (A - lambda_j M) y_j = b_j through the bordered LU
     of each column's group; the first call on ``lin`` factors.
 
@@ -135,10 +136,10 @@ def solve_dense(lin, B, tol_solv=DEFAULT_TOL_SOLV):
     to its group.
     """
     eig = lin.eig
-    _check_solvable(eig, B, tol_solv)
+    _check_solvable(eig, B)
     lu = lin.factors()
     n, k = B.shape
-    target = 1e-2 * tol_solv * np.linalg.norm(B, axis=0)
+    target = 1e-2 * TOL_SOLV * np.linalg.norm(B, axis=0)
     Z = np.zeros((n + k, k))    # [Y; mu], mu_j nonzero only on the rows of j's group
     R = np.vstack([B, np.zeros((k, k))])
     for _ in range(2):
@@ -151,19 +152,19 @@ def solve_dense(lin, B, tol_solv=DEFAULT_TOL_SOLV):
         residuals = np.linalg.norm(R, axis=0)
         if np.all(residuals <= target):
             break
-    _check_split(residuals, B, tol_solv)
+    _check_split(residuals, B)
     return SylvesterSolution(Y=Z[:n].copy(), residuals=residuals,
                              iterations=np.zeros(k, dtype=int))
 
 
-def solve_iterative(lin, B, maxiter=None, tol_solv=DEFAULT_TOL_SOLV):
+def solve_iterative(lin, B, maxiter=None):
     """Columnwise MINRES on the shifted symmetric-indefinite operator.
 
     Each column solves P_L (A - lambda_j M) P_S y = P_L b_j where P_L and
     P_S deflate the column's degenerate group on the range and solution side.
     """
     eig = lin.eig
-    _check_solvable(eig, B, tol_solv)
+    _check_solvable(eig, B)
     A, M = lin.A, lin.M
     n, k = B.shape
     maxiter = 20 * n if maxiter is None else maxiter
@@ -195,15 +196,15 @@ def solve_iterative(lin, B, maxiter=None, tol_solv=DEFAULT_TOL_SOLV):
             bproj = proj_left(b)
             steps = []
             y, info = scipy.sparse.linalg.minres(
-                op, bproj, rtol=max(tol_solv * 1e-2, 1e-13), maxiter=maxiter,
+                op, bproj, rtol=max(TOL_SOLV * 1e-2, 1e-13), maxiter=maxiter,
                 callback=steps.append)
             y = proj_sol(y)[:, None]
             res = np.linalg.norm(A.apply_batch(y) - lam * M.apply_batch(y) - bproj[:, None])
             Y[:, j], residuals[j], iterations[j] = y[:, 0], res, len(steps)
-            if info != 0 and res > tol_solv * max(bnorm, 1e-300) * 10:
+            if info != 0 and res > TOL_SOLV * max(bnorm, 1e-300) * 10:
                 raise MaxIterExceeded(
                     f"column {j}: MINRES stopped (info={info}) at residual {res:.3e}",
                     payload=SylvesterSolution(Y=Y, residuals=residuals,
                                               iterations=iterations))
-    _check_split(residuals, B, tol_solv)
+    _check_split(residuals, B)
     return SylvesterSolution(Y=Y, residuals=residuals, iterations=iterations)

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, ValidityViolated
-from .jvp import DEFAULT_TOL_COND, in_group_defect
-from .sylvester import (DEFAULT_TOL_SOLV, linearize, project_rhs, solve_dense,
-                        solve_iterative)
+from .jvp import in_group_defect
+from .sylvester import linearize, project_rhs, solve_dense, solve_iterative
 
 
 @dataclass
@@ -32,17 +31,16 @@ class CotangentOutput:
     validity_defect: float = 0.0
 
 
-def check_backward_validity(eig, c, tol_cond=DEFAULT_TOL_COND):
+def check_backward_validity(eig, c):
     """In-group antisymmetry of X^T X_bar must vanish; returns (ok, defect)."""
     Xb = np.asarray(c.X_bar, dtype=float)
     if Xb.shape != eig.X.shape:
         raise DimensionMismatch(f"X_bar shape {Xb.shape} != X shape {eig.X.shape}")
     S = eig.X.T @ Xb
-    return in_group_defect(eig, S - S.T, S, tol_cond)
+    return in_group_defect(eig, S - S.T, S)
 
 
-def reverse(lin, c, force=False, tol_cond=DEFAULT_TOL_COND,
-            tol_solv=DEFAULT_TOL_SOLV):
+def reverse(lin, c, force=False):
     """Adjoint map (Lambda_bar, X_bar) -> (A_bar, M_bar) on a linearization.
 
     Solves the shifted systems (A - lambda_j M) ybar_j = xbar_j projected off
@@ -55,7 +53,7 @@ def reverse(lin, c, force=False, tol_cond=DEFAULT_TOL_COND,
     single-pair adjoint and the pairing identity with forward mode.
     """
     eig = lin.eig
-    ok, defect = check_backward_validity(eig, c, tol_cond)
+    ok, defect = check_backward_validity(eig, c)
     if not ok and not force:
         raise ValidityViolated(defect)
 
@@ -70,8 +68,8 @@ def reverse(lin, c, force=False, tol_cond=DEFAULT_TOL_COND,
         S_diag = np.zeros(eig.k)
     else:
         B = project_rhs(lin, Xb)
-        Vbar = (solve_dense(lin, B, tol_solv=tol_solv) if lin.solver == "dense"
-                else solve_iterative(lin, B, tol_solv=tol_solv)).Y
+        Vbar = (solve_dense(lin, B) if lin.solver == "dense"
+                else solve_iterative(lin, B)).Y
         S_diag = np.einsum("ij,ij->j", X, Xb)
 
     A_bar = (X * lbar - Vbar) @ X.T

@@ -212,9 +212,9 @@ def test_criterion_8_degenerate_collapse_continuity():
 
     # exact-degenerate reference in the basis the perturbation selects
     lam0 = np.array([2.0, 2.0, 5.0])
-    D0, groups0 = eg.build_degeneracy(lam0)
-    eig0 = eg.EigenResult(k=3, X=U[:, :3].copy(), lambdas=lam0,
-                          D=D0, groups=groups0, which="smallest")
+    groups0 = eg.build_degeneracy(lam0)
+    eig0 = eg.EigenResult(X=U[:, :3].copy(), lambdas=lam0,
+                          groups=groups0, which="smallest")
     # group-valid direction: no (0,1) coupling in that basis
     C = sampling.random_symmetric(n, rng)
     C[0, 1] = C[1, 0] = 0.0

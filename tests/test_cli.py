@@ -26,6 +26,9 @@ def test_parse_degeneracy():
         parse_degeneracy("2x2,bogus")
     with pytest.raises(InvalidSpec):
         parse_degeneracy("2x0")
+    for text in ("nanx2", "infx1"):
+        with pytest.raises(InvalidSpec):
+            parse_degeneracy(text)
 
 
 def test_generate_spectrum_by_construction(tmp_path):
@@ -170,7 +173,9 @@ def test_verify_honours_which(tmp_path):
 
 @pytest.mark.parametrize("args", [["generate", "--k", 2],
                                   ["jvp", "--fd-step", 1e-5],
-                                  ["verify", "--n", 5]])
+                                  ["verify", "--n", 5],
+                                  ["jvp", "--tol-solv", 1e-10],
+                                  ["verify", "--tol-cond", 1e-7]])
 def test_option_the_subcommand_does_not_read_exit_2(args):
     with pytest.raises(SystemExit) as exc:
         run(args)

@@ -5,6 +5,7 @@ from scipy.sparse.linalg import splu
 
 import eigengrad as eg
 from eigengrad import sampling
+from eigengrad.eigsolve import group_mask
 from eigengrad.errors import MaxIterExceeded, NotPositiveDefinite
 
 from conftest import make_pencil
@@ -71,26 +72,23 @@ def test_gauge_largest_entry_positive():
 
 
 def test_build_degeneracy_pair():
-    D, groups = eg.build_degeneracy([2.0, 2.0, 5.0], tol_rel=1e-8)
-    np.testing.assert_array_equal(D, [[1, 1, 0], [1, 1, 0], [0, 0, 1]])
-    assert groups == [[0, 1], [2]]
+    assert eg.build_degeneracy([2.0, 2.0, 5.0], tol_rel=1e-8) == [[0, 1], [2]]
 
 
 def test_build_degeneracy_nondegenerate():
-    D, groups = eg.build_degeneracy([1.0, 2.0, 3.0])
-    np.testing.assert_array_equal(D, np.eye(3, dtype=int))
-    assert groups == [[0], [1], [2]]
+    assert eg.build_degeneracy([1.0, 2.0, 3.0]) == [[0], [1], [2]]
 
 
 def test_build_degeneracy_chain_merge():
     lams = [1.0, 1.0 + 1e-12, 1.0 + 2e-12]
-    D, groups = eg.build_degeneracy(lams, tol_rel=0.0, tol_abs=1.5e-12)
-    assert groups == [[0, 1, 2]]
-    np.testing.assert_array_equal(D, np.ones((3, 3), dtype=int))
+    # threshold ~1.2e-12: each 1e-12 gap is below it, the 2e-12 span is not
+    assert eg.build_degeneracy(lams, tol_rel=1.2e-12) == [[0, 1, 2]]
 
 
 def test_degeneracy_is_equivalence():
-    D, _ = eg.build_degeneracy([1.0, 1.0, 2.0, 2.0, 2.0, 7.0])
+    groups = eg.build_degeneracy([1.0, 1.0, 2.0, 2.0, 2.0, 7.0])
+    assert groups == [[0, 1], [2, 3, 4], [5]]
+    D = group_mask(groups, 6)
     assert np.array_equal(D, D.T)
     assert np.all(np.diag(D) == 1)
     # transitivity: D as boolean relation composed with itself stays D
@@ -160,6 +158,15 @@ def test_eig_iterative_rejects_zero_maxiter():
         eg.eig_iterative(A, M, 3, maxiter=0)
 
 
+def test_eig_iterative_rejects_unknown_which():
+    # n = 40 > max(4k, 12): the LOBPCG route, not the dense fallback
+    A_arr, M_arr = sampling.random_spd_pencil(40, np.random.default_rng(0))
+    A, M = eg.make_dense(A_arr), eg.make_spd(M_arr)
+    for which in ("Smallest", "middle"):
+        with pytest.raises(ValueError):
+            eg.eig_iterative(A, M, 3, which=which)
+
+
 def test_eig_iterative_negative_mass_direction():
     # one negative diagonal entry passes the positivity spot-check, and the
     # residual of A = I concentrates on it, so a Gram matrix turns indefinite
@@ -171,13 +178,13 @@ def test_eig_iterative_negative_mass_direction():
 
 def test_eigen_result_rejects_mask_not_matching_groups():
     X, lam = np.eye(3)[:, :2], np.array([2.0, 2.0])
-    with pytest.raises(ValueError):
-        eg.EigenResult(k=2, X=X, lambdas=lam, D=np.eye(2, dtype=int), groups=[[0, 1]])
-    with pytest.raises(ValueError):
-        eg.EigenResult(k=2, X=X, lambdas=lam, D=np.eye(2, dtype=int), groups=[[0]])
-    res = eg.EigenResult(k=2, X=X, lambdas=lam, D=np.ones((2, 2), dtype=int),
-                         groups=[[0, 1]])
-    assert res.groups == [[0, 1]]
+    with pytest.raises(ValueError):    # column 1 in no group
+        eg.EigenResult(X=X, lambdas=lam, groups=[[0]])
+    with pytest.raises(ValueError):    # column 1 in two groups
+        eg.EigenResult(X=X, lambdas=lam, groups=[[0, 1], [1]])
+    res = eg.EigenResult(X=X, lambdas=lam, groups=[[0, 1]])
+    assert res.groups == [[0, 1]] and res.k == 2
+    np.testing.assert_array_equal(res.D, np.ones((2, 2), dtype=int))
 
 
 def _counting(mat, counts, key):
