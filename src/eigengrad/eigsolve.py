@@ -14,7 +14,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import MaxIterExceeded, NotPositiveDefinite
-from .linop import as_dense_array, spot_check_spd
+from .linop import spot_check_spd
+from .sylvester import Reduction, linearize
 
 DEFAULT_DEGENERACY_RTOL = 1e-8
 
@@ -97,17 +98,21 @@ def _check_request(n, k, which):
 
 
 def eig_dense(A, M, k, which="smallest", degeneracy_rtol=DEFAULT_DEGENERACY_RTOL):
-    """Dense path: k extremal eigenpairs via LAPACK on the materialized pencil."""
+    """Dense path: k extremal eigenpairs through the pencil's tridiagonal
+    :class:`~eigengrad.sylvester.Reduction` (dpotrf, dsygst, dsytrd), the
+    eigenvectors of T by bisection and inverse iteration, then x = L^-T Q s.
+
+    The reduction is kept: it seeds the dense linearization memoized on the
+    result, so every dense derivative reuses it.
+    """
     n = A.dim
     _check_request(n, k, which)
-    Ad = as_dense_array(A)
-    Md = as_dense_array(M)
-    sel = [0, k - 1] if which == "smallest" else [n - k, n - 1]
-    try:
-        lam, X = scipy.linalg.eigh(Ad, Md, subset_by_index=sel)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("M is not positive definite") from exc
-    return _finalize(X, lam, which, M, degeneracy_rtol)
+    red = Reduction(A, M)
+    sel = (0, k - 1) if which == "smallest" else (n - k, n - 1)
+    lam, S = scipy.linalg.eigh_tridiagonal(red.d, red.e, select="i", select_range=sel)
+    eig = _finalize(red.from_tri(S), lam, which, M, degeneracy_rtol)
+    linearize(A, M, eig).reduction = red
+    return eig
 
 
 def _whitening(G):

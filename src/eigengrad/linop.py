@@ -71,14 +71,13 @@ def identity_operator(n):
     return make_spd(np.eye(n))
 
 
-def as_dense_array(op, copy=True):
-    """Materialize an operator as a dense array.
+def as_dense_array(op):
+    """Materialize an operator as a new dense array.
 
     Cheap for dense-backed operators; otherwise costs ``dim`` applies.
-    ``copy=False`` returns a dense-backed operator's entries: do not modify.
     """
     if isinstance(op, DenseSymmetric):
-        return op.entries.copy() if copy else op.entries
+        return op.entries.copy()
     return op.apply_batch(np.eye(op.dim))
 
 

@@ -7,8 +7,10 @@ degeneracy group; the right-hand side must be orthogonal to that group and
 the returned representative is gauged M-orthogonal to it (minimum-norm in M).
 
 Both modes share one :class:`Linearization` of (A, M) at the retrieved
-eigenpairs: the dense route factors a bordered matrix per degeneracy group,
-the iterative route runs MINRES on the deflated operator.
+eigenpairs. The dense route works in the tridiagonal basis of the pencil's
+:class:`Reduction` (made by ``eig_dense``, or by the first dense solve): each
+column costs two O(n^2) maps and one O(n) banded solve. The iterative route
+runs MINRES on the deflated operator.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from .errors import ClusterSplit, MaxIterExceeded, NotSolvable
+from .errors import ClusterSplit, MaxIterExceeded, NotPositiveDefinite, NotSolvable
 from .linop import as_dense_array
 
 # solves aim at 1e-2 TOL_SOLV |b_j|; NotSolvable and ClusterSplit are gated on it
@@ -34,12 +36,52 @@ class SylvesterSolution:
     iterations: np.ndarray     # per-column iteration counts (0 for dense)
 
 
+class Reduction:
+    """M = L L^T and L^-1 A L^-T = Q T Q^T (dpotrf, dsygst, dsytrd on copies),
+    T tridiagonal with diagonal ``d`` and off-diagonal ``e``; holds L and Q's
+    reflectors, 2n^2 doubles. The pencil's eigenpairs are (lambda, L^-T Q s)
+    for T's (lambda, s), and M-orthogonal x, y map to orthogonal Q^T L^T x, y.
+    """
+
+    def __init__(self, A, M):
+        lapack = scipy.linalg.lapack
+        # A and M are symmetric: their copies' transposes are the Fortran-ordered
+        # arrays LAPACK overwrites in place
+        self.L, info = lapack.dpotrf(as_dense_array(M).T, lower=1, overwrite_a=1)
+        if info:
+            raise NotPositiveDefinite(f"M is not positive definite (dpotrf info {info})")
+        C = lapack.dsygst(as_dense_array(A).T, self.L, lower=1, overwrite_a=1)[0]
+        lwork = int(lapack.dsytrd_lwork(A.dim, lower=1)[0])
+        C, self.d, self.e, self.tau, _ = lapack.dsytrd(C, lower=1, lwork=lwork, overwrite_a=1)
+        # Q = diag(1, Q~), Q~ the QR-form product of the trailing reflector block
+        # (LAPACK's lower dormtr, which scipy does not wrap, is this dormqr)
+        self.V = np.asfortranarray(C[1:, :-1])
+
+    def _q(self, Z, trans):
+        """Z <- Q Z (``trans`` "N") or Q^T Z ("T"). The minimal workspace keeps
+        dormqr unblocked: the blocked path rebuilds a 32-reflector panel factor
+        per call, O(32 n^2), which costs more than it saves up to about 8
+        columns at n = 1000 (at 24 columns it is 6x faster)."""
+        lapack = scipy.linalg.lapack
+        Z[1:] = lapack.dormqr("L", trans, self.V, self.tau, Z[1:], Z.shape[1])[0]
+        return Z
+
+    def to_tri(self, B):
+        """Q^T L^-1 B."""
+        return self._q(scipy.linalg.lapack.dtrtrs(self.L, B, lower=1)[0], "T")
+
+    def from_tri(self, W):
+        """L^-T Q W."""
+        Z = self._q(np.array(W, dtype=float, order="F"), "N")
+        return scipy.linalg.lapack.dtrtrs(self.L, Z, lower=1, trans=1)[0]
+
+
 class Linearization:
     """(A, M) linearized at the eigenpairs ``eig``; build it with :func:`linearize`.
 
-    Holds M X and, on the dense route, one bordered LU per degeneracy group,
-    made by the first solve that needs them; each derivative then costs
-    O(n^2 k). It refers to A and M, never copies them.
+    Holds M X and, on the dense route, the pencil's :class:`Reduction`, which
+    ``eig_dense`` seeds (or the first dense solve makes), and :meth:`_band`'s
+    LU: each derivative then costs O(n^2 k). Refers to A and M, never copies.
     """
 
     def __init__(self, A, M, eig, solver):
@@ -47,30 +89,34 @@ class Linearization:
             raise ValueError(f"solver must be 'dense' or 'iterative', got {solver!r}")
         self.A, self.M, self.eig, self.solver = A, M, eig, solver
         self.MX = M.apply_batch(eig.X)
-        self.lu = None
+        self.reduction = self.band = None
 
-    def factors(self):
-        """The bordered LU of every group (see :meth:`_factor`), made on first call."""
-        if self.lu is None:
-            dense = as_dense_array(self.A, copy=False), as_dense_array(self.M, copy=False)
-            self.lu = [self._factor(grp, *dense) for grp in self.eig.groups]
-        return self.lu
-
-    def _factor(self, grp, Ad, Md):
-        """LU of K = [[A - s M, M X_g], [X_g^T M, 0]], s the group's mean eigenvalue.
-
-        K is singular exactly when the group lacks an eigenvector of its
-        eigenvalue. It is built in one buffer and factored in place as K^T.
-        """
-        n, m = Ad.shape[0], len(grp)
-        K = np.empty((n + m, n + m))
-        np.multiply(Md, -np.mean(self.eig.lambdas[grp]), out=K[:n, :n])
-        K[:n, :n] += Ad
-        K[:n, n:] = self.MX[:, grp]
-        K[n:, :n] = self.MX[:, grp].T
-        K[n:, n:] = 0.0
-        lu, piv, _ = scipy.linalg.lapack.dgetrf(K.T, overwrite_a=True)
-        return lu, piv    # a zero pivot is caught by solve_dense's residual
+    def _band(self):
+        """(S = Q^T L^T X, LU, p): block j of the LU's matrix is the bordered
+        [[T - lambda_j I, E], [E^T, 0]], E the unit vectors at the rows p_g
+        where column j's group S_g is largest (pivoted QR of S_g^T). Keeping
+        the multipliers in the unknowns at p_g, which E^T w = 0 fixes, makes it
+        T - lambda_j I with columns p_g made unit: tridiagonal. It is singular
+        exactly when lambda_j has eigenvectors outside the group."""
+        if self.reduction is None:
+            self.reduction = Reduction(self.A, self.M)
+        eig, red = self.eig, self.reduction
+        S, n = red.to_tri(self.MX), red.d.size
+        p = []
+        for grp in eig.groups:
+            pg = scipy.linalg.qr(S[:, grp].T, mode="r", pivoting=True)[1][:len(grp)]
+            p += [j * n + pg for j in grp]
+        p = np.concatenate(p)
+        d = (red.d - eig.lambdas[:, None]).ravel()
+        dl = np.tile(np.append(red.e, 0.0), eig.k)[:-1]    # 0 between blocks
+        du = dl.copy()
+        d[p], du[p[p % n > 0] - 1], dl[p[p % n < n - 1]] = 1.0, 0.0, 0.0
+        *lu, info = scipy.linalg.lapack.dgttrf(dl, d, du)
+        if info:
+            raise ClusterSplit(
+                f"column {(info - 1) // n}: shifted system is singular; its eigenvalue "
+                "has eigenvectors outside the retrieved set", defect=np.inf)
+        return S, lu, p
 
     def jvp(self, t, **opts):
         """Forward derivatives along ``t``; options as for :func:`eigengrad.jvp.jvp`."""
@@ -128,33 +174,37 @@ def _check_split(residuals, B):
 
 
 def solve_dense(lin, B):
-    """Columnwise solve of (A - lambda_j M) y_j = b_j through the bordered LU
-    of each column's group; the first call on ``lin`` factors.
-
-    The solve at the group's mean shift is refined once at the exact shift
-    unless it already meets MINRES's target; the border keeps y_j M-orthogonal
-    to its group.
+    """Columnwise solve of (A - lambda_j M) y_j = b_j in the tridiagonal basis:
+    r = Q^T L^-1 b, w by ``Linearization._band``'s LU (made on the first
+    call) with r and w deflated of S_g, so y = L^-T Q w is M-orthogonal to its
+    group. Where the group's eigenvalues differ, the border leaves a residual
+    that one refinement step removes, unless it already meets MINRES's target.
     """
     eig = lin.eig
     _check_solvable(eig, B)
-    lu = lin.factors()
+    if lin.band is None:
+        lin.band = lin._band()
+    (S, lu, p), red = lin.band, lin.reduction
     n, k = B.shape
-    target = 1e-2 * TOL_SOLV * np.linalg.norm(B, axis=0)
-    Z = np.zeros((n + k, k))    # [Y; mu], mu_j nonzero only on the rows of j's group
-    R = np.vstack([B, np.zeros((k, k))])
-    for _ in range(2):
-        for g, grp in enumerate(eig.groups):
-            idx = np.ix_(np.r_[:n, n + np.asarray(grp)], grp)
-            Z[idx] += scipy.linalg.lapack.dgetrs(*lu[g], R[idx], trans=1)[0]
-        Y = Z[:n]
-        R = np.vstack([B - lin.A.apply_batch(Y) + lin.M.apply_batch(Y) * eig.lambdas
-                       - lin.MX @ Z[n:], eig.D * -(lin.MX.T @ Y)])
-        residuals = np.linalg.norm(R, axis=0)
-        if np.all(residuals <= target):
-            break
+
+    def solve(R):
+        Z = scipy.linalg.lapack.dgttrs(*lu, (R - S @ (eig.D * (S.T @ R))).T.ravel())[0]
+        Z[p] = 0.0    # the border's multipliers
+        Z = Z.reshape(k, n).T
+        return Z - S @ (eig.D * (S.T @ Z))
+
+    R0 = red.to_tri(B)
+    W = solve(R0)
+    R = R0 - red.d[:, None] * W + W * eig.lambdas     # R0 - (T - lambda_j) W
+    R[1:] -= red.e[:, None] * W[:-1]
+    R[:-1] -= red.e[:, None] * W[1:]
+    if np.any(np.linalg.norm(R, axis=0) > 1e-2 * TOL_SOLV * np.linalg.norm(R0, axis=0)):
+        W += solve(R)
+    Y = red.from_tri(W)
+    residuals = np.linalg.norm(B - lin.A.apply_batch(Y) + lin.M.apply_batch(Y) * eig.lambdas,
+                               axis=0)
     _check_split(residuals, B)
-    return SylvesterSolution(Y=Z[:n].copy(), residuals=residuals,
-                             iterations=np.zeros(k, dtype=int))
+    return SylvesterSolution(Y=Y, residuals=residuals, iterations=np.zeros(k, dtype=int))
 
 
 def solve_iterative(lin, B, maxiter=None):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
@@ -44,6 +45,34 @@ def test_eig_dense_not_positive_definite():
     M = eg.make_dense(np.diag([1.0, 1.0, -1.0]))
     with pytest.raises(NotPositiveDefinite):
         eg.eig_dense(A, M, 2)
+
+
+def test_eig_dense_not_positive_definite_from_cholesky():
+    A, M = make_pencil([], 10, 2, mass="random")
+    Md = eg.as_dense_array(M)
+    Md[4, 4] = -1e-3 - np.sum(np.abs(Md[4])) + abs(Md[4, 4])   # one negative direction
+    with pytest.raises(NotPositiveDefinite, match="dpotrf info 5"):
+        eg.eig_dense(A, eg.make_spd(Md), 3)
+
+
+@pytest.mark.parametrize("which", ["smallest", "largest"])
+@pytest.mark.parametrize("mass", ["identity", "random"])
+@pytest.mark.parametrize("mult", [1, 2, 3])
+def test_eig_dense_matches_scipy_eigh(which, mass, mult):
+    # the extremal group has multiplicity mult at either end of the spectrum
+    n, k = 16, 5
+    spectrum = [1.0] * mult + [2.0, 3.5, 4.0] + list(np.linspace(5.0, 9.0, n - mult - 6)) \
+        + [10.0] * mult
+    A, M = make_pencil(spectrum, n, mult, mass=mass)
+    Ad, Md = eg.as_dense_array(A), eg.as_dense_array(M)
+    sel = [0, k - 1] if which == "smallest" else [n - k, n - 1]
+    lam, U = scipy.linalg.eigh(Ad, Md, subset_by_index=sel)
+    res = eg.eig_dense(A, M, k, which=which)
+    np.testing.assert_allclose(res.lambdas, lam, rtol=1e-12)
+    assert mult in [len(g) for g in res.groups]
+    for grp in res.groups:
+        np.testing.assert_allclose(res.X[:, grp] @ res.X[:, grp].T @ Md,
+                                   U[:, grp] @ U[:, grp].T @ Md, rtol=0, atol=1e-10)
 
 
 def test_eig_dense_largest():

@@ -1,8 +1,10 @@
 import gc
+import warnings
 import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import eigengrad as eg
 from eigengrad import sampling
@@ -68,10 +70,58 @@ def test_cache_freed_with_eigen_result():
 
 
 def test_eigenvalue_only_vjp_does_not_factor():
-    A, M = make_pencil([], 12, 6, mass="random")
+    # an iterative primal leaves the dense reduction to the first dense solve
+    A, M = make_pencil([], 40, 6, mass="random")
+    eig = eg.eig_iterative(A, M, 3)
+    eg.vjp(A, M, eig, eg.CotangentInput(lambda_bar=np.ones(3), X_bar=np.zeros((40, 3))))
+    lin = eg.linearize(A, M, eig)
+    assert lin.reduction is None and lin.band is None
+
+
+def test_eig_dense_seeds_the_dense_linearization():
+    A, M = make_pencil([2.0, 2.0, 5.0], 12, 3, mass="random")
     eig = eg.eig_dense(A, M, 3)
-    eg.vjp(A, M, eig, eg.CotangentInput(lambda_bar=np.ones(3), X_bar=np.zeros((12, 3))))
-    assert eg.linearize(A, M, eig).lu is None
+    lin = eig._linearization
+    assert lin is not None and lin.reduction is not None
+    assert eg.linearize(A, M, eig) is lin
+    assert eg.linearize(A, M, eig, "iterative") is not lin
+
+
+def counting_lapack(monkeypatch):
+    """Count the O(n^3) LAPACK factorizations, as the modules look them up."""
+    calls = {}
+    for name in ("dpotrf", "dsygst", "dsytrd", "dgetrf"):
+        def counted(*args, _name=name, _fn=getattr(scipy.linalg.lapack, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(scipy.linalg.lapack, name, counted)
+    return calls
+
+
+def test_dense_derivatives_reuse_the_primal_reduction(monkeypatch):
+    calls = counting_lapack(monkeypatch)
+    A, M = make_pencil([1.0, 1.0, 3.0], 30, 8, mass="random")
+    eig = eg.eig_dense(A, M, 4)
+    assert calls == {"dpotrf": 1, "dsygst": 1, "dsytrd": 1}
+    calls.clear()
+    rng = np.random.default_rng(8)
+    eg.jvp(A, M, eig, sampling.valid_tangent(eig, M, rng))
+    eg.vjp(A, M, eig, sampling.valid_cotangent(eig, M, rng))
+    assert calls == {}
+
+
+def test_iterative_primal_reduces_on_first_dense_solve(monkeypatch):
+    calls = counting_lapack(monkeypatch)
+    A, M = make_pencil([1.0, 1.0, 3.0], 40, 9, mass="random")
+    eig = eg.eig_iterative(A, M, 3, tol=1e-12)
+    rng = np.random.default_rng(9)
+    t = sampling.valid_tangent(eig, M, rng)
+    first = eg.jvp(A, M, eig, t)
+    assert calls == {"dpotrf": 1, "dsygst": 1, "dsytrd": 1}
+    eg.vjp(A, M, eig, sampling.valid_cotangent(eig, M, rng))
+    assert calls == {"dpotrf": 1, "dsygst": 1, "dsytrd": 1}
+    ref = eg.jvp(A, M, eig, t, solver="iterative")
+    np.testing.assert_allclose(first.X_prime, ref.X_prime, atol=1e-7)
 
 
 @pytest.mark.parametrize("solver", SOLVERS)
@@ -114,6 +164,38 @@ def test_group_cut_by_k_raises_cluster_split(solver):
     assert excinfo.value.defect > 1e-3
     with pytest.raises(ClusterSplit):
         eg.vjp(A, M, eig, sampling.valid_cotangent(eig, M, rng), solver=solver)
+
+
+def test_group_cut_by_k_largest_raises_cluster_split():
+    # lambda = 4 is double at the top of the spectrum, and k = 1 retrieves one
+    # of its eigenvectors: the dense solve's banded factor is exactly singular
+    A = eg.make_dense(np.diag([1.0, 2.0, 3.0, 4.0, 4.0]))
+    M = eg.identity_operator(5)
+    eig = eg.eig_dense(A, M, 1, which="largest")
+    rng = np.random.default_rng(0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ClusterSplit) as excinfo:
+            eg.jvp(A, M, eig, sampling.valid_tangent(eig, M, rng))
+        assert excinfo.value.defect > 1e-3
+        with pytest.raises(ClusterSplit) as excinfo:
+            eg.vjp(A, M, eig, sampling.valid_cotangent(eig, M, rng))
+        assert excinfo.value.defect > 1e-3
+
+
+def test_dense_solve_refines_a_group_with_spread():
+    # 1 and 1 + 1e-9 merge into one group; the solve at lambda_j leaves a
+    # residual along its border that the refinement step removes
+    A, M = make_pencil([1.0, 1.0 + 1e-9, 2.0, 3.0], 10, 11, mass="random")
+    eig = eg.eig_dense(A, M, 3)
+    assert eig.groups == [[0, 1], [2]]
+    lin = eg.linearize(A, M, eig)
+    fs = eg.full_spectrum(A, M)
+    B = eg.project_rhs(lin, np.random.default_rng(11).standard_normal((10, 3)))
+    sol = eg.solve_dense(lin, B)
+    for j in range(3):
+        ref = eg.pseudo_inverse_apply(fs, eig.lambdas[j], B[:, j])
+        np.testing.assert_allclose(sol.Y[:, j], ref, rtol=0, atol=1e-12)   # 1e-10 unrefined
 
 
 def test_near_degenerate_pair_outside_group_tolerance():
