@@ -62,8 +62,7 @@ class Reduction:
         dormqr unblocked: the blocked path rebuilds a 32-reflector panel factor
         per call, O(32 n^2), which costs more than it saves up to about 8
         columns at n = 1000 (at 24 columns it is 6x faster)."""
-        lapack = scipy.linalg.lapack
-        Z[1:] = lapack.dormqr("L", trans, self.V, self.tau, Z[1:], Z.shape[1])[0]
+        Z[1:] = scipy.linalg.lapack.dormqr("L", trans, self.V, self.tau, Z[1:], Z.shape[1])[0]
         return Z
 
     def to_tri(self, B):
@@ -92,12 +91,12 @@ class Linearization:
         self.reduction = self.band = None
 
     def _band(self):
-        """(S = Q^T L^T X, LU, p): block j of the LU's matrix is the bordered
-        [[T - lambda_j I, E], [E^T, 0]], E the unit vectors at the rows p_g
-        where column j's group S_g is largest (pivoted QR of S_g^T). Keeping
-        the multipliers in the unknowns at p_g, which E^T w = 0 fixes, makes it
-        T - lambda_j I with columns p_g made unit: tridiagonal. It is singular
-        exactly when lambda_j has eigenvectors outside the group."""
+        """(S = Q^T L^T X, LU, pivots, p): block j of the LU's matrix is the
+        bordered [[T - lambda_j I, E], [E^T, 0]], E the unit vectors at the
+        rows p_g where column j's group S_g is largest (pivoted QR of S_g^T).
+        Keeping the multipliers in the unknowns at p_g, which E^T w = 0 fixes,
+        makes it T - lambda_j I with columns p_g made unit: tridiagonal. It is
+        singular exactly when lambda_j has eigenvectors outside the group."""
         if self.reduction is None:
             self.reduction = Reduction(self.A, self.M)
         eig, red = self.eig, self.reduction
@@ -107,16 +106,16 @@ class Linearization:
             pg = scipy.linalg.qr(S[:, grp].T, mode="r", pivoting=True)[1][:len(grp)]
             p += [j * n + pg for j in grp]
         p = np.concatenate(p)
-        d = (red.d - eig.lambdas[:, None]).ravel()
-        dl = np.tile(np.append(red.e, 0.0), eig.k)[:-1]    # 0 between blocks
-        du = dl.copy()
-        d[p], du[p[p % n > 0] - 1], dl[p[p % n < n - 1]] = 1.0, 0.0, 0.0
-        *lu, info = scipy.linalg.lapack.dgttrf(dl, d, du)
+        ab = np.zeros((4, eig.k * n))    # (1, 1)-band storage, row 0 for the LU's fill
+        ab[1, 1:] = ab[3, :-1] = np.tile(np.append(red.e, 0.0), eig.k)[:-1]   # 0 between blocks
+        ab[2] = (red.d - eig.lambdas[:, None]).ravel()
+        ab[1:, p] = [[0.0], [1.0], [0.0]]
+        lu, piv, info = scipy.linalg.lapack.dgbtrf(ab, 1, 1)
         if info:
             raise ClusterSplit(
                 f"column {(info - 1) // n}: shifted system is singular; its eigenvalue "
                 "has eigenvectors outside the retrieved set", defect=np.inf)
-        return S, lu, p
+        return S, lu, piv, p
 
     def jvp(self, t, **opts):
         """Forward derivatives along ``t``; options as for :func:`eigengrad.jvp.jvp`."""
@@ -184,11 +183,12 @@ def solve_dense(lin, B):
     _check_solvable(eig, B)
     if lin.band is None:
         lin.band = lin._band()
-    (S, lu, p), red = lin.band, lin.reduction
+    (S, lu, piv, p), red = lin.band, lin.reduction
     n, k = B.shape
 
     def solve(R):
-        Z = scipy.linalg.lapack.dgttrs(*lu, (R - S @ (eig.D * (S.T @ R))).T.ravel())[0]
+        rhs = (R - S @ (eig.D * (S.T @ R))).T.ravel()
+        Z = scipy.linalg.lapack.dgbtrs(lu, 1, 1, rhs, piv)[0]
         Z[p] = 0.0    # the border's multipliers
         Z = Z.reshape(k, n).T
         return Z - S @ (eig.D * (S.T @ Z))

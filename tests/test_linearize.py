@@ -183,6 +183,16 @@ def test_group_cut_by_k_largest_raises_cluster_split():
         assert excinfo.value.defect > 1e-3
 
 
+@pytest.mark.parametrize("which", ["smallest", "largest"])
+def test_dense_route_on_the_smallest_pencil(which):
+    # n = 2, k = 1: a one-reflector reduction and a 2 x 2 banded factor
+    A, M = make_pencil([1.0, 3.0], 2, 12, mass="random")
+    eig = eg.eig_dense(A, M, 1, which=which)
+    t = sampling.valid_tangent(eig, M, np.random.default_rng(12))
+    dense, ref = eg.jvp(A, M, eig, t), eg.jvp(A, M, eig, t, solver="iterative")
+    np.testing.assert_allclose(dense.X_prime, ref.X_prime, rtol=0, atol=1e-12)
+
+
 def test_dense_solve_refines_a_group_with_spread():
     # 1 and 1 + 1e-9 merge into one group; the solve at lambda_j leaves a
     # residual along its border that the refinement step removes
