@@ -65,14 +65,16 @@ class Reduction:
         Z[1:] = scipy.linalg.lapack.dormqr("L", trans, self.V, self.tau, Z[1:], Z.shape[1])[0]
         return Z
 
+    # the triangular solves are BLAS dtrsm: OpenBLAS runs LAPACK dtrtrs on all
+    # its threads at any size, and at small n the woken threads then spin
     def to_tri(self, B):
         """Q^T L^-1 B."""
-        return self._q(scipy.linalg.lapack.dtrtrs(self.L, B, lower=1)[0], "T")
+        return self._q(scipy.linalg.blas.dtrsm(1.0, self.L, B, lower=1), "T")
 
     def from_tri(self, W):
         """L^-T Q W."""
         Z = self._q(np.array(W, dtype=float, order="F"), "N")
-        return scipy.linalg.lapack.dtrtrs(self.L, Z, lower=1, trans=1)[0]
+        return scipy.linalg.blas.dtrsm(1.0, self.L, Z, lower=1, trans_a=1)
 
 
 class Linearization:
