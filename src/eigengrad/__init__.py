@@ -12,8 +12,7 @@ from .linop import (DenseSymmetric, SymmetricOperator, as_dense_array,
 from .eigsolve import (EigenResult, build_degeneracy, eig_dense, eig_iterative)
 from .sylvester import (Linearization, SylvesterSolution, linearize,
                         project_rhs, solve_dense, solve_iterative)
-from .jvp import (TangentInput, TangentOutput, check_forward_validity,
-                  eigenvalue_jvp, jvp)
+from .jvp import TangentInput, TangentOutput, check_forward_validity, jvp
 from .vjp import (CotangentInput, CotangentOutput, check_backward_validity,
                   vjp)
 from .oracle import (FullSpectrum, FdTangent, analytic_projector_derivative,
@@ -30,8 +29,7 @@ __all__ = [
     "EigenResult", "eig_dense", "eig_iterative", "build_degeneracy",
     "Linearization", "linearize",
     "SylvesterSolution", "project_rhs", "solve_dense", "solve_iterative",
-    "TangentInput", "TangentOutput", "check_forward_validity",
-    "eigenvalue_jvp", "jvp",
+    "TangentInput", "TangentOutput", "check_forward_validity", "jvp",
     "CotangentInput", "CotangentOutput", "check_backward_validity",
     "vjp",
     "FullSpectrum", "FdTangent", "full_spectrum", "pseudo_inverse_apply",

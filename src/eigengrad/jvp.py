@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, ValidityViolated
+from .errors import DimensionMismatch, NonFiniteError, ValidityViolated
 from .sylvester import linearize, project_rhs, solve_dense, solve_iterative
 
 TOL_COND = 1e-7
@@ -42,7 +42,10 @@ def _coupling(eig, t):
         raise DimensionMismatch(
             f"tangent dim ({t.Aprime.dim}, {t.Mprime.dim}) != primal dim {X.shape[0]}")
     MpX = t.Mprime.apply_batch(X)
-    V = t.Aprime.apply_batch(X) - MpX * eig.lambdas
+    ApX = t.Aprime.apply_batch(X)
+    if not (np.all(np.isfinite(ApX)) and np.all(np.isfinite(MpX))):
+        raise NonFiniteError("tangent products A'X and M'X must be finite")
+    V = ApX - MpX * eig.lambdas
     return MpX, V, X.T @ V
 
 
@@ -62,33 +65,24 @@ def in_group_defect(eig, C, S):
     return defect <= TOL_COND * max(1.0, float(np.max(np.abs(S), initial=0.0))), defect
 
 
-def eigenvalue_jvp(eig, t):
-    """lambda'_j = x_j^T (A' - lambda_j M') x_j for each retrieved pair."""
-    return np.diag(_coupling(eig, t)[2]).copy()
-
-
-def forward(lin, t, force=False):
-    """First-order response (Lambda', X') on a linearization; requires forward validity.
+def jvp(A, M, eig, t, solver="dense", force=False):
+    """First-order response (Lambda', X') along t = (A', M'); requires forward
+    validity, which ``force`` skips. Runs on the linearization memoized on
+    ``eig`` (see :func:`linearize`), so repeated calls share its state.
 
     Pipeline: build V = A'X - M'X Lambda and F = X^T V once; check validity
     on F and take Lambda' = diag F; project V's degenerate-group component
     out and solve the shifted systems for Y', which the solvers gauge
     M-orthogonal to each group; assemble X' = -1/2 X [I o (X^T M' X)] - Y'.
     """
-    eig = lin.eig
+    lin = linearize(A, M, eig, solver)
     X = eig.X
     MpX, V, F = _coupling(eig, t)
     ok, defect = check_forward_validity(eig, t, F=F)
     if not ok and not force:
         raise ValidityViolated(defect)
     B = project_rhs(lin, V)
-    sol = solve_dense(lin, B) if lin.solver == "dense" else solve_iterative(lin, B)
+    sol = solve_dense(lin, B) if solver == "dense" else solve_iterative(lin, B)
     X_prime = -0.5 * X * np.einsum("ij,ij->j", X, MpX) - sol.Y
     return TangentOutput(lambda_prime=np.diag(F).copy(), X_prime=X_prime,
                          validity_defect=defect)
-
-
-def jvp(A, M, eig, t, solver="dense", **opts):
-    """Forward derivatives along t = (A', M') on the linearization memoized on
-    ``eig`` (see :func:`linearize`); ``opts`` are those of :func:`forward`."""
-    return forward(linearize(A, M, eig, solver), t, **opts)

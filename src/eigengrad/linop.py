@@ -13,6 +13,8 @@ import numpy as np
 
 from .errors import NonFiniteError, NonSquareError
 
+SYMMETRY_TRIALS = 10
+
 
 class SymmetricOperator:
     """Real symmetric linear map of dimension ``dim``, applied to n-by-m blocks.
@@ -81,19 +83,17 @@ def as_dense_array(op):
     return op.apply_batch(np.eye(op.dim))
 
 
-def check_symmetry(op, trials=10):
-    """Spot-check <u, Av> == <v, Au> (to 1e-12) on ``trials`` seeded probe pairs,
-    applied as one u-block and one v-block; False if any pair violates."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    P = np.random.default_rng(0).standard_normal((trials, 2, op.dim))
+def check_symmetry(op):
+    """Spot-check <u, Av> == <v, Au> (to 1e-12) on SYMMETRY_TRIALS seeded probe
+    pairs, applied as one u-block and one v-block; False if any pair violates."""
+    P = np.random.default_rng(0).standard_normal((SYMMETRY_TRIALS, 2, op.dim))
     U, V = P[:, 0].T, P[:, 1].T
     AU, AV = op.apply_batch(U), op.apply_batch(V)
     nu, nv = np.linalg.norm(U, axis=0), np.linalg.norm(V, axis=0)
     # crude operator norm estimate from the probes themselves
     opnorm = np.max([np.linalg.norm(AU, axis=0) / np.maximum(nu, 1e-300),
                      np.linalg.norm(AV, axis=0) / np.maximum(nv, 1e-300),
-                     np.ones(trials)], axis=0)
+                     np.ones(SYMMETRY_TRIALS)], axis=0)
     gap = np.abs(np.einsum("ij,ij->j", U, AV) - np.einsum("ij,ij->j", V, AU))
     return not np.any(gap > 1e-12 * nu * nv * opnorm)
 

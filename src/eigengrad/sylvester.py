@@ -15,7 +15,8 @@ runs MINRES on the deflated operator.
 
 from __future__ import annotations
 
-import dataclasses
+import copy
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,8 +81,8 @@ class Reduction:
 class Linearization:
     """(A, M) linearized at the eigenpairs ``eig``; build it with :func:`linearize`.
 
-    Holds M X and, on the dense route, the pencil's :class:`Reduction`, which
-    ``eig_dense`` seeds (or the first dense solve makes), and :meth:`_band`'s
+    Holds M X and, on the dense route, the pencil's :attr:`reduction`, which
+    ``eig_dense`` seeds (or the first dense solve makes), and :attr:`band`'s
     LU: each derivative then costs O(n^2 k). Refers to A and M, never copies.
     """
 
@@ -90,17 +91,19 @@ class Linearization:
             raise ValueError(f"solver must be 'dense' or 'iterative', got {solver!r}")
         self.A, self.M, self.eig, self.solver = A, M, eig, solver
         self.MX = M.apply_batch(eig.X)
-        self.reduction = self.band = None
 
-    def _band(self):
+    @functools.cached_property
+    def reduction(self):
+        return Reduction(self.A, self.M)
+
+    @functools.cached_property
+    def band(self):
         """(S = Q^T L^T X, LU, pivots, p): block j of the LU's matrix is the
         bordered [[T - lambda_j I, E], [E^T, 0]], E the unit vectors at the
         rows p_g where column j's group S_g is largest (pivoted QR of S_g^T).
         Keeping the multipliers in the unknowns at p_g, which E^T w = 0 fixes,
         makes it T - lambda_j I with columns p_g made unit: tridiagonal. It is
         singular exactly when lambda_j has eigenvectors outside the group."""
-        if self.reduction is None:
-            self.reduction = Reduction(self.A, self.M)
         eig, red = self.eig, self.reduction
         S, n = red.to_tri(self.MX), red.d.size
         p = []
@@ -119,16 +122,6 @@ class Linearization:
                 "has eigenvectors outside the retrieved set", defect=np.inf)
         return S, lu, piv, p
 
-    def jvp(self, t, **opts):
-        """Forward derivatives along ``t``; options as for :func:`eigengrad.jvp.jvp`."""
-        from .jvp import forward
-        return forward(self, t, **opts)
-
-    def vjp(self, c, **opts):
-        """Reverse derivatives of ``c``; options as for :func:`eigengrad.vjp.vjp`."""
-        from .vjp import reverse
-        return reverse(self, c, **opts)
-
 
 def linearize(A, M, eig, solver="dense"):
     """The :class:`Linearization` of (A, M) at ``eig``, memoized on ``eig``.
@@ -138,9 +131,11 @@ def linearize(A, M, eig, solver="dense"):
     """
     lin = eig._linearization
     if lin is None or lin.A is not A or lin.M is not M or lin.solver != solver:
-        # on a copy of eig sharing its arrays: eig -> lin -> eig would be a cycle
-        lin = Linearization(A, M, dataclasses.replace(eig), solver)
-        eig._linearization = lin
+        # on a shallow copy of eig without its memo (eig -> lin -> eig would be
+        # a cycle); copying skips the groups check eig already passed
+        memo = copy.copy(eig)
+        memo._linearization = None
+        lin = eig._linearization = Linearization(A, M, memo, solver)
     return lin
 
 
@@ -176,15 +171,13 @@ def _check_split(residuals, B):
 
 def solve_dense(lin, B):
     """Columnwise solve of (A - lambda_j M) y_j = b_j in the tridiagonal basis:
-    r = Q^T L^-1 b, w by ``Linearization._band``'s LU (made on the first
+    r = Q^T L^-1 b, w by ``Linearization.band``'s LU (made on the first
     call) with r and w deflated of S_g, so y = L^-T Q w is M-orthogonal to its
     group. Where the group's eigenvalues differ, the border leaves a residual
     that one refinement step removes, unless it already meets MINRES's target.
     """
     eig = lin.eig
     _check_solvable(eig, B)
-    if lin.band is None:
-        lin.band = lin._band()
     (S, lu, piv, p), red = lin.band, lin.reduction
     n, k = B.shape
 

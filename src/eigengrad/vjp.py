@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, ValidityViolated
+from .errors import DimensionMismatch, NonFiniteError, ValidityViolated
 from .jvp import in_group_defect
 from .sylvester import linearize, project_rhs, solve_dense, solve_iterative
 
@@ -40,8 +40,10 @@ def check_backward_validity(eig, c):
     return in_group_defect(eig, S - S.T, S)
 
 
-def reverse(lin, c, force=False):
-    """Adjoint map (Lambda_bar, X_bar) -> (A_bar, M_bar) on a linearization.
+def vjp(A, M, eig, c, solver="dense", force=False):
+    """Adjoint map (Lambda_bar, X_bar) -> (A_bar, M_bar); requires backward
+    validity, which ``force`` skips. Runs on the linearization memoized on
+    ``eig`` (see :func:`linearize`), so repeated calls share its state.
 
     Solves the shifted systems (A - lambda_j M) ybar_j = xbar_j projected off
     the degenerate group, which the solvers gauge M-orthogonal to it (Vbar =
@@ -52,32 +54,26 @@ def reverse(lin, c, force=False):
     The eigenvalue term of M_bar carries a minus sign, matching the
     single-pair adjoint and the pairing identity with forward mode.
     """
-    eig = lin.eig
+    lin = linearize(A, M, eig, solver)
+    lbar = np.asarray(c.lambda_bar, dtype=float)
+    Xb = np.asarray(c.X_bar, dtype=float)
+    if lbar.shape != (eig.k,):
+        raise DimensionMismatch(f"lambda_bar has shape {lbar.shape}, expected ({eig.k},)")
+    if not (np.all(np.isfinite(lbar)) and np.all(np.isfinite(Xb))):
+        raise NonFiniteError("cotangents lambda_bar and X_bar must be finite")
     ok, defect = check_backward_validity(eig, c)
     if not ok and not force:
         raise ValidityViolated(defect)
 
     X, lam = eig.X, eig.lambdas
-    lbar = np.asarray(c.lambda_bar, dtype=float)
-    Xb = np.asarray(c.X_bar, dtype=float)
-    if lbar.shape != (eig.k,):
-        raise DimensionMismatch(f"lambda_bar has shape {lbar.shape}, expected ({eig.k},)")
-
     if np.all(Xb == 0.0):
         Vbar = np.zeros_like(X)
         S_diag = np.zeros(eig.k)
     else:
         B = project_rhs(lin, Xb)
-        Vbar = (solve_dense(lin, B) if lin.solver == "dense"
-                else solve_iterative(lin, B)).Y
+        Vbar = (solve_dense(lin, B) if solver == "dense" else solve_iterative(lin, B)).Y
         S_diag = np.einsum("ij,ij->j", X, Xb)
 
     A_bar = (X * lbar - Vbar) @ X.T
     M_bar = (Vbar * lam - X * (lam * lbar + 0.5 * S_diag)) @ X.T
     return CotangentOutput(A_bar=A_bar, M_bar=M_bar, validity_defect=defect)
-
-
-def vjp(A, M, eig, c, solver="dense", **opts):
-    """Reverse derivatives of ``c`` on the linearization memoized on ``eig``
-    (see :func:`linearize`); ``opts`` are those of :func:`reverse`."""
-    return reverse(linearize(A, M, eig, solver), c, **opts)

@@ -1,5 +1,6 @@
 """Property tests: on pencils with repeated eigenvalues, jvp and vjp satisfy
-the adjoint pairing and jvp agrees with the series oracle, on both solvers."""
+the adjoint pairing, and jvp agrees with the series oracle and with finite
+differences, on both solvers."""
 
 import numpy as np
 import pytest
@@ -25,15 +26,20 @@ def problems(draw):
     return spectrum, n, mass, seed
 
 
-@pytest.mark.parametrize("solver", ["dense", "iterative"])
-@settings(max_examples=50, derandomize=True, deadline=None, database=None)
-@given(problems())
-def test_pairing_and_series_agree(solver, problem):
+def instance(problem):
+    """(A, M, eig, rng) for a drawn problem; rng continues the pencil's stream."""
     spectrum, n, mass, seed = problem
     rng = np.random.default_rng(seed)
     A_arr, M_arr = sampling.pencil_from_spectrum(spectrum, n, rng, mass=mass)
     A, M = eg.make_dense(A_arr), eg.make_spd(M_arr)
-    eig = eg.eig_dense(A, M, len(spectrum))
+    return A, M, eg.eig_dense(A, M, len(spectrum)), rng
+
+
+@pytest.mark.parametrize("solver", ["dense", "iterative"])
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(problems())
+def test_pairing_and_series_agree(solver, problem):
+    A, M, eig, rng = instance(problem)
     t = sampling.valid_tangent(eig, M, rng)
     c = sampling.valid_cotangent(eig, M, rng)
 
@@ -44,3 +50,29 @@ def test_pairing_and_series_agree(solver, problem):
     scale = max(np.max(np.abs(ser.X_prime)), np.max(np.abs(ser.lambda_prime)))
     assert np.max(np.abs(out.X_prime - ser.X_prime)) <= 1e-8 * scale
     assert np.max(np.abs(out.lambda_prime - ser.lambda_prime)) <= 1e-8 * scale
+
+
+@pytest.mark.parametrize("solver", ["dense", "iterative"])
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(problems())
+def test_finite_differences_agree(solver, problem):
+    # verify's comparison: singleton columns one by one; a group through its
+    # trace rate and projector derivative, since its single rates are only
+    # O(step) once the step splits it
+    A, M, eig, rng = instance(problem)
+    t = sampling.valid_tangent(eig, M, rng)
+    out = eg.jvp(A, M, eig, t, solver=solver)
+    fd = eg.finite_difference_jvp(A, M, eig.k, eig.which, t, step=1e-5, base=eig)
+    lam_scale = max(1.0, np.max(np.abs(out.lambda_prime)))
+    for grp in eig.groups:
+        if len(grp) == 1:
+            j = grp[0]
+            x = out.X_prime[:, j]
+            assert abs(out.lambda_prime[j] - fd.lambda_prime[j]) <= 1e-7 * lam_scale
+            assert np.max(np.abs(x - fd.X_prime[:, j])) <= 1e-6 * max(1.0, np.max(np.abs(x)))
+        else:
+            trace_err = abs(np.sum(out.lambda_prime[grp]) - np.sum(fd.lambda_prime[grp]))
+            assert trace_err <= 1e-7 * lam_scale
+            P = eg.analytic_projector_derivative(eig, out, M, t.Mprime, grp)
+            P_err = np.max(np.abs(P - fd.proj_prime[tuple(grp)]))
+            assert P_err <= 1e-6 * max(1.0, np.max(np.abs(P)))

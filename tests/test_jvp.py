@@ -3,7 +3,7 @@ import pytest
 
 import eigengrad as eg
 from eigengrad import sampling
-from eigengrad.errors import DimensionMismatch, ValidityViolated
+from eigengrad.errors import DimensionMismatch, NonFiniteError, ValidityViolated
 
 from conftest import make_pencil
 
@@ -56,27 +56,47 @@ def test_forward_validity_group_diagonal_ok(degen225):
 
 
 def test_eigenvalue_jvp_identity_direction(diag123):
-    _, _, eig = diag123
-    lp = eg.eigenvalue_jvp(eig, tangent(np.eye(3)))
+    A, M, eig = diag123
+    lp = eg.jvp(A, M, eig, tangent(np.eye(3))).lambda_prime
     np.testing.assert_allclose(lp, [1.0, 1.0], atol=1e-13)
 
 
 def test_eigenvalue_jvp_mass_direction(diag123):
-    _, _, eig = diag123
-    lp = eg.eigenvalue_jvp(eig, tangent(np.zeros((3, 3)), np.eye(3)))
+    A, M, eig = diag123
+    lp = eg.jvp(A, M, eig, tangent(np.zeros((3, 3)), np.eye(3))).lambda_prime
     np.testing.assert_allclose(lp, [-1.0, -2.0], atol=1e-13)
 
 
 def test_eigenvalue_jvp_offdiagonal_direction(diag123):
-    _, _, eig = diag123
-    lp = eg.eigenvalue_jvp(eig, tangent(coupling(3, 0, 1)))
+    A, M, eig = diag123
+    lp = eg.jvp(A, M, eig, tangent(coupling(3, 0, 1))).lambda_prime
     np.testing.assert_allclose(lp, [0.0, 0.0], atol=1e-13)
 
 
 def test_eigenvalue_jvp_dimension_mismatch(diag123):
-    _, _, eig = diag123
+    A, M, eig = diag123
     with pytest.raises(DimensionMismatch):
-        eg.eigenvalue_jvp(eig, tangent(np.zeros((4, 4))))
+        eg.jvp(A, M, eig, tangent(np.zeros((4, 4))))
+
+
+def test_eigenvalue_jvp_rejects_violating_tangent(degen225):
+    # the in-group coupling's diagonal is [0, 0] here, while finite
+    # differences split the double eigenvalue 2 at rates [-1, 1]
+    A, M, eig = degen225
+    with pytest.raises(ValidityViolated) as excinfo:
+        eg.jvp(A, M, eig, sampling.violating_tangent(eig, M, eig.groups[0]))
+    assert excinfo.value.defect > 0.5
+
+
+@pytest.mark.parametrize("bad", ["Aprime", "Mprime"])
+def test_jvp_rejects_nonfinite_tangent_products(diag123, bad):
+    # a closure can return NaN where a dense operator cannot hold one
+    A, M, eig = diag123
+    nan = eg.SymmetricOperator(3, lambda v: np.full(3, np.nan))
+    zero = eg.make_dense(np.zeros((3, 3)))
+    t = eg.TangentInput(**{"Aprime": zero, "Mprime": zero, bad: nan})
+    with pytest.raises(NonFiniteError):
+        eg.jvp(A, M, eig, t)
 
 
 def test_eigenvector_jvp_offdiagonal(diag123):
@@ -113,7 +133,7 @@ def test_jvp_primal_residual_identity():
     A, M = make_pencil([], 5, 17, mass="random")
     eig = eg.eig_dense(A, M, 2)
     t = eg.TangentInput(Aprime=A, Mprime=eg.make_dense(eg.as_dense_array(M)))
-    lp = eg.eigenvalue_jvp(eig, t)
+    lp = eg.jvp(A, M, eig, t).lambda_prime
     np.testing.assert_allclose(lp, np.zeros(2), atol=1e-12)
 
 

@@ -10,18 +10,9 @@ import eigengrad as eg
 from eigengrad import sampling
 from eigengrad.errors import ClusterSplit
 
-from conftest import make_pencil
+from conftest import make_pencil, pairing_gap
 
 SOLVERS = ["dense", "iterative"]
-
-
-def pairing(lin, t, c):
-    fwd = lin.jvp(t)
-    bwd = lin.vjp(c)
-    lhs = c.lambda_bar @ fwd.lambda_prime + np.sum(c.X_bar * fwd.X_prime)
-    rhs = (np.sum(bwd.A_bar * eg.as_dense_array(t.Aprime))
-           + np.sum(bwd.M_bar * eg.as_dense_array(t.Mprime)))
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
 
 
 @pytest.mark.parametrize("solver", SOLVERS)
@@ -32,15 +23,16 @@ def test_cached_matches_uncached(solver):
     t = sampling.valid_tangent(eig, M, rng)
     c = sampling.valid_cotangent(eig, M, rng)
     lin = eg.linearize(A, M, eig, solver)
-    lin.jvp(sampling.valid_tangent(eig, M, rng))
+    eg.jvp(A, M, eig, sampling.valid_tangent(eig, M, rng), solver=solver)
     assert eg.linearize(A, M, eig, solver) is lin
     fresh = eg.eig_dense(A, M, 4)
-    fwd, ref = lin.jvp(t), eg.jvp(A, M, fresh, t, solver=solver)
+    fwd, ref = eg.jvp(A, M, eig, t, solver=solver), eg.jvp(A, M, fresh, t, solver=solver)
     np.testing.assert_allclose(fwd.X_prime, ref.X_prime, rtol=0, atol=1e-12)
     np.testing.assert_allclose(fwd.lambda_prime, ref.lambda_prime, rtol=0, atol=1e-12)
-    bwd, ref = lin.vjp(c), eg.vjp(A, M, fresh, c, solver=solver)
+    bwd, ref = eg.vjp(A, M, eig, c, solver=solver), eg.vjp(A, M, fresh, c, solver=solver)
     np.testing.assert_allclose(bwd.A_bar, ref.A_bar, rtol=0, atol=1e-12)
     np.testing.assert_allclose(bwd.M_bar, ref.M_bar, rtol=0, atol=1e-12)
+    assert eg.linearize(A, M, eig, solver) is lin
 
 
 def test_cache_keyed_by_operator_identity_and_solver():
@@ -69,22 +61,38 @@ def test_cache_freed_with_eigen_result():
         gc.enable()
 
 
-def test_eigenvalue_only_vjp_does_not_factor():
+def test_eigenvalue_only_vjp_does_not_factor(monkeypatch):
     # an iterative primal leaves the dense reduction to the first dense solve
     A, M = make_pencil([], 40, 6, mass="random")
     eig = eg.eig_iterative(A, M, 3)
+    calls = counting_lapack(monkeypatch)
     eg.vjp(A, M, eig, eg.CotangentInput(lambda_bar=np.ones(3), X_bar=np.zeros((40, 3))))
-    lin = eg.linearize(A, M, eig)
-    assert lin.reduction is None and lin.band is None
+    assert calls == {}
+    assert not {"reduction", "band"} & set(vars(eg.linearize(A, M, eig)))
 
 
 def test_eig_dense_seeds_the_dense_linearization():
     A, M = make_pencil([2.0, 2.0, 5.0], 12, 3, mass="random")
     eig = eg.eig_dense(A, M, 3)
     lin = eig._linearization
-    assert lin is not None and lin.reduction is not None
+    assert lin is not None and "reduction" in vars(lin)
     assert eg.linearize(A, M, eig) is lin
     assert eg.linearize(A, M, eig, "iterative") is not lin
+
+
+def test_eig_dense_checks_its_groups_once(monkeypatch):
+    # the memo's copy of the result reuses the groups check, not reruns it
+    calls, group_mask = [], eg.eigsolve.group_mask
+
+    def counted(groups, k):
+        calls.append(k)
+        return group_mask(groups, k)
+
+    monkeypatch.setattr(eg.eigsolve, "group_mask", counted)
+    A, M = make_pencil([2.0, 2.0, 5.0], 12, 3, mass="random")
+    eig = eg.eig_dense(A, M, 3)
+    eg.linearize(A, M, eig, "iterative")
+    assert len(calls) == 1
 
 
 def counting_lapack(monkeypatch):
@@ -135,7 +143,8 @@ def test_pairing_on_one_linearization(solver, mass):
     for _ in range(3):
         t = sampling.valid_tangent(eig, M, rng)
         c = sampling.valid_cotangent(eig, M, rng)
-        assert pairing(lin, t, c) < 1e-9
+        assert pairing_gap(A, M, eig, t, c, solver=solver) < 1e-9
+    assert eg.linearize(A, M, eig, solver) is lin
 
 
 def test_cached_dense_solve_matches_spectral_series():

@@ -36,23 +36,18 @@ def test_make_dense_idempotent_rewrap():
 
 
 def test_check_symmetry_dense_true():
-    assert eg.check_symmetry(eg.make_dense(np.diag([1.0, 2.0])), trials=10)
+    assert eg.check_symmetry(eg.make_dense(np.diag([1.0, 2.0])))
 
 
 def test_check_symmetry_asymmetric_raw_map():
     B = np.array([[1.0, 1.0], [0.0, 1.0]])
     op = eg.SymmetricOperator(2, lambda v: B @ v)
-    assert not eg.check_symmetry(op, trials=10)
+    assert not eg.check_symmetry(op)
 
 
-def test_check_symmetry_identity_single_trial():
+def test_check_symmetry_identity_closure():
     op = eg.SymmetricOperator(4, lambda v: v)
-    assert eg.check_symmetry(op, trials=1)
-
-
-def test_check_symmetry_rejects_zero_trials():
-    with pytest.raises(ValueError):
-        eg.check_symmetry(eg.identity_operator(2), trials=0)
+    assert eg.check_symmetry(op)
 
 
 def test_apply_batch_matches_columnwise(rng):
@@ -116,7 +111,7 @@ def test_spot_checks_apply_one_block_per_probe_set():
     cases = ((np.diag([1.0, 2.0]), True), (np.array([[1.0, 1.0], [0.0, 1.0]]), False))
     for mat, symmetric in cases:
         calls = []
-        assert eg.check_symmetry(_counting(mat, calls), trials=10) == symmetric
+        assert eg.check_symmetry(_counting(mat, calls)) == symmetric
         assert calls == [(2, 10), (2, 10)]
     for mat, spd in ((np.diag([1.0, 4.0]), True), (-np.eye(3), False)):
         calls = []

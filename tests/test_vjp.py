@@ -3,7 +3,7 @@ import pytest
 
 import eigengrad as eg
 from eigengrad import sampling
-from eigengrad.errors import ValidityViolated
+from eigengrad.errors import NonFiniteError, ValidityViolated
 
 from conftest import make_pencil, pairing_gap
 
@@ -70,6 +70,15 @@ def test_vjp_rejects_invalid_cotangent(degen225):
     out = eg.vjp(A, M, eig, c, force=True)
     assert out.validity_defect > 0.5
     assert np.all(np.isfinite(out.A_bar))
+
+
+@pytest.mark.parametrize("bad", ["lambda_bar", "X_bar"])
+def test_vjp_rejects_nonfinite_cotangent(degen225, bad):
+    A, M, eig = degen225
+    c = eg.CotangentInput(lambda_bar=np.ones(2), X_bar=np.zeros((3, 2)))
+    getattr(c, bad)[0] = np.nan
+    with pytest.raises(NonFiniteError):
+        eg.vjp(A, M, eig, c)
 
 
 def test_eigenvalue_only_fast_path_equals_general(rng):
