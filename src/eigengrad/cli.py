@@ -191,12 +191,13 @@ def _verify_instance(label, A_arr, M_arr, k, cfg, checks, solver="dense"):
                max(np.max(np.abs(bout.A_bar - bser.A_bar)),
                    np.max(np.abs(bout.M_bar - bser.M_bar))), 1e-8)
 
+    # 20 pairs, drawn in turn, then one stacked call per mode
+    pairs = [(sampling.valid_tangent(eig, M, rng), sampling.valid_cotangent(eig, M, rng))
+             for _ in range(20)]
+    fwds = jvp(A, M, eig, [tt for tt, _ in pairs], solver=solver)
+    bwds = vjp(A, M, eig, [cc for _, cc in pairs], solver=solver)
     worst = 0.0
-    for _ in range(20):
-        tt = sampling.valid_tangent(eig, M, rng)
-        cc = sampling.valid_cotangent(eig, M, rng)
-        fwd = jvp(A, M, eig, tt, solver=solver)
-        bwd = vjp(A, M, eig, cc, solver=solver)
+    for (tt, cc), fwd, bwd in zip(pairs, fwds, bwds):
         lhs = (cc.lambda_bar @ fwd.lambda_prime
                + np.sum(cc.X_bar * fwd.X_prime))
         rhs = (np.sum(bwd.A_bar * as_dense_array(tt.Aprime))

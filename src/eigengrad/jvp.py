@@ -67,8 +67,9 @@ def in_group_defect(eig, C, S):
 
 def jvp(A, M, eig, t, solver="dense", force=False):
     """First-order response (Lambda', X') along t = (A', M'); requires forward
-    validity, which ``force`` skips. Runs on the linearization memoized on
-    ``eig`` (see :func:`linearize`), so repeated calls share its state.
+    validity, which ``force`` skips. A sequence ``t`` gives a list: every
+    direction is checked, then all are solved as one block. Runs on the
+    linearization memoized on ``eig`` (see :func:`linearize`).
 
     Pipeline: build V = A'X - M'X Lambda and F = X^T V once; check validity
     on F and take Lambda' = diag F; project V's degenerate-group component
@@ -76,13 +77,17 @@ def jvp(A, M, eig, t, solver="dense", force=False):
     M-orthogonal to each group; assemble X' = -1/2 X [I o (X^T M' X)] - Y'.
     """
     lin = linearize(A, M, eig, solver)
-    X = eig.X
-    MpX, V, F = _coupling(eig, t)
-    ok, defect = check_forward_validity(eig, t, F=F)
-    if not ok and not force:
-        raise ValidityViolated(defect)
-    B = project_rhs(lin, V)
-    sol = solve_dense(lin, B) if solver == "dense" else solve_iterative(lin, B)
-    X_prime = -0.5 * X * np.einsum("ij,ij->j", X, MpX) - sol.Y
-    return TangentOutput(lambda_prime=np.diag(F).copy(), X_prime=X_prime,
-                         validity_defect=defect)
+    X, parts = eig.X, []
+    for ti in [t] if isinstance(t, TangentInput) else t:
+        MpX, V, F = _coupling(eig, ti)
+        ok, defect = check_forward_validity(eig, ti, F=F)
+        if not ok and not force:
+            raise ValidityViolated(defect)
+        parts.append((MpX, V, F, defect))
+    B = project_rhs(lin, np.hstack([V for _, V, _, _ in parts]))
+    Y = (solve_dense(lin, B) if solver == "dense" else solve_iterative(lin, B)).Y
+    outs = [TangentOutput(lambda_prime=np.diag(F).copy(),
+                          X_prime=-0.5 * X * np.einsum("ij,ij->j", X, MpX) - Yi,
+                          validity_defect=defect)
+            for (MpX, _, F, defect), Yi in zip(parts, np.hsplit(Y, len(parts)))]
+    return outs[0] if isinstance(t, TangentInput) else outs

@@ -7,10 +7,11 @@ degeneracy group; the right-hand side must be orthogonal to that group and
 the returned representative is gauged M-orthogonal to it (minimum-norm in M).
 
 Both modes share one :class:`Linearization` of (A, M) at the retrieved
-eigenpairs. The dense route works in the tridiagonal basis of the pencil's
-:class:`Reduction` (made by ``eig_dense``, or by the first dense solve): each
-column costs two O(n^2) maps and one O(n) banded solve. The iterative route
-runs MINRES on the deflated operator.
+eigenpairs. A right-hand block may hold s directions, s k columns: column c
+belongs to eigencolumn c mod k. The dense route works in the tridiagonal basis
+of the pencil's :class:`Reduction` (made by ``eig_dense``, or by the first
+dense solve): each column costs two O(n^2) maps and one O(n) banded solve. The
+iterative route runs MINRES on the deflated operator, all columns in lockstep.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
 
 from .errors import ClusterSplit, MaxIterExceeded, NotPositiveDefinite, NotSolvable
 from .linop import as_dense_array
@@ -59,11 +59,14 @@ class Reduction:
         self.V = np.asfortranarray(C[1:, :-1])
 
     def _q(self, Z, trans):
-        """Z <- Q Z (``trans`` "N") or Q^T Z ("T"). The minimal workspace keeps
-        dormqr unblocked: the blocked path rebuilds a 32-reflector panel factor
-        per call, O(32 n^2), which costs more than it saves up to about 8
-        columns at n = 1000 (at 24 columns it is 6x faster)."""
-        Z[1:] = scipy.linalg.lapack.dormqr("L", trans, self.V, self.tau, Z[1:], Z.shape[1])[0]
+        """Z <- Q Z (``trans`` "N") or Q^T Z ("T"). Up to 8 columns the minimal
+        workspace keeps dormqr unblocked: the blocked path rebuilds a
+        32-reflector panel factor per call, O(32 n^2), which costs more than it
+        saves there at n = 1000; at 24 columns it is 6x faster."""
+        dormqr, lwork = scipy.linalg.lapack.dormqr, Z.shape[1]
+        if lwork > 8:    # the blocked path, with the optimal workspace
+            lwork = int(dormqr("L", trans, self.V, self.tau, Z[1:], -1)[1][0])
+        Z[1:] = dormqr("L", trans, self.V, self.tau, Z[1:], lwork)[0]
         return Z
 
     # the triangular solves are BLAS dtrsm: OpenBLAS runs LAPACK dtrtrs on all
@@ -139,15 +142,28 @@ def linearize(A, M, eig, solver="dense"):
     return lin
 
 
+def _tiled(eig, m):
+    """(D, lambdas) for a block of m = s k columns, column c of eigencolumn c mod k."""
+    if m % eig.k:
+        raise ValueError(f"a right-hand block needs a multiple of k = {eig.k} columns, got {m}")
+    return np.tile(eig.D, m // eig.k), np.tile(eig.lambdas, m // eig.k)
+
+
+def _deflate(V, U, W, D):
+    """V - U (D o W^T V): column c of V loses the part along W of the columns
+    of U in its group, those i with D_ic = 1."""
+    return V - U @ (D * (W.T @ V))
+
+
 def project_rhs(lin, B):
     """Remove the degenerate-group component: b_j <- b_j - M X_g (X_g^T b_j)."""
     B = np.asarray(B, dtype=float)
-    return B - lin.MX @ (lin.eig.D * (lin.eig.X.T @ B))
+    return _deflate(B, lin.MX, lin.eig.X, _tiled(lin.eig, B.shape[1])[0])
 
 
 def _check_solvable(eig, B):
     """Per-column nullspace-component check; raises NotSolvable on violation."""
-    defect = np.linalg.norm(eig.D * (eig.X.T @ B), axis=0)
+    defect = np.linalg.norm(_tiled(eig, B.shape[1])[0] * (eig.X.T @ B), axis=0)
     bnorm = np.linalg.norm(B, axis=0)
     bad = np.flatnonzero(defect > TOL_SOLV * bnorm * 10)
     if bad.size:
@@ -175,31 +191,33 @@ def solve_dense(lin, B):
     call) with r and w deflated of S_g, so y = L^-T Q w is M-orthogonal to its
     group. Where the group's eigenvalues differ, the border leaves a residual
     that one refinement step removes, unless it already meets MINRES's target.
+    s directions map in and out as one block and share one banded solve.
     """
     eig = lin.eig
     _check_solvable(eig, B)
     (S, lu, piv, p), red = lin.band, lin.reduction
-    n, k = B.shape
+    n, m = B.shape
+    D, lam = _tiled(eig, m)
 
     def solve(R):
-        rhs = (R - S @ (eig.D * (S.T @ R))).T.ravel()
+        # direction i's k columns, stacked, are right-hand side i of the LU
+        rhs = _deflate(R, S, S, D).T.reshape(-1, eig.k * n).T
         Z = scipy.linalg.lapack.dgbtrs(lu, 1, 1, rhs, piv)[0]
         Z[p] = 0.0    # the border's multipliers
-        Z = Z.reshape(k, n).T
-        return Z - S @ (eig.D * (S.T @ Z))
+        Z = Z.T.reshape(m, n).T
+        return _deflate(Z, S, S, D)
 
     R0 = red.to_tri(B)
     W = solve(R0)
-    R = R0 - red.d[:, None] * W + W * eig.lambdas     # R0 - (T - lambda_j) W
+    R = R0 - red.d[:, None] * W + W * lam     # R0 - (T - lambda_j) W
     R[1:] -= red.e[:, None] * W[:-1]
     R[:-1] -= red.e[:, None] * W[1:]
     if np.any(np.linalg.norm(R, axis=0) > 1e-2 * TOL_SOLV * np.linalg.norm(R0, axis=0)):
         W += solve(R)
     Y = red.from_tri(W)
-    residuals = np.linalg.norm(B - lin.A.apply_batch(Y) + lin.M.apply_batch(Y) * eig.lambdas,
-                               axis=0)
+    residuals = np.linalg.norm(B - lin.A.apply_batch(Y) + lin.M.apply_batch(Y) * lam, axis=0)
     _check_split(residuals, B)
-    return SylvesterSolution(Y=Y, residuals=residuals, iterations=np.zeros(k, dtype=int))
+    return SylvesterSolution(Y=Y, residuals=residuals, iterations=np.zeros(m, dtype=int))
 
 
 def solve_iterative(lin, B, maxiter=None):
@@ -207,49 +225,85 @@ def solve_iterative(lin, B, maxiter=None):
 
     Each column solves P_L (A - lambda_j M) P_S y = P_L b_j where P_L and
     P_S deflate the column's degenerate group on the range and solution side.
+    In lockstep: a step applies A and M once, to the columns still running.
     """
     eig = lin.eig
-    _check_solvable(eig, B)
-    A, M = lin.A, lin.M
-    n, k = B.shape
+    n, m = B.shape
     maxiter = 20 * n if maxiter is None else maxiter
-    Y = np.zeros((n, k))
-    residuals = np.zeros(k)
-    iterations = np.zeros(k, dtype=int)
+    if maxiter < 1:
+        raise ValueError(f"maxiter must be >= 1, got {maxiter}")
+    _check_solvable(eig, B)
+    A, M, X, MX = lin.A, lin.M, eig.X, lin.MX
+    D, lam = _tiled(eig, m)
 
-    for grp in eig.groups:
-        Xg, MXg = eig.X[:, grp], lin.MX[:, grp]
+    def op(V, cols):    # P_L (A - lambda_j M) P_S on columns ``cols``
+        S = _deflate(V, X, MX, D[:, cols])
+        return _deflate(A.apply_batch(S) - M.apply_batch(S) * lam[cols], MX, X, D[:, cols])
 
-        def proj_left(v):
-            return v - MXg @ (Xg.T @ v)
-
-        def proj_sol(v):
-            return v - Xg @ (MXg.T @ v)
-
-        for j in grp:
-            b = B[:, j]
-            bnorm = np.linalg.norm(b)
-            if bnorm == 0.0:
-                continue
-            lam = eig.lambdas[j]
-
-            def opmat(v):
-                s = proj_sol(v.reshape(n, 1))
-                return proj_left(A.apply_batch(s) - lam * M.apply_batch(s))
-
-            op = scipy.sparse.linalg.LinearOperator((n, n), matvec=opmat, dtype=float)
-            bproj = proj_left(b)
-            steps = []
-            y, info = scipy.sparse.linalg.minres(
-                op, bproj, rtol=max(TOL_SOLV * 1e-2, 1e-13), maxiter=maxiter,
-                callback=steps.append)
-            y = proj_sol(y)[:, None]
-            res = np.linalg.norm(A.apply_batch(y) - lam * M.apply_batch(y) - bproj[:, None])
-            Y[:, j], residuals[j], iterations[j] = y[:, 0], res, len(steps)
-            if info != 0 and res > TOL_SOLV * max(bnorm, 1e-300) * 10:
-                raise MaxIterExceeded(
-                    f"column {j}: MINRES stopped (info={info}) at residual {res:.3e}",
-                    payload=SylvesterSolution(Y=Y, residuals=residuals,
-                                              iterations=iterations))
+    bproj = _deflate(B, MX, X, D)
+    Z, iterations, maxed = _minres(op, bproj, maxiter, rtol=max(TOL_SOLV * 1e-2, 1e-13))
+    Y = _deflate(Z, X, MX, D)
+    residuals = np.linalg.norm(A.apply_batch(Y) - M.apply_batch(Y) * lam - bproj, axis=0)
+    sol = SylvesterSolution(Y=Y, residuals=residuals, iterations=iterations)
+    bnorm = np.maximum(np.linalg.norm(B, axis=0), 1e-300)
+    bad = np.flatnonzero(maxed & (residuals > TOL_SOLV * bnorm * 10))
+    if bad.size:
+        raise MaxIterExceeded(f"column {bad[0]}: MINRES reached maxiter={maxiter} at "
+                              f"residual {residuals[bad[0]]:.3e}", payload=sol)
     _check_split(residuals, B)
-    return SylvesterSolution(Y=Y, residuals=residuals, iterations=iterations)
+    return sol
+
+
+def _minres(op, B, maxiter, rtol):
+    """MINRES (Paige & Saunders 1975) on all columns of B at once, each kept as a
+    contiguous row, with scipy.sparse.linalg.minres's recurrence and stopping
+    tests (x0 = 0, no preconditioner). ``op(V, cols)`` applies the operators of
+    columns ``cols`` of B to V's columns; a column leaves the block when it
+    stops. Returns (X, iterations, mask of the columns stopped by ``maxiter``)."""
+    (n, m), eps = B.shape, np.finfo(float).eps
+    out, iterations, maxed = np.zeros((m, n)), np.zeros(m, dtype=int), np.zeros(m, dtype=bool)
+    beta1 = np.linalg.norm(B, axis=0)
+    rows = np.flatnonzero(beta1 > 0)     # a zero column stops at x = 0 before its first step
+    beta1 = beta = phibar = beta1[rows]
+    y = r1 = r2 = np.ascontiguousarray(B.T[rows])
+    x = w = w2 = np.zeros_like(y)
+    oldb = dbar = epsln = tnorm2 = gmax = sn = np.zeros(rows.size)
+    gmin, cs = np.full(rows.size, np.finfo(float).max), np.full(rows.size, -1.0)
+    itn = 0
+    while rows.size:
+        itn += 1
+        v = y * (1.0 / beta)[:, None]
+        y = np.ascontiguousarray(op(v.T, rows).T)    # the Lanczos step
+        if itn >= 2:
+            y = y - (beta / oldb)[:, None] * r1
+        alfa = np.einsum("ij,ij->i", v, y)
+        y = y - (alfa / beta)[:, None] * r2
+        r1, r2 = r2, y
+        oldb, beta = beta, np.linalg.norm(y, axis=1)
+        tnorm2 = tnorm2 + alfa**2 + oldb**2 + beta**2
+        first = (itn == 1) & (beta / beta1 <= 10 * eps)    # b is an eigenvector: done
+        # apply the previous rotation, then make the next one
+        oldeps, delta, gbar = epsln, cs * dbar + sn * alfa, sn * dbar - cs * alfa
+        epsln, dbar = sn * beta, -cs * beta
+        root, gamma = np.hypot(gbar, dbar), np.maximum(np.hypot(gbar, beta), eps)
+        cs, sn = gbar / gamma, beta / gamma
+        phi, phibar = cs * phibar, sn * phibar
+        w1, w2 = w2, w    # update x
+        w = (v - oldeps[:, None] * w1 - delta[:, None] * w2) * (1.0 / gamma)[:, None]
+        x = x + phi[:, None] * w
+        gmax, gmin = np.maximum(gmax, gamma), np.minimum(gmin, gamma)
+        # scipy's stopping tests; its 1 + test <= 1 forms are implied at rtol >= eps
+        Anorm, ynorm = np.sqrt(tnorm2), np.linalg.norm(x, axis=1)
+        test1 = np.divide(phibar, Anorm * ynorm, out=np.full(rows.size, np.inf),
+                          where=Anorm * ynorm > 0)
+        met = ((test1 <= rtol) | (root / Anorm <= rtol) | (Anorm * ynorm * eps >= beta1)
+               | (gmax / gmin >= 0.1 / eps))
+        stop = first | met | (itn >= maxiter)
+        if stop.any():
+            out[rows[stop]], iterations[rows[stop]] = x[stop], itn
+            maxed[rows[stop]] = ~(first | met)[stop]
+            (rows, y, r1, r2, x, w, w2, beta, beta1, oldb, phibar, dbar, epsln, tnorm2, gmax,
+             gmin, cs, sn) = (arr[~stop] for arr in (
+                rows, y, r1, r2, x, w, w2, beta, beta1, oldb, phibar, dbar, epsln, tnorm2,
+                gmax, gmin, cs, sn))
+    return out.T, iterations, maxed

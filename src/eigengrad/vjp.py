@@ -33,7 +33,11 @@ class CotangentOutput:
 
 def check_backward_validity(eig, c):
     """In-group antisymmetry of X^T X_bar must vanish; returns (ok, defect)."""
-    Xb = np.asarray(c.X_bar, dtype=float)
+    lbar, Xb = np.asarray(c.lambda_bar, dtype=float), np.asarray(c.X_bar, dtype=float)
+    if lbar.shape != (eig.k,):
+        raise DimensionMismatch(f"lambda_bar has shape {lbar.shape}, expected ({eig.k},)")
+    if not (np.all(np.isfinite(lbar)) and np.all(np.isfinite(Xb))):
+        raise NonFiniteError("cotangents lambda_bar and X_bar must be finite")
     if Xb.shape != eig.X.shape:
         raise DimensionMismatch(f"X_bar shape {Xb.shape} != X shape {eig.X.shape}")
     S = eig.X.T @ Xb
@@ -42,8 +46,9 @@ def check_backward_validity(eig, c):
 
 def vjp(A, M, eig, c, solver="dense", force=False):
     """Adjoint map (Lambda_bar, X_bar) -> (A_bar, M_bar); requires backward
-    validity, which ``force`` skips. Runs on the linearization memoized on
-    ``eig`` (see :func:`linearize`), so repeated calls share its state.
+    validity, which ``force`` skips. A sequence ``c`` gives a list: every
+    cotangent is checked, then all are solved as one block. Runs on the
+    linearization memoized on ``eig`` (see :func:`linearize`).
 
     Solves the shifted systems (A - lambda_j M) ybar_j = xbar_j projected off
     the degenerate group, which the solvers gauge M-orthogonal to it (Vbar =
@@ -55,25 +60,25 @@ def vjp(A, M, eig, c, solver="dense", force=False):
     single-pair adjoint and the pairing identity with forward mode.
     """
     lin = linearize(A, M, eig, solver)
-    lbar = np.asarray(c.lambda_bar, dtype=float)
-    Xb = np.asarray(c.X_bar, dtype=float)
-    if lbar.shape != (eig.k,):
-        raise DimensionMismatch(f"lambda_bar has shape {lbar.shape}, expected ({eig.k},)")
-    if not (np.all(np.isfinite(lbar)) and np.all(np.isfinite(Xb))):
-        raise NonFiniteError("cotangents lambda_bar and X_bar must be finite")
-    ok, defect = check_backward_validity(eig, c)
-    if not ok and not force:
-        raise ValidityViolated(defect)
+    parts = []
+    for ci in [c] if isinstance(c, CotangentInput) else c:
+        ok, defect = check_backward_validity(eig, ci)
+        if not ok and not force:
+            raise ValidityViolated(defect)
+        parts.append((np.asarray(ci.lambda_bar, float), np.asarray(ci.X_bar, float), defect))
 
     X, lam = eig.X, eig.lambdas
-    if np.all(Xb == 0.0):
-        Vbar = np.zeros_like(X)
-        S_diag = np.zeros(eig.k)
+    Xbs = np.hstack([Xb for _, Xb, _ in parts])
+    if np.all(Xbs == 0.0):
+        Vbar = np.zeros_like(Xbs)
     else:
-        B = project_rhs(lin, Xb)
+        B = project_rhs(lin, Xbs)
         Vbar = (solve_dense(lin, B) if solver == "dense" else solve_iterative(lin, B)).Y
+    outs = []
+    for (lbar, Xb, defect), Vi in zip(parts, np.hsplit(Vbar, len(parts))):
         S_diag = np.einsum("ij,ij->j", X, Xb)
-
-    A_bar = (X * lbar - Vbar) @ X.T
-    M_bar = (Vbar * lam - X * (lam * lbar + 0.5 * S_diag)) @ X.T
-    return CotangentOutput(A_bar=A_bar, M_bar=M_bar, validity_defect=defect)
+        outs.append(CotangentOutput(
+            A_bar=(X * lbar - Vi) @ X.T,
+            M_bar=(Vi * lam - X * (lam * lbar + 0.5 * S_diag)) @ X.T,
+            validity_defect=defect))
+    return outs[0] if isinstance(c, CotangentInput) else outs

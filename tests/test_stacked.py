@@ -1,0 +1,118 @@
+"""Stacked directions: eg.jvp and eg.vjp take a sequence of directions, check
+them all, and solve them as one right-hand block; each output equals its
+single call."""
+
+import importlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import eigengrad as eg
+from eigengrad import sampling
+from eigengrad.errors import NonFiniteError, ValidityViolated
+
+from conftest import make_pencil
+from test_derivative_properties import instance, problems
+from test_linearize import counting_lapack
+
+
+def rel_gap(a, b):
+    return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
+
+
+@pytest.mark.parametrize("solver", ["dense", "iterative"])
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(problems(), st.sampled_from([1, 2, 5]))
+def test_stacked_equals_single_calls(solver, problem, s):
+    A, M, eig, rng = instance(problem)
+    ts = [sampling.valid_tangent(eig, M, rng) for _ in range(s)]
+    cs = [sampling.valid_cotangent(eig, M, rng) for _ in range(s)]
+    fwds = eg.jvp(A, M, eig, ts, solver=solver)
+    bwds = eg.vjp(A, M, eig, cs, solver=solver)
+    assert isinstance(fwds, list) and len(fwds) == s
+    assert isinstance(bwds, list) and len(bwds) == s
+    for t, fwd in zip(ts, fwds):
+        one = eg.jvp(A, M, eig, t, solver=solver)
+        assert rel_gap(fwd.X_prime, one.X_prime) <= 1e-12
+        np.testing.assert_array_equal(fwd.lambda_prime, one.lambda_prime)
+        assert fwd.validity_defect == one.validity_defect
+    for c, bwd in zip(cs, bwds):
+        one = eg.vjp(A, M, eig, c, solver=solver)
+        assert rel_gap(bwd.A_bar, one.A_bar) <= 1e-12
+        assert rel_gap(bwd.M_bar, one.M_bar) <= 1e-12
+
+
+@pytest.fixture
+def degenerate():
+    A, M = make_pencil([2.0, 2.0, 5.0], 12, 3, mass="random")
+    eig = eg.eig_dense(A, M, 3)
+    return A, M, eig, np.random.default_rng(3)
+
+
+def test_one_element_list_gives_a_list(degenerate):
+    A, M, eig, rng = degenerate
+    t, c = sampling.valid_tangent(eig, M, rng), sampling.valid_cotangent(eig, M, rng)
+    [fwd], [bwd] = eg.jvp(A, M, eig, [t]), eg.vjp(A, M, eig, (c,))
+    np.testing.assert_array_equal(fwd.X_prime, eg.jvp(A, M, eig, t).X_prime)
+    np.testing.assert_array_equal(bwd.A_bar, eg.vjp(A, M, eig, c).A_bar)
+
+
+def test_violating_direction_fails_the_stack_before_any_solve(degenerate, monkeypatch):
+    A, M, eig, rng = degenerate
+    solves = []
+    for mode in ("jvp", "vjp"):
+        monkeypatch.setattr(importlib.import_module(f"eigengrad.{mode}"), "solve_dense",
+                            lambda *args: solves.append(args))
+    ts = [sampling.valid_tangent(eig, M, rng),
+          sampling.violating_tangent(eig, M, eig.groups[0])]
+    cs = [sampling.valid_cotangent(eig, M, rng),
+          sampling.violating_cotangent(eig, M, eig.groups[0])]
+    with pytest.raises(ValidityViolated):
+        eg.jvp(A, M, eig, ts)
+    with pytest.raises(ValidityViolated):
+        eg.vjp(A, M, eig, cs)
+    assert solves == []
+
+
+def test_force_applies_to_the_whole_stack():
+    A, M = eg.make_dense(np.diag([2.0, 2.0, 5.0, 6.0, 7.0])), eg.identity_operator(5)
+    eig, rng = eg.eig_dense(A, M, 3), np.random.default_rng(3)
+    ts = [sampling.valid_tangent(eig, M, rng),
+          sampling.violating_tangent(eig, M, eig.groups[0])]
+    cs = [sampling.violating_cotangent(eig, M, eig.groups[0]),
+          sampling.valid_cotangent(eig, M, rng)]
+    fwds = eg.jvp(A, M, eig, ts, force=True)
+    bwds = eg.vjp(A, M, eig, cs, force=True)
+    assert fwds[0].validity_defect < 1e-10 < 0.5 < fwds[1].validity_defect
+    assert bwds[1].validity_defect < 1e-10 < 0.5 < bwds[0].validity_defect
+    assert all(np.all(np.isfinite(f.X_prime)) for f in fwds)
+    assert all(np.all(np.isfinite(b.A_bar)) for b in bwds)
+
+
+def test_non_finite_direction_fails_the_stack(degenerate):
+    A, M, eig, rng = degenerate
+    n = eig.X.shape[0]
+    nan = eg.SymmetricOperator(n, lambda v: np.full(n, np.nan))
+    ts = [sampling.valid_tangent(eig, M, rng),
+          eg.TangentInput(Aprime=nan, Mprime=eg.make_dense(np.zeros((n, n))))]
+    bad = sampling.valid_cotangent(eig, M, rng)
+    bad.X_bar[0, 0] = np.nan
+    with pytest.raises(NonFiniteError):
+        eg.jvp(A, M, eig, ts)
+    with pytest.raises(NonFiniteError):
+        eg.vjp(A, M, eig, [sampling.valid_cotangent(eig, M, rng), bad])
+
+
+def test_all_zero_x_bar_stack_builds_nothing(monkeypatch):
+    # an iterative primal leaves the dense reduction to the first dense solve
+    A, M = make_pencil([], 40, 6, mass="random")
+    eig = eg.eig_iterative(A, M, 3)
+    calls = counting_lapack(monkeypatch)
+    cs = [eg.CotangentInput(lambda_bar=np.full(3, float(i)), X_bar=np.zeros((40, 3)))
+          for i in range(3)]
+    outs = eg.vjp(A, M, eig, cs)
+    assert calls == {}
+    assert not {"reduction", "band"} & set(vars(eg.linearize(A, M, eig)))
+    np.testing.assert_array_equal(outs[0].A_bar, np.zeros((40, 40)))
+    np.testing.assert_allclose(outs[2].A_bar, 2.0 * eig.X @ eig.X.T, rtol=1e-14)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 import eigengrad as eg
+from eigengrad import sampling
 from eigengrad.errors import MaxIterExceeded, NotSolvable
 from eigengrad.sylvester import project_rhs, solve_dense, solve_iterative
 
@@ -140,9 +142,82 @@ def test_iterative_maxiter_payload():
     A, M = make_pencil([2, 2, 5], 30, 0, mass="random")
     eig = eg.eig_dense(A, M, 3)
     lin = eg.linearize(A, M, eig, "iterative")
-    B = project_rhs(lin, np.random.default_rng(0).standard_normal((30, 3)))
+    B = project_rhs(lin, np.random.default_rng(0).standard_normal((30, 6)))
+    B[:, 4] = 0.0
     with pytest.raises(MaxIterExceeded) as exc:
         solve_iterative(lin, B, maxiter=1)
     sol = exc.value.payload
     assert isinstance(sol, eg.SylvesterSolution)
-    assert sol.iterations[0] == 1
+    np.testing.assert_array_equal(sol.iterations, [1, 1, 1, 1, 0, 1])
+
+
+def minres_reference(lin, B):
+    """Per column, scipy.sparse.linalg.minres on the deflated operator: the
+    solves as they ran before the columns shared a block. Column c belongs to
+    eigencolumn c mod k."""
+    eig, n = lin.eig, B.shape[0]
+    group = {j: grp for grp in eig.groups for j in grp}
+    Y, iterations = np.zeros_like(B), np.zeros(B.shape[1], dtype=int)
+    for c in range(B.shape[1]):
+        j = c % eig.k
+        Xg, MXg = eig.X[:, group[j]], lin.MX[:, group[j]]
+
+        def matvec(v, lam=eig.lambdas[j]):
+            s = v.reshape(n, 1) - Xg @ (MXg.T @ v.reshape(n, 1))
+            r = lin.A.apply_batch(s) - lam * lin.M.apply_batch(s)
+            return r - MXg @ (Xg.T @ r)
+
+        b = B[:, c] - MXg @ (Xg.T @ B[:, c])
+        if not np.any(b):
+            continue
+        steps = []
+        y, _ = scipy.sparse.linalg.minres(
+            scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec, dtype=float),
+            b, rtol=1e-12, maxiter=20 * n, callback=steps.append)
+        Y[:, c], iterations[c] = y - Xg @ (MXg.T @ y), len(steps)
+    return Y, iterations
+
+
+@pytest.mark.parametrize("mass", ["identity", "random"])
+def test_lockstep_minres_matches_scipy(mass):
+    # MINRES converges in about 20 of n = 60 steps here; where it needs nearly
+    # n, the step at which it stops depends on roundoff in either code
+    A, M = make_pencil([1.0, 1.0, 2.0, 2.0, 2.0, 4.0, *np.linspace(10.0, 11.0, 54)], 60, 11,
+                       mass=mass)
+    eig = eg.eig_dense(A, M, 6)
+    assert [len(g) for g in eig.groups] == [2, 3, 1]
+    lin = eg.linearize(A, M, eig, "iterative")
+    B = project_rhs(lin, np.random.default_rng(11).standard_normal((60, 12)))
+    Y_ref, it_ref = minres_reference(lin, B)
+    sol = solve_iterative(lin, B)
+    np.testing.assert_array_equal(sol.iterations, it_ref)
+    assert np.max(np.abs(sol.Y - Y_ref)) <= 1e-12 * np.max(np.abs(Y_ref))
+
+
+def test_lockstep_minres_zero_columns():
+    A, M = make_pencil([2.0, 2.0, 5.0], 20, 1, mass="random")
+    eig = eg.eig_dense(A, M, 3)
+    lin = eg.linearize(A, M, eig, "iterative")
+    B = project_rhs(lin, np.random.default_rng(1).standard_normal((20, 6)))
+    B[:, [1, 3]] = 0.0
+    sol = solve_iterative(lin, B)
+    np.testing.assert_array_equal(sol.iterations[[1, 3]], [0, 0])
+    np.testing.assert_array_equal(sol.Y[:, [1, 3]], np.zeros((20, 2)))
+    assert np.all(sol.iterations[[0, 2, 4, 5]] > 0)
+
+
+@pytest.mark.parametrize("maxiter", [0, -1])
+def test_iterative_maxiter_below_one_is_a_value_error(maxiter):
+    A, M = (eg.make_dense(a) for a in sampling.random_spd_pencil(40, np.random.default_rng(0)))
+    eig = eg.eig_dense(A, M, 3)
+    lin = eg.linearize(A, M, eig, "iterative")
+    B = project_rhs(lin, np.random.default_rng(0).standard_normal((40, 3)))
+    with pytest.raises(ValueError, match="maxiter"):
+        solve_iterative(lin, B, maxiter=maxiter)
+
+
+def test_block_width_must_be_a_multiple_of_k():
+    lin = degen_lin([2.0, 2.0], [[0, 1]])
+    for solve in (project_rhs, solve_dense, solve_iterative):
+        with pytest.raises(ValueError, match="multiple of k"):
+            solve(lin, np.ones((3, 3)))
