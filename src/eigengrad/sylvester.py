@@ -59,14 +59,11 @@ class Reduction:
         self.V = np.asfortranarray(C[1:, :-1])
 
     def _q(self, Z, trans):
-        """Z <- Q Z (``trans`` "N") or Q^T Z ("T"). Up to 8 columns the minimal
-        workspace keeps dormqr unblocked: the blocked path rebuilds a
-        32-reflector panel factor per call, O(32 n^2), which costs more than it
-        saves there at n = 1000; at 24 columns it is 6x faster."""
-        dormqr, lwork = scipy.linalg.lapack.dormqr, Z.shape[1]
-        if lwork > 8:    # the blocked path, with the optimal workspace
-            lwork = int(dormqr("L", trans, self.V, self.tau, Z[1:], -1)[1][0])
-        Z[1:] = dormqr("L", trans, self.V, self.tau, Z[1:], lwork)[0]
+        """Z <- Q Z (``trans`` "N") or Q^T Z ("T"). The minimal workspace keeps
+        dormqr unblocked: the blocked path rebuilds a 32-reflector panel factor
+        per call, O(32 n^2), which costs more than it saves up to about 8
+        columns at n = 1000 (at 24 columns it is 6x faster)."""
+        Z[1:] = scipy.linalg.lapack.dormqr("L", trans, self.V, self.tau, Z[1:], Z.shape[1])[0]
         return Z
 
     # the triangular solves are BLAS dtrsm: OpenBLAS runs LAPACK dtrtrs on all
@@ -149,16 +146,10 @@ def _tiled(eig, m):
     return np.tile(eig.D, m // eig.k), np.tile(eig.lambdas, m // eig.k)
 
 
-def _deflate(V, U, W, D):
-    """V - U (D o W^T V): column c of V loses the part along W of the columns
-    of U in its group, those i with D_ic = 1."""
-    return V - U @ (D * (W.T @ V))
-
-
 def project_rhs(lin, B):
     """Remove the degenerate-group component: b_j <- b_j - M X_g (X_g^T b_j)."""
     B = np.asarray(B, dtype=float)
-    return _deflate(B, lin.MX, lin.eig.X, _tiled(lin.eig, B.shape[1])[0])
+    return B - lin.MX @ (_tiled(lin.eig, B.shape[1])[0] * (lin.eig.X.T @ B))
 
 
 def _check_solvable(eig, B):
@@ -201,11 +192,11 @@ def solve_dense(lin, B):
 
     def solve(R):
         # direction i's k columns, stacked, are right-hand side i of the LU
-        rhs = _deflate(R, S, S, D).T.reshape(-1, eig.k * n).T
-        Z = scipy.linalg.lapack.dgbtrs(lu, 1, 1, rhs, piv)[0]
+        R = R - S @ (D * (S.T @ R))
+        Z = scipy.linalg.lapack.dgbtrs(lu, 1, 1, R.T.reshape(-1, eig.k * n).T, piv)[0]
         Z[p] = 0.0    # the border's multipliers
         Z = Z.T.reshape(m, n).T
-        return _deflate(Z, S, S, D)
+        return Z - S @ (D * (S.T @ Z))
 
     R0 = red.to_tri(B)
     W = solve(R0)
@@ -227,26 +218,35 @@ def solve_iterative(lin, B, maxiter=None):
     P_S deflate the column's degenerate group on the range and solution side.
     In lockstep: a step applies A and M once, to the columns still running.
     """
-    eig = lin.eig
-    n, m = B.shape
+    eig, (n, m) = lin.eig, B.shape
     maxiter = 20 * n if maxiter is None else maxiter
     if maxiter < 1:
         raise ValueError(f"maxiter must be >= 1, got {maxiter}")
     _check_solvable(eig, B)
-    A, M, X, MX = lin.A, lin.M, eig.X, lin.MX
-    D, lam = _tiled(eig, m)
+    A, M, lam = lin.A, lin.M, _tiled(eig, m)[1]
+    first = np.tile(np.argmax(eig.D, axis=0), m // eig.k)    # group label: first member
+    slices = [(min(g), eig.X[:, g], lin.MX[:, g]) for g in eig.groups]
 
-    def op(V, cols):    # P_L (A - lambda_j M) P_S on columns ``cols``
-        S = _deflate(V, X, MX, D[:, cols])
-        return _deflate(A.apply_batch(S) - M.apply_batch(S) * lam[cols], MX, X, D[:, cols])
+    def deflate(V, left, rows=slice(None)):
+        # rows V (block columns ``rows``) under P_L if ``left``, else P_S: per row a
+        # GEMV pair on its group's slices, summed as for a single column
+        V = V.copy()
+        for g0, Xg, MXg in slices:
+            sel = np.flatnonzero(first[rows] == g0)
+            U, W = (MXg, Xg) if left else (Xg, MXg)
+            V[sel] -= np.matmul(U, np.matmul(W.T, V[sel][:, :, None]))[:, :, 0]
+        return V
 
-    bproj = _deflate(B, MX, X, D)
+    def op(V, rows):    # P_L (A - lambda_j M) P_S on rows V of block columns ``rows``
+        S = deflate(V, False, rows).T
+        return deflate((A.apply_batch(S) - M.apply_batch(S) * lam[rows]).T, True, rows)
+
+    bproj = deflate(B.T, True)
     Z, iterations, maxed = _minres(op, bproj, maxiter, rtol=max(TOL_SOLV * 1e-2, 1e-13))
-    Y = _deflate(Z, X, MX, D)
-    residuals = np.linalg.norm(A.apply_batch(Y) - M.apply_batch(Y) * lam - bproj, axis=0)
+    Y = deflate(Z, False).T
+    residuals = np.linalg.norm(A.apply_batch(Y) - M.apply_batch(Y) * lam - bproj.T, axis=0)
     sol = SylvesterSolution(Y=Y, residuals=residuals, iterations=iterations)
-    bnorm = np.maximum(np.linalg.norm(B, axis=0), 1e-300)
-    bad = np.flatnonzero(maxed & (residuals > TOL_SOLV * bnorm * 10))
+    bad = np.flatnonzero(maxed & (residuals > TOL_SOLV * np.linalg.norm(B, axis=0) * 10))
     if bad.size:
         raise MaxIterExceeded(f"column {bad[0]}: MINRES reached maxiter={maxiter} at "
                               f"residual {residuals[bad[0]]:.3e}", payload=sol)
@@ -254,56 +254,58 @@ def solve_iterative(lin, B, maxiter=None):
     return sol
 
 
+def _dots(U, V):    # rowwise U_i . V_i, one BLAS ddot each: np.inner's sums
+    return np.matmul(U[:, None, :], V[:, :, None])[:, 0, 0]
+
+
 def _minres(op, B, maxiter, rtol):
-    """MINRES (Paige & Saunders 1975) on all columns of B at once, each kept as a
-    contiguous row, with scipy.sparse.linalg.minres's recurrence and stopping
-    tests (x0 = 0, no preconditioner). ``op(V, cols)`` applies the operators of
-    columns ``cols`` of B to V's columns; a column leaves the block when it
-    stops. Returns (X, iterations, mask of the columns stopped by ``maxiter``)."""
-    (n, m), eps = B.shape, np.finfo(float).eps
+    """MINRES (Paige & Saunders 1975) on all rows of B at once, rounding as
+    scipy.sparse.linalg.minres does (x0 = 0, no preconditioner; ddot, libm pow).
+    ``op(V, rows)`` applies rows ``rows``'s operators to V's rows; a row leaves
+    the block when it stops. Returns (X, iterations, rows stopped by ``maxiter``)."""
+    (m, n), eps = B.shape, np.finfo(float).eps
     out, iterations, maxed = np.zeros((m, n)), np.zeros(m, dtype=int), np.zeros(m, dtype=bool)
-    beta1 = np.linalg.norm(B, axis=0)
-    rows = np.flatnonzero(beta1 > 0)     # a zero column stops at x = 0 before its first step
+    beta1 = np.sqrt(_dots(B, B))
+    rows = np.flatnonzero(beta1 > 0)     # a zero row stops at x = 0 before its first step
     beta1 = beta = phibar = beta1[rows]
-    y = r1 = r2 = np.ascontiguousarray(B.T[rows])
+    y = r1 = r2 = B[rows]
     x = w = w2 = np.zeros_like(y)
     oldb = dbar = epsln = tnorm2 = gmax = sn = np.zeros(rows.size)
-    gmin, cs = np.full(rows.size, np.finfo(float).max), np.full(rows.size, -1.0)
-    itn = 0
+    gmin, cs, itn = np.full(rows.size, np.finfo(float).max), np.full(rows.size, -1.0), 0
     while rows.size:
         itn += 1
-        v = y * (1.0 / beta)[:, None]
-        y = np.ascontiguousarray(op(v.T, rows).T)    # the Lanczos step
+        v = (1.0 / beta)[:, None] * y
+        y = op(v, rows)    # the Lanczos step
         if itn >= 2:
             y = y - (beta / oldb)[:, None] * r1
-        alfa = np.einsum("ij,ij->i", v, y)
+        alfa = _dots(v, y)
         y = y - (alfa / beta)[:, None] * r2
         r1, r2 = r2, y
-        oldb, beta = beta, np.linalg.norm(y, axis=1)
-        tnorm2 = tnorm2 + alfa**2 + oldb**2 + beta**2
-        first = (itn == 1) & (beta / beta1 <= 10 * eps)    # b is an eigenvector: done
+        oldb, beta = beta, np.sqrt(_dots(y, y))
+        tnorm2 = tnorm2 + np.float_power([alfa, oldb, beta], 2).sum(axis=0)
         # apply the previous rotation, then make the next one
         oldeps, delta, gbar = epsln, cs * dbar + sn * alfa, sn * dbar - cs * alfa
         epsln, dbar = sn * beta, -cs * beta
-        root, gamma = np.hypot(gbar, dbar), np.maximum(np.hypot(gbar, beta), eps)
+        root, gamma = (np.sqrt(_dots(*2 * [np.column_stack([gbar, b])])) for b in (dbar, beta))
+        gamma = np.maximum(gamma, eps)
         cs, sn = gbar / gamma, beta / gamma
         phi, phibar = cs * phibar, sn * phibar
         w1, w2 = w2, w    # update x
         w = (v - oldeps[:, None] * w1 - delta[:, None] * w2) * (1.0 / gamma)[:, None]
         x = x + phi[:, None] * w
         gmax, gmin = np.maximum(gmax, gamma), np.minimum(gmin, gamma)
-        # scipy's stopping tests; its 1 + test <= 1 forms are implied at rtol >= eps
-        Anorm, ynorm = np.sqrt(tnorm2), np.linalg.norm(x, axis=1)
+        # scipy's tests, the last for b an eigenvector; 1 + test <= 1 is implied at rtol >= eps
+        Anorm, ynorm = np.sqrt(tnorm2), np.sqrt(_dots(x, x))
         test1 = np.divide(phibar, Anorm * ynorm, out=np.full(rows.size, np.inf),
                           where=Anorm * ynorm > 0)
         met = ((test1 <= rtol) | (root / Anorm <= rtol) | (Anorm * ynorm * eps >= beta1)
-               | (gmax / gmin >= 0.1 / eps))
-        stop = first | met | (itn >= maxiter)
+               | (gmax / gmin >= 0.1 / eps) | ((itn == 1) & (beta / beta1 <= 10 * eps)))
+        stop = met | (itn >= maxiter)
         if stop.any():
             out[rows[stop]], iterations[rows[stop]] = x[stop], itn
-            maxed[rows[stop]] = ~(first | met)[stop]
+            maxed[rows[stop]] = ~met[stop]
             (rows, y, r1, r2, x, w, w2, beta, beta1, oldb, phibar, dbar, epsln, tnorm2, gmax,
              gmin, cs, sn) = (arr[~stop] for arr in (
                 rows, y, r1, r2, x, w, w2, beta, beta1, oldb, phibar, dbar, epsln, tnorm2,
                 gmax, gmin, cs, sn))
-    return out.T, iterations, maxed
+    return out, iterations, maxed

@@ -69,16 +69,14 @@ def vjp(A, M, eig, c, solver="dense", force=False):
 
     X, lam = eig.X, eig.lambdas
     Xbs = np.hstack([Xb for _, Xb, _ in parts])
-    if np.all(Xbs == 0.0):
-        Vbar = np.zeros_like(Xbs)
-    else:
+    Vbar = np.zeros_like(Xbs)
+    if np.any(Xbs):
         B = project_rhs(lin, Xbs)
         Vbar = (solve_dense(lin, B) if solver == "dense" else solve_iterative(lin, B)).Y
     outs = []
     for (lbar, Xb, defect), Vi in zip(parts, np.hsplit(Vbar, len(parts))):
-        S_diag = np.einsum("ij,ij->j", X, Xb)
         outs.append(CotangentOutput(
             A_bar=(X * lbar - Vi) @ X.T,
-            M_bar=(Vi * lam - X * (lam * lbar + 0.5 * S_diag)) @ X.T,
+            M_bar=(Vi * lam - X * (lam * lbar + 0.5 * np.einsum("ij,ij->j", X, Xb))) @ X.T,
             validity_defect=defect))
     return outs[0] if isinstance(c, CotangentInput) else outs

@@ -154,7 +154,7 @@ def test_iterative_maxiter_payload():
 def minres_reference(lin, B):
     """Per column, scipy.sparse.linalg.minres on the deflated operator: the
     solves as they ran before the columns shared a block. Column c belongs to
-    eigencolumn c mod k."""
+    eigencolumn c mod k; it is copied contiguous, as the lockstep code holds it."""
     eig, n = lin.eig, B.shape[0]
     group = {j: grp for grp in eig.groups for j in grp}
     Y, iterations = np.zeros_like(B), np.zeros(B.shape[1], dtype=int)
@@ -167,7 +167,8 @@ def minres_reference(lin, B):
             r = lin.A.apply_batch(s) - lam * lin.M.apply_batch(s)
             return r - MXg @ (Xg.T @ r)
 
-        b = B[:, c] - MXg @ (Xg.T @ B[:, c])
+        b = np.ascontiguousarray(B[:, c])
+        b = b - MXg @ (Xg.T @ b)
         if not np.any(b):
             continue
         steps = []
@@ -181,7 +182,8 @@ def minres_reference(lin, B):
 @pytest.mark.parametrize("mass", ["identity", "random"])
 def test_lockstep_minres_matches_scipy(mass):
     # MINRES converges in about 20 of n = 60 steps here; where it needs nearly
-    # n, the step at which it stops depends on roundoff in either code
+    # n, one GEMM on the block against scipy's GEMV per column moves Y by up
+    # to 1e-11 (see test_lockstep_minres_rounds_as_scipy)
     A, M = make_pencil([1.0, 1.0, 2.0, 2.0, 2.0, 4.0, *np.linspace(10.0, 11.0, 54)], 60, 11,
                        mass=mass)
     eig = eg.eig_dense(A, M, 6)
@@ -192,6 +194,25 @@ def test_lockstep_minres_matches_scipy(mass):
     sol = solve_iterative(lin, B)
     np.testing.assert_array_equal(sol.iterations, it_ref)
     assert np.max(np.abs(sol.Y - Y_ref)) <= 1e-12 * np.max(np.abs(Y_ref))
+
+
+@pytest.mark.parametrize("n", [60, 80])
+def test_lockstep_minres_rounds_as_scipy(n):
+    # MINRES needs nearly n steps here, so a sum taken in another order moves
+    # Y by 1e-12 to 1e-11 and the stopping step by up to 2. Vector closures
+    # apply A and M to one contiguous column at a time in both codes, so the
+    # lockstep recurrence, rounding as scipy's does, gives its steps and Y
+    for seed in range(3):
+        for mass in ("identity", "random"):
+            A, M = make_pencil([2.0, 2.0, 3.0, 3.0, 3.0, 6.0], n, seed, mass=mass)
+            eig = eg.eig_dense(A, M, 6)
+            Av, Mv = (eg.SymmetricOperator(n, op.entries.__matmul__) for op in (A, M))
+            lin = eg.linearize(Av, Mv, eig, "iterative")
+            B = project_rhs(lin, np.random.default_rng(seed).standard_normal((n, 12)))
+            Y_ref, it_ref = minres_reference(lin, B)
+            sol = solve_iterative(lin, B)
+            np.testing.assert_array_equal(sol.iterations, it_ref)
+            assert np.max(np.abs(sol.Y - Y_ref)) <= 1e-13 * np.max(np.abs(Y_ref))
 
 
 def test_lockstep_minres_zero_columns():
