@@ -228,17 +228,17 @@ def solve_iterative(lin, B, maxiter=None):
     slices = [(min(g), eig.X[:, g], lin.MX[:, g]) for g in eig.groups]
 
     def deflate(V, left, rows=slice(None)):
-        # rows V (block columns ``rows``) under P_L if ``left``, else P_S: per row a
-        # GEMV pair on its group's slices, summed as for a single column
-        V = V.copy()
+        # P_L (``left``) or P_S on rows V of block columns ``rows``, a GEMV pair per row
+        out = np.empty(V.shape)
         for g0, Xg, MXg in slices:
             sel = np.flatnonzero(first[rows] == g0)
-            U, W = (MXg, Xg) if left else (Xg, MXg)
-            V[sel] -= np.matmul(U, np.matmul(W.T, V[sel][:, :, None]))[:, :, 0]
-        return V
+            (U, W), Vs = (MXg, Xg) if left else (Xg, MXg), V[sel]
+            C = np.matmul(W.T, Vs[:, :, None])    # numpy's U @ C is a slow loop at g = 1
+            out[sel] = Vs - (U.T * C[:, 0] if U.shape[1] == 1 else np.matmul(U, C)[:, :, 0])
+        return out
 
     def op(V, rows):    # P_L (A - lambda_j M) P_S on rows V of block columns ``rows``
-        S = deflate(V, False, rows).T
+        S = np.ascontiguousarray(deflate(V, False, rows).T)    # sparse products want C order
         return deflate((A.apply_batch(S) - M.apply_batch(S) * lam[rows]).T, True, rows)
 
     bproj = deflate(B.T, True)
@@ -269,17 +269,18 @@ def _minres(op, B, maxiter, rtol):
     rows = np.flatnonzero(beta1 > 0)     # a zero row stops at x = 0 before its first step
     beta1 = beta = phibar = beta1[rows]
     y = r1 = r2 = B[rows]
-    x = w = w2 = np.zeros_like(y)
+    # in place, products in t: at n = 4000 temporaries cost 3x the arithmetic in page faults
+    x, w, w2, buf = (np.zeros_like(y) for _ in range(4))
     oldb = dbar = epsln = tnorm2 = gmax = sn = np.zeros(rows.size)
     gmin, cs, itn = np.full(rows.size, np.finfo(float).max), np.full(rows.size, -1.0), 0
     while rows.size:
-        itn += 1
+        itn, t = itn + 1, buf[:rows.size]
         v = (1.0 / beta)[:, None] * y
         y = op(v, rows)    # the Lanczos step
         if itn >= 2:
-            y = y - (beta / oldb)[:, None] * r1
+            y -= np.multiply((beta / oldb)[:, None], r1, out=t)
         alfa = _dots(v, y)
-        y = y - (alfa / beta)[:, None] * r2
+        y -= np.multiply((alfa / beta)[:, None], r2, out=t)
         r1, r2 = r2, y
         oldb, beta = beta, np.sqrt(_dots(y, y))
         tnorm2 = tnorm2 + np.float_power([alfa, oldb, beta], 2).sum(axis=0)
@@ -290,9 +291,10 @@ def _minres(op, B, maxiter, rtol):
         gamma = np.maximum(gamma, eps)
         cs, sn = gbar / gamma, beta / gamma
         phi, phibar = cs * phibar, sn * phibar
-        w1, w2 = w2, w    # update x
-        w = (v - oldeps[:, None] * w1 - delta[:, None] * w2) * (1.0 / gamma)[:, None]
-        x = x + phi[:, None] * w
+        w1, w2, w = w2, w, v - np.multiply(oldeps[:, None], w2, out=t)    # update x
+        w -= np.multiply(delta[:, None], w2, out=t)
+        w *= (1.0 / gamma)[:, None]
+        x += np.multiply(phi[:, None], w, out=t)
         gmax, gmin = np.maximum(gmax, gamma), np.minimum(gmin, gamma)
         # scipy's tests, the last for b an eigenvector; 1 + test <= 1 is implied at rtol >= eps
         Anorm, ynorm = np.sqrt(tnorm2), np.sqrt(_dots(x, x))
@@ -302,8 +304,7 @@ def _minres(op, B, maxiter, rtol):
                | (gmax / gmin >= 0.1 / eps) | ((itn == 1) & (beta / beta1 <= 10 * eps)))
         stop = met | (itn >= maxiter)
         if stop.any():
-            out[rows[stop]], iterations[rows[stop]] = x[stop], itn
-            maxed[rows[stop]] = ~met[stop]
+            out[rows[stop]], iterations[rows[stop]], maxed[rows[stop]] = x[stop], itn, ~met[stop]
             (rows, y, r1, r2, x, w, w2, beta, beta1, oldb, phibar, dbar, epsln, tnorm2, gmax,
              gmin, cs, sn) = (arr[~stop] for arr in (
                 rows, y, r1, r2, x, w, w2, beta, beta1, oldb, phibar, dbar, epsln, tnorm2,

@@ -73,10 +73,9 @@ def vjp(A, M, eig, c, solver="dense", force=False):
     if np.any(Xbs):
         B = project_rhs(lin, Xbs)
         Vbar = (solve_dense(lin, B) if solver == "dense" else solve_iterative(lin, B)).Y
-    outs = []
-    for (lbar, Xb, defect), Vi in zip(parts, np.hsplit(Vbar, len(parts))):
-        outs.append(CotangentOutput(
-            A_bar=(X * lbar - Vi) @ X.T,
-            M_bar=(Vi * lam - X * (lam * lbar + 0.5 * np.einsum("ij,ij->j", X, Xb))) @ X.T,
-            validity_defect=defect))
+    outs = [CotangentOutput(
+        A_bar=(X * lbar - Vi) @ X.T,
+        M_bar=(Vi * lam - X * (lam * lbar + 0.5 * np.einsum("ij,ij->j", X, Xb))) @ X.T,
+        validity_defect=defect)
+        for (lbar, Xb, defect), Vi in zip(parts, np.hsplit(Vbar, len(parts)))]
     return outs[0] if isinstance(c, CotangentInput) else outs
