@@ -17,7 +17,7 @@ from .vjp import (CotangentInput, CotangentOutput, check_backward_validity,
                   vjp)
 from .oracle import (FullSpectrum, FdTangent, analytic_projector_derivative,
                      finite_difference_jvp, full_spectrum, jvp_series,
-                     pseudo_inverse_apply, vjp_series)
+                     vjp_series)
 
 __version__ = "0.1.0"
 
@@ -32,7 +32,7 @@ __all__ = [
     "TangentInput", "TangentOutput", "check_forward_validity", "jvp",
     "CotangentInput", "CotangentOutput", "check_backward_validity",
     "vjp",
-    "FullSpectrum", "FdTangent", "full_spectrum", "pseudo_inverse_apply",
+    "FullSpectrum", "FdTangent", "full_spectrum",
     "jvp_series", "vjp_series", "finite_difference_jvp",
     "analytic_projector_derivative",
 ]

@@ -149,7 +149,9 @@ def eig_iterative(A, M, k, which="smallest", maxiter=500, tol=1e-9,
     locked. When the carried residuals meet ``tol``, and every 32 steps, A
     and M are applied to X again and Rayleigh-Ritz rerun on those products;
     iteration stops only when that explicit residual meets ``tol``. Small
-    problems (n <= max(4k, 12)) are materialized and solved densely.
+    problems (n <= max(4k, 12)) are materialized and solved densely. ``precond``
+    seeds the iterative linearization memoized on the result: its derivative
+    solves for ``which="smallest"`` run PCG with it.
     """
     n = A.dim
     _check_request(n, k, which)
@@ -212,4 +214,7 @@ def eig_iterative(A, M, k, which="smallest", maxiter=500, tol=1e-9,
         for B in (S, AS, MS):
             B[:, :q] = B[:, :p] @ C
 
-    return _finalize(S[:, :k].copy(), theta, which, M, degeneracy_rtol)
+    eig = _finalize(S[:, :k].copy(), theta, which, M, degeneracy_rtol)
+    if precond is not None:
+        linearize(A, M, eig, "iterative").precond = precond
+    return eig

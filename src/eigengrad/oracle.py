@@ -1,9 +1,8 @@
 """Brute-force dense references used for testing and CLI verification.
 
-Three independent routes certify the production derivative code:
+Two independent routes certify the production derivative code:
   1. explicit spectral series over the full eigendecomposition,
-  2. explicit pseudo-inverse application,
-  3. central finite differences of the dense eigensolver.
+  2. central finite differences of the dense eigensolver.
 Everything here is dense-only and capped in size; it certifies the scalable
 path, it does not scale itself.
 """
@@ -43,19 +42,6 @@ def full_spectrum(A, M):
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("M is not positive definite") from exc
     return FullSpectrum(U=U, E=ee)
-
-
-def pseudo_inverse_apply(fs, lam, v):
-    """(A - lam M)^+ v via the spectral series sum_i u_i (u_i^T v)/(e_i - lam).
-
-    Terms with |e_i - lam| <= DEFAULT_DEGENERACY_RTOL * max|e| are dropped
-    (the nullspace).
-    """
-    v = np.asarray(v, dtype=float)
-    denom = fs.E - lam
-    keep = np.abs(denom) > DEFAULT_DEGENERACY_RTOL * max(np.max(np.abs(fs.E)), 1e-300)
-    c = fs.U.T @ v
-    return fs.U[:, keep] @ (c[keep] / denom[keep])
 
 
 def _series_weights(fs, M, eig):

@@ -11,7 +11,8 @@ eigenpairs. A right-hand block may hold s directions, s k columns: column c
 belongs to eigencolumn c mod k. The dense route works in the tridiagonal basis
 of the pencil's :class:`Reduction` (made by ``eig_dense``, or by the first
 dense solve): each column costs two O(n^2) maps and one O(n) banded solve. The
-iterative route runs MINRES on the deflated operator, all columns in lockstep.
+iterative route runs CG on the operator deflated of all k retrieved pairs, all
+columns in lockstep, preconditioned with the primal's preconditioner if any.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ TOL_SOLV = 1e-10
 @dataclass
 class SylvesterSolution:
     Y: np.ndarray
-    residuals: np.ndarray      # per-column ||(A - l_j M) y_j - b_proj_j||
+    residuals: np.ndarray      # per-column ||(A - l_j M) y_j - b_j|| (iterative: off the group)
     iterations: np.ndarray     # per-column iteration counts (0 for dense)
 
 
@@ -83,7 +84,8 @@ class Linearization:
 
     Holds M X and, on the dense route, the pencil's :attr:`reduction`, which
     ``eig_dense`` seeds (or the first dense solve makes), and :attr:`band`'s
-    LU: each derivative then costs O(n^2 k). Refers to A and M, never copies.
+    LU: each derivative then costs O(n^2 k). On the iterative route ``precond``
+    is ``eig_iterative``'s. Refers to A and M, never copies.
     """
 
     def __init__(self, A, M, eig, solver):
@@ -91,6 +93,7 @@ class Linearization:
             raise ValueError(f"solver must be 'dense' or 'iterative', got {solver!r}")
         self.A, self.M, self.eig, self.solver = A, M, eig, solver
         self.MX = M.apply_batch(eig.X)
+        self.precond = None
 
     @functools.cached_property
     def reduction(self):
@@ -181,7 +184,7 @@ def solve_dense(lin, B):
     r = Q^T L^-1 b, w by ``Linearization.band``'s LU (made on the first
     call) with r and w deflated of S_g, so y = L^-T Q w is M-orthogonal to its
     group. Where the group's eigenvalues differ, the border leaves a residual
-    that one refinement step removes, unless it already meets MINRES's target.
+    that one refinement step removes, unless it already meets the CG target.
     s directions map in and out as one block and share one banded solve.
     """
     eig = lin.eig
@@ -212,101 +215,106 @@ def solve_dense(lin, B):
 
 
 def solve_iterative(lin, B, maxiter=None):
-    """Columnwise MINRES on the shifted symmetric-indefinite operator.
+    """Columnwise CG on the shifted operator deflated of all k retrieved pairs.
 
-    Each column solves P_L (A - lambda_j M) P_S y = P_L b_j where P_L and
-    P_S deflate the column's degenerate group on the range and solution side.
-    In lockstep: a step applies A and M once, to the columns still running.
+    Column j's component along a retrieved x_i outside its group is exact,
+    x_i (x_i^T b_j) / (lambda_i - lambda_j), and 0 along its own group. CG
+    solves P_L (A - lambda_j M) P_S z = P_L b_j for the rest (P_L = I - M X X^T,
+    P_S = P_L^T), definite when no eigenvalue on the retrieved side of lambda_j
+    is missing; the linearization's ``precond`` makes it PCG for "smallest".
+    Both take the pairs as exact: where the explicit residual misses the
+    target, one more pass solves for it. ``maxiter`` bounds the two together.
     """
     eig, (n, m) = lin.eig, B.shape
     maxiter = 20 * n if maxiter is None else maxiter
     if maxiter < 1:
         raise ValueError(f"maxiter must be >= 1, got {maxiter}")
     _check_solvable(eig, B)
-    A, M, lam = lin.A, lin.M, _tiled(eig, m)[1]
-    first = np.tile(np.argmax(eig.D, axis=0), m // eig.k)    # group label: first member
-    slices = [(min(g), eig.X[:, g], lin.MX[:, g]) for g in eig.groups]
+    A, M, X, MX = lin.A, lin.M, eig.X, lin.MX
+    D, lam = _tiled(eig, m)
+    inv = np.where(D == 1, 0.0, 1.0 / np.where(D == 1, 1.0, eig.lambdas[:, None] - lam))
+    sign, precond = (1.0, lin.precond) if eig.which == "smallest" else (-1.0, None)
+    bnorm = np.linalg.norm(B, axis=0)
+    target = 1e-2 * TOL_SOLV * bnorm
 
-    def deflate(V, left, rows=slice(None)):
-        # P_L (``left``) or P_S on rows V of block columns ``rows``, a GEMV pair per row
-        out = np.empty(V.shape)
-        for g0, Xg, MXg in slices:
-            sel = np.flatnonzero(first[rows] == g0)
-            (U, W), Vs = (MXg, Xg) if left else (Xg, MXg), V[sel]
-            C = np.matmul(W.T, Vs[:, :, None])    # numpy's U @ C is a slow loop at g = 1
-            out[sel] = Vs - (U.T * C[:, 0] if U.shape[1] == 1 else np.matmul(U, C)[:, :, 0])
-        return out
+    def shifted(V, cols):    # (A - lambda_j M) V on block columns ``cols``
+        return A.apply_batch(V) - M.apply_batch(V) * lam[cols]
 
-    def op(V, rows):    # P_L (A - lambda_j M) P_S on rows V of block columns ``rows``
-        S = np.ascontiguousarray(deflate(V, False, rows).T)    # sparse products want C order
-        return deflate((A.apply_batch(S) - M.apply_batch(S) * lam[rows]).T, True, rows)
+    def op(V, cols):    # P_L (A - lambda_j M), applied to V in the range of P_S
+        Q = shifted(V, cols)
+        Q -= MX @ (X.T @ Q)
+        return Q
 
-    bproj = deflate(B.T, True)
-    Z, iterations, maxed = _minres(op, bproj, maxiter, rtol=max(TOL_SOLV * 1e-2, 1e-13))
-    Y = deflate(Z, False).T
-    residuals = np.linalg.norm(A.apply_batch(Y) - M.apply_batch(Y) * lam - bproj.T, axis=0)
+    def prec(R):    # P_S precond, applied to R in the range of P_L
+        Z = R if precond is None else np.asarray(precond(R), dtype=float)
+        return Z - X @ (MX.T @ Z)
+
+    def solve(R, budget):
+        C = X.T @ R
+        Z, its, maxed = _cg(op, prec, sign, R - MX @ C, target, budget, bnorm)
+        return Z + X @ (inv * C), its, maxed
+
+    Y, iterations, maxed = solve(B, np.full(m, maxiter))
+    E = project_rhs(lin, B - shifted(Y, slice(None)))
+    if np.any(np.linalg.norm(E, axis=0) > target):
+        dY, its, maxed = solve(E, maxiter - iterations)
+        Y, iterations = Y + dY, iterations + its
+        E = project_rhs(lin, B - shifted(Y, slice(None)))
+    residuals = np.linalg.norm(E, axis=0)
     sol = SylvesterSolution(Y=Y, residuals=residuals, iterations=iterations)
-    bad = np.flatnonzero(maxed & (residuals > TOL_SOLV * np.linalg.norm(B, axis=0) * 10))
+    bad = np.flatnonzero(maxed & (residuals > TOL_SOLV * bnorm * 10))
     if bad.size:
-        raise MaxIterExceeded(f"column {bad[0]}: MINRES reached maxiter={maxiter} at "
+        raise MaxIterExceeded(f"column {bad[0]}: CG reached maxiter={maxiter} at "
                               f"residual {residuals[bad[0]]:.3e}", payload=sol)
     _check_split(residuals, B)
     return sol
 
 
-def _dots(U, V):    # rowwise U_i . V_i, one BLAS ddot each: np.inner's sums
-    return np.matmul(U[:, None, :], V[:, :, None])[:, 0, 0]
-
-
-def _minres(op, B, maxiter, rtol):
-    """MINRES (Paige & Saunders 1975) on all rows of B at once, rounding as
-    scipy.sparse.linalg.minres does (x0 = 0, no preconditioner; ddot, libm pow).
-    ``op(V, rows)`` applies rows ``rows``'s operators to V's rows; a row leaves
-    the block when it stops. Returns (X, iterations, rows stopped by ``maxiter``)."""
-    (m, n), eps = B.shape, np.finfo(float).eps
-    out, iterations, maxed = np.zeros((m, n)), np.zeros(m, dtype=int), np.zeros(m, dtype=bool)
-    beta1 = np.sqrt(_dots(B, B))
-    rows = np.flatnonzero(beta1 > 0)     # a zero row stops at x = 0 before its first step
-    beta1 = beta = phibar = beta1[rows]
-    y = r1 = r2 = B[rows]
-    # in place, products in t: at n = 4000 temporaries cost 3x the arithmetic in page faults
-    x, w, w2, buf = (np.zeros_like(y) for _ in range(4))
-    oldb = dbar = epsln = tnorm2 = gmax = sn = np.zeros(rows.size)
-    gmin, cs, itn = np.full(rows.size, np.finfo(float).max), np.full(rows.size, -1.0), 0
-    while rows.size:
-        itn, t = itn + 1, buf[:rows.size]
-        v = (1.0 / beta)[:, None] * y
-        y = op(v, rows)    # the Lanczos step
-        if itn >= 2:
-            y -= np.multiply((beta / oldb)[:, None], r1, out=t)
-        alfa = _dots(v, y)
-        y -= np.multiply((alfa / beta)[:, None], r2, out=t)
-        r1, r2 = r2, y
-        oldb, beta = beta, np.sqrt(_dots(y, y))
-        tnorm2 = tnorm2 + np.float_power([alfa, oldb, beta], 2).sum(axis=0)
-        # apply the previous rotation, then make the next one
-        oldeps, delta, gbar = epsln, cs * dbar + sn * alfa, sn * dbar - cs * alfa
-        epsln, dbar = sn * beta, -cs * beta
-        root, gamma = (np.sqrt(_dots(*2 * [np.column_stack([gbar, b])])) for b in (dbar, beta))
-        gamma = np.maximum(gamma, eps)
-        cs, sn = gbar / gamma, beta / gamma
-        phi, phibar = cs * phibar, sn * phibar
-        w1, w2, w = w2, w, v - np.multiply(oldeps[:, None], w2, out=t)    # update x
-        w -= np.multiply(delta[:, None], w2, out=t)
-        w *= (1.0 / gamma)[:, None]
-        x += np.multiply(phi[:, None], w, out=t)
-        gmax, gmin = np.maximum(gmax, gamma), np.minimum(gmin, gamma)
-        # scipy's tests, the last for b an eigenvector; 1 + test <= 1 is implied at rtol >= eps
-        Anorm, ynorm = np.sqrt(tnorm2), np.sqrt(_dots(x, x))
-        test1 = np.divide(phibar, Anorm * ynorm, out=np.full(rows.size, np.inf),
-                          where=Anorm * ynorm > 0)
-        met = ((test1 <= rtol) | (root / Anorm <= rtol) | (Anorm * ynorm * eps >= beta1)
-               | (gmax / gmin >= 0.1 / eps) | ((itn == 1) & (beta / beta1 <= 10 * eps)))
-        stop = met | (itn >= maxiter)
+def _cg(op, prec, sign, R, target, budget, bnorm):
+    """CG (Hestenes & Stiefel 1952) from x = 0 on all columns of R in lockstep:
+    ``op(V, cols)`` applies block columns ``cols``'s operators, definite of
+    ``sign``, ``prec`` preconditions, and column c leaves the block when its
+    recursive residual reaches ``target[c]`` or after ``budget[c]`` steps.
+    Curvature at roundoff of the largest seen, or below, raises ClusterSplit
+    (defect: the column's least relative residual). Returns (X, iterations,
+    columns stopped by their budget)."""
+    (n, m), eps = R.shape, np.finfo(float).eps
+    out, iterations = np.zeros((n, m)), np.zeros(m, dtype=int)
+    rnorm = np.linalg.norm(R, axis=0)
+    maxed = (rnorm > target) & (budget < 1)
+    cols = np.flatnonzero((rnorm > target) & (budget >= 1))
+    rmin, target, budget = rnorm[cols], target[cols], budget[cols]
+    r = np.ascontiguousarray(R[:, cols])    # n x m' in C order, as sparse products want
+    x, t, p = np.zeros_like(r), np.empty_like(r), prec(r)    # products go to t
+    rho, kmax, itn = np.einsum("ij,ij->j", r, p), np.zeros(cols.size), 0
+    while cols.size:
+        itn += 1
+        q = op(p, cols)
+        curv = np.einsum("ij,ij->j", p, q)
+        kappa = sign * curv / np.einsum("ij,ij->j", p, p)    # Rayleigh quotient along p
+        np.maximum(kmax, kappa, out=kmax)
+        j = np.argmax(kappa <= n * eps * kmax)
+        if kappa[j] <= n * eps * kmax[j]:
+            raise ClusterSplit(f"column {cols[j]}: curvature {kappa[j]:.3e} of {kmax[j]:.3e}; the "
+                               "shifted operator is not definite: an eigenvalue was missed",
+                               defect=rmin[j] / bnorm[cols[j]])
+        alpha = rho / curv
+        x += np.multiply(p, alpha, out=t)
+        r -= np.multiply(q, alpha, out=q)
+        rnorm = np.sqrt(np.einsum("ij,ij->j", r, r))
+        np.minimum(rmin, rnorm, out=rmin)
+        met = rnorm <= target
+        stop = met | (budget == itn)
         if stop.any():
-            out[rows[stop]], iterations[rows[stop]], maxed[rows[stop]] = x[stop], itn, ~met[stop]
-            (rows, y, r1, r2, x, w, w2, beta, beta1, oldb, phibar, dbar, epsln, tnorm2, gmax,
-             gmin, cs, sn) = (arr[~stop] for arr in (
-                rows, y, r1, r2, x, w, w2, beta, beta1, oldb, phibar, dbar, epsln, tnorm2,
-                gmax, gmin, cs, sn))
+            done, keep = cols[stop], ~stop
+            out[:, done], iterations[done], maxed[done] = x[:, stop], itn, ~met[stop]
+            cols, rho, kmax, rmin, target, budget = (
+                a[keep] for a in (cols, rho, kmax, rmin, target, budget))
+            x, r, p, t = x[:, keep], r[:, keep], p[:, keep], t[:, keep]
+            if not cols.size:
+                break
+        z = prec(r)
+        rho_prev, rho = rho, np.einsum("ij,ij->j", r, z)
+        z += np.multiply(p, rho / rho_prev, out=p)
+        p = z
     return out, iterations, maxed

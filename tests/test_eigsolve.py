@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 import eigengrad as eg
@@ -9,7 +8,7 @@ from eigengrad import sampling
 from eigengrad.eigsolve import group_mask
 from eigengrad.errors import MaxIterExceeded, NotPositiveDefinite
 
-from conftest import make_pencil
+from conftest import make_pencil, membrane
 
 
 def test_eig_dense_diagonal():
@@ -224,16 +223,6 @@ def _counting(mat, counts, key):
     return eg.SymmetricOperator(mat.shape[0], apply, apply)
 
 
-def _membrane(m):
-    """Q1 FEM stiffness and mass of the unit square with m x m interior nodes;
-    modes (i, j) and (j, i) are exactly degenerate."""
-    h = 1.0 / (m + 1)
-    ones = np.ones(m)
-    K1 = sp.diags([-ones[1:], 2.0 * ones, -ones[1:]], [-1, 0, 1]) / h
-    M1 = sp.diags([ones[1:], 4.0 * ones, ones[1:]], [-1, 0, 1]) * (h / 6.0)
-    return (sp.kron(K1, M1) + sp.kron(M1, K1)).tocsc(), sp.kron(M1, M1).tocsc()
-
-
 def test_eig_iterative_maxiter_payload_pairs_lambdas_with_X():
     A, M = make_pencil([], 30, 3, mass="random")
     with pytest.raises(MaxIterExceeded) as excinfo:
@@ -258,11 +247,11 @@ def test_eig_iterative_applies_each_operator_once_per_direction():
 
 
 def test_eig_iterative_preconditioned_membrane():
-    K, Mm = _membrane(15)
+    K, Mm = membrane(15)
     k = 4
     de = eg.eig_dense(eg.make_dense(K.toarray()), eg.make_spd(Mm.toarray()), k)
     runs = {}
-    for name, precond in (("plain", None), ("precond", splu(K).solve)):
+    for name, precond in (("plain", None), ("precond", splu(K.tocsc()).solve)):
         counts = {"A": 0, "M": 0}
         res = eg.eig_iterative(_counting(K, counts, "A"), _counting(Mm, counts, "M"), k,
                                precond=precond)

@@ -1,16 +1,21 @@
+import copy
 import gc
+import importlib
 import warnings
 import weakref
 
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.sparse.linalg import splu
 
 import eigengrad as eg
 from eigengrad import sampling
 from eigengrad.errors import ClusterSplit
 
-from conftest import make_pencil, pairing_gap
+from conftest import make_pencil, membrane, pairing_gap, pseudo_inverse_apply, sparse_ops
+
+jvp_module = importlib.import_module("eigengrad.jvp")
 
 SOLVERS = ["dense", "iterative"]
 
@@ -78,6 +83,39 @@ def test_eig_dense_seeds_the_dense_linearization():
     assert lin is not None and "reduction" in vars(lin)
     assert eg.linearize(A, M, eig) is lin
     assert eg.linearize(A, M, eig, "iterative") is not lin
+
+
+def test_eig_iterative_preconditioner_carries_into_jvp(monkeypatch):
+    # the n = 3,969 membrane: eig_iterative's splu(K) seeds the iterative
+    # linearization, so the jvp's solve is PCG; the same pairs without it
+    # (a copy, which holds no linearization) run plain CG
+    K, Mm = membrane(63)
+    A, M = sparse_ops(K, Mm)
+    eig = eg.eig_iterative(A, M, 6, precond=splu(K.tocsc()).solve)
+    assert eg.linearize(A, M, eig, "iterative").precond is not None
+    plain = copy.copy(eig)
+    plain._linearization = None
+    MX = M.apply_batch(eig.X)
+    d = np.random.default_rng(6).uniform(-0.1, 0.1, K.shape[0]) * K.diagonal()
+    G = (eig.D - np.eye(eig.k)) * (eig.X.T @ (d[:, None] * eig.X))    # in-group coupling
+    t = eg.TangentInput(
+        Aprime=eg.SymmetricOperator(K.shape[0], None,
+                                    lambda V: d[:, None] * V - MX @ (G @ (MX.T @ V))),
+        Mprime=eg.SymmetricOperator(K.shape[0], None, np.zeros_like))
+    iterations, solve = [], jvp_module.solve_iterative
+
+    def recording(lin, B):
+        sol = solve(lin, B)
+        iterations.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(jvp_module, "solve_iterative", recording)
+    fwd = eg.jvp(A, M, eig, t, solver="iterative")
+    ref = eg.jvp(A, M, plain, t, solver="iterative")
+    assert iterations[0].max() < iterations[1].min()
+    scale = np.max(np.abs(ref.X_prime))
+    assert np.max(np.abs(fwd.X_prime - ref.X_prime)) <= 1e-8 * scale
+    np.testing.assert_array_equal(fwd.lambda_prime, ref.lambda_prime)
 
 
 def test_eig_dense_checks_its_groups_once(monkeypatch):
@@ -157,7 +195,7 @@ def test_cached_dense_solve_matches_spectral_series():
         B = eg.project_rhs(lin, rng.standard_normal((11, 5)))
         sol = eg.solve_dense(lin, B)
         for j in range(5):
-            ref = eg.pseudo_inverse_apply(fs, eig.lambdas[j], B[:, j])
+            ref = pseudo_inverse_apply(fs, eig.lambdas[j], B[:, j])
             np.testing.assert_allclose(sol.Y[:, j], ref, atol=1e-9)
 
 
@@ -177,19 +215,21 @@ def test_group_cut_by_k_raises_cluster_split(solver):
 
 def test_group_cut_by_k_largest_raises_cluster_split():
     # lambda = 4 is double at the top of the spectrum, and k = 1 retrieves one
-    # of its eigenvectors: the dense solve's banded factor is exactly singular
+    # of its eigenvectors: the dense solve's banded factor is exactly singular,
+    # and the iterative solve meets zero curvature along the missed one
     A = eg.make_dense(np.diag([1.0, 2.0, 3.0, 4.0, 4.0]))
     M = eg.identity_operator(5)
     eig = eg.eig_dense(A, M, 1, which="largest")
     rng = np.random.default_rng(0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ClusterSplit) as excinfo:
-            eg.jvp(A, M, eig, sampling.valid_tangent(eig, M, rng))
-        assert excinfo.value.defect > 1e-3
-        with pytest.raises(ClusterSplit) as excinfo:
-            eg.vjp(A, M, eig, sampling.valid_cotangent(eig, M, rng))
-        assert excinfo.value.defect > 1e-3
+        for solver in SOLVERS:
+            with pytest.raises(ClusterSplit) as excinfo:
+                eg.jvp(A, M, eig, sampling.valid_tangent(eig, M, rng), solver=solver)
+            assert excinfo.value.defect > 1e-3
+            with pytest.raises(ClusterSplit) as excinfo:
+                eg.vjp(A, M, eig, sampling.valid_cotangent(eig, M, rng), solver=solver)
+            assert excinfo.value.defect > 1e-3
 
 
 @pytest.mark.parametrize("which", ["smallest", "largest"])
@@ -213,7 +253,7 @@ def test_dense_solve_refines_a_group_with_spread():
     B = eg.project_rhs(lin, np.random.default_rng(11).standard_normal((10, 3)))
     sol = eg.solve_dense(lin, B)
     for j in range(3):
-        ref = eg.pseudo_inverse_apply(fs, eig.lambdas[j], B[:, j])
+        ref = pseudo_inverse_apply(fs, eig.lambdas[j], B[:, j])
         np.testing.assert_allclose(sol.Y[:, j], ref, rtol=0, atol=1e-12)   # 1e-10 unrefined
 
 

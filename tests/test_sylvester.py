@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
+import scipy.sparse
 import scipy.sparse.linalg
 
 import eigengrad as eg
-from eigengrad import sampling
-from eigengrad.errors import MaxIterExceeded, NotSolvable
+from eigengrad import sampling, sylvester
+from eigengrad.errors import ClusterSplit, MaxIterExceeded, NotSolvable
 from eigengrad.sylvester import project_rhs, solve_dense, solve_iterative
 
-from conftest import make_pencil
+from conftest import make_pencil, membrane, pseudo_inverse_apply, sparse_ops
 
 
 def linearization(diagonal, lambdas, X, groups):
@@ -134,7 +135,7 @@ def test_dense_solve_matches_spectral_series():
     sol = solve_dense(lin, B)
     fs = eg.full_spectrum(A, M)
     for j in range(3):
-        ref = eg.pseudo_inverse_apply(fs, eig.lambdas[j], B[:, j])
+        ref = pseudo_inverse_apply(fs, eig.lambdas[j], B[:, j])
         np.testing.assert_allclose(sol.Y[:, j], ref, atol=1e-9)
 
 
@@ -151,71 +152,99 @@ def test_iterative_maxiter_payload():
     np.testing.assert_array_equal(sol.iterations, [1, 1, 1, 1, 0, 1])
 
 
-def minres_reference(lin, B):
-    """Per column, scipy.sparse.linalg.minres on the deflated operator: the
-    solves as they ran before the columns shared a block. Column c belongs to
-    eigencolumn c mod k; it is copied contiguous, as the lockstep code holds it."""
+def bordered_reference(K, Mm, lin, B):
+    """Per column, the exact solve of the bordered system
+    [[A - lambda_j M, M X_g], [(M X_g)^T, 0]] [y; mu] = [b_j; 0] by spsolve:
+    the y with (A - lambda_j M) y - b_j in span(M X_g) and X_g^T M y = 0."""
     eig, n = lin.eig, B.shape[0]
     group = {j: grp for grp in eig.groups for j in grp}
-    Y, iterations = np.zeros_like(B), np.zeros(B.shape[1], dtype=int)
+    Y = np.zeros_like(B)
     for c in range(B.shape[1]):
         j = c % eig.k
-        Xg, MXg = eig.X[:, group[j]], lin.MX[:, group[j]]
-
-        def matvec(v, lam=eig.lambdas[j]):
-            s = v.reshape(n, 1) - Xg @ (MXg.T @ v.reshape(n, 1))
-            r = lin.A.apply_batch(s) - lam * lin.M.apply_batch(s)
-            return r - MXg @ (Xg.T @ r)
-
-        b = np.ascontiguousarray(B[:, c])
-        b = b - MXg @ (Xg.T @ b)
-        if not np.any(b):
-            continue
-        steps = []
-        y, _ = scipy.sparse.linalg.minres(
-            scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec, dtype=float),
-            b, rtol=1e-12, maxiter=20 * n, callback=steps.append)
-        Y[:, c], iterations[c] = y - Xg @ (MXg.T @ y), len(steps)
-    return Y, iterations
+        MXg = scipy.sparse.csr_matrix(lin.MX[:, group[j]])
+        border = scipy.sparse.bmat([[K - eig.lambdas[j] * Mm, MXg], [MXg.T, None]], format="csc")
+        rhs = np.concatenate([B[:, c], np.zeros(len(group[j]))])
+        Y[:, c] = scipy.sparse.linalg.spsolve(border, rhs)[:n]
+    return Y
 
 
-@pytest.mark.parametrize("mass", ["identity", "random"])
-def test_lockstep_minres_matches_scipy(mass):
-    # MINRES converges in about 20 of n = 60 steps here; where it needs nearly
-    # n, one GEMM on the block against scipy's GEMV per column moves Y by up
-    # to 1e-11 (see test_lockstep_minres_rounds_as_scipy)
-    A, M = make_pencil([1.0, 1.0, 2.0, 2.0, 2.0, 4.0, *np.linspace(10.0, 11.0, 54)], 60, 11,
-                       mass=mass)
-    eig = eg.eig_dense(A, M, 6)
-    assert [len(g) for g in eig.groups] == [2, 3, 1]
+def assert_matches_bordered(K, Mm, eig, seed):
+    A, M = sparse_ops(K, Mm)
     lin = eg.linearize(A, M, eig, "iterative")
-    B = project_rhs(lin, np.random.default_rng(11).standard_normal((60, 12)))
-    Y_ref, it_ref = minres_reference(lin, B)
+    n = K.shape[0]
+    B = project_rhs(lin, np.random.default_rng(seed).standard_normal((n, 2 * eig.k)))
     sol = solve_iterative(lin, B)
-    np.testing.assert_array_equal(sol.iterations, it_ref)
-    assert np.max(np.abs(sol.Y - Y_ref)) <= 1e-12 * np.max(np.abs(Y_ref))
+    Y_ref = bordered_reference(K, Mm, lin, B)
+    err = np.linalg.norm(sol.Y - Y_ref, axis=0) / np.linalg.norm(Y_ref, axis=0)
+    assert np.all(err <= 1e-10), err
+    return sol
 
 
-@pytest.mark.parametrize("n", [60, 80])
-def test_lockstep_minres_rounds_as_scipy(n):
-    # MINRES needs nearly n steps here, so a sum taken in another order moves
-    # Y by 1e-12 to 1e-11 and the stopping step by up to 2. Vector closures
-    # apply A and M to one contiguous column at a time in both codes, so the
-    # lockstep recurrence, rounding as scipy's does, gives its steps and Y
-    for seed in range(3):
-        for mass in ("identity", "random"):
-            A, M = make_pencil([2.0, 2.0, 3.0, 3.0, 3.0, 6.0], n, seed, mass=mass)
-            eig = eg.eig_dense(A, M, 6)
-            Av, Mv = (eg.SymmetricOperator(n, op.entries.__matmul__) for op in (A, M))
-            lin = eg.linearize(Av, Mv, eig, "iterative")
-            B = project_rhs(lin, np.random.default_rng(seed).standard_normal((n, 12)))
-            Y_ref, it_ref = minres_reference(lin, B)
-            sol = solve_iterative(lin, B)
-            np.testing.assert_array_equal(sol.iterations, it_ref)
-            assert np.max(np.abs(sol.Y - Y_ref)) <= 1e-13 * np.max(np.abs(Y_ref))
+CLUSTERED = [1.0, 1.0, 2.0, 2.0, 2.0, 4.0, *np.linspace(5.0, 6.0, 48),
+             9.0, 10.0, 10.0, 10.0, 12.0, 12.0]
 
 
-def test_lockstep_minres_zero_columns():
+@pytest.mark.parametrize("which", ["smallest", "largest"])
+@pytest.mark.parametrize("pencil", ["membrane", "identity", "random"])
+def test_cg_matches_bordered_reference(pencil, which):
+    # the m = 31 membrane (n = 961) and a 60 x 60 pencil with groups at both
+    # ends of its spectrum; dense primals, two directions stacked per call
+    if pencil == "membrane":
+        K, Mm = membrane(31)
+    else:
+        A, M = make_pencil(CLUSTERED, 60, 11, mass=pencil)
+        K, Mm = scipy.sparse.csr_matrix(A.entries), scipy.sparse.csr_matrix(M.entries)
+    eig = eg.eig_dense(eg.make_dense(K.toarray()), eg.make_spd(Mm.toarray()), 6, which=which)
+    assert max(len(g) for g in eig.groups) >= 2
+    assert_matches_bordered(K, Mm, eig, 3)
+
+
+def test_refinement_pass_reaches_bordered_reference(monkeypatch):
+    # a tol-1e-9 LOBPCG primal: the first pass takes its pairs as exact and
+    # misses the target, so a second pass runs and makes up the difference
+    K, Mm = membrane(31)
+    eig = eg.eig_iterative(*sparse_ops(K, Mm), 6, tol=1e-9)
+    assert [len(g) for g in eig.groups] == [1, 2, 1, 2]
+    passes, cg = [], sylvester._cg
+
+    def recording(*args):
+        passes.append(cg(*args))
+        return passes[-1]
+
+    monkeypatch.setattr(sylvester, "_cg", recording)
+    sol = assert_matches_bordered(K, Mm, eig, 5)
+    assert len(passes) == 2
+    np.testing.assert_array_equal(sol.iterations, passes[0][1] + passes[1][1])
+
+
+def test_iterative_maxiter_bounds_both_passes():
+    K, Mm = membrane(15)
+    A, M = sparse_ops(K, Mm)
+    eig = eg.eig_iterative(A, M, 4, tol=1e-9)
+    lin = eg.linearize(A, M, eig, "iterative")
+    B = project_rhs(lin, np.random.default_rng(2).standard_normal((K.shape[0], 4)))
+    full = solve_iterative(lin, B).iterations
+    # one step short cuts a second pass, which leaves its column well inside the
+    # MaxIterExceeded bound
+    maxiter = int(full.max()) - 1
+    sol = solve_iterative(lin, B, maxiter=maxiter)
+    np.testing.assert_array_equal(sol.iterations, np.minimum(full, maxiter))
+
+
+def test_skipped_lower_eigenvalue_raises_cluster_split():
+    # the pairs of 2 and 3 without the pair of 1: the deflated operator is
+    # negative along e_1, and CG meets non-positive curvature
+    n = 12
+    A, M = eg.make_dense(np.diag(np.arange(1.0, n + 1))), eg.identity_operator(n)
+    eig = eg.EigenResult(X=np.eye(n)[:, 1:3], lambdas=np.array([2.0, 3.0]), groups=[[0], [1]])
+    lin = eg.linearize(A, M, eig, "iterative")
+    B = project_rhs(lin, np.random.default_rng(0).standard_normal((n, 2)))
+    with pytest.raises(ClusterSplit) as excinfo:
+        solve_iterative(lin, B)
+    assert 0 < excinfo.value.defect < np.inf
+
+
+def test_lockstep_cg_zero_columns():
     A, M = make_pencil([2.0, 2.0, 5.0], 20, 1, mass="random")
     eig = eg.eig_dense(A, M, 3)
     lin = eg.linearize(A, M, eig, "iterative")
