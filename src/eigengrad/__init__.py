@@ -11,7 +11,7 @@ from .linop import (DenseSymmetric, SymmetricOperator, as_dense_array,
                     read_symmat, write_symmat)
 from .eigsolve import (EigenResult, build_degeneracy, eig_dense, eig_iterative)
 from .sylvester import (Linearization, SylvesterSolution, linearize,
-                        project_rhs, solve_dense, solve_iterative)
+                        solve_dense, solve_iterative)
 from .jvp import TangentInput, TangentOutput, check_forward_validity, jvp
 from .vjp import (CotangentInput, CotangentOutput, check_backward_validity,
                   vjp)
@@ -28,7 +28,7 @@ __all__ = [
     "check_symmetry", "read_symmat", "write_symmat",
     "EigenResult", "eig_dense", "eig_iterative", "build_degeneracy",
     "Linearization", "linearize",
-    "SylvesterSolution", "project_rhs", "solve_dense", "solve_iterative",
+    "SylvesterSolution", "solve_dense", "solve_iterative",
     "TangentInput", "TangentOutput", "check_forward_validity", "jvp",
     "CotangentInput", "CotangentOutput", "check_backward_validity",
     "vjp",

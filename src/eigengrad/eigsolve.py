@@ -102,7 +102,7 @@ def eig_dense(A, M, k, which="smallest", degeneracy_rtol=DEFAULT_DEGENERACY_RTOL
     :class:`~eigengrad.sylvester.Reduction` (dpotrf, dsygst, dsytrd), the
     eigenvectors of T by bisection and inverse iteration, then x = L^-T Q s.
 
-    The reduction is kept: it seeds the dense linearization memoized on the
+    The reduction is kept: it seeds the linearization memoized on the
     result, so every dense derivative reuses it.
     """
     n = A.dim
@@ -150,7 +150,7 @@ def eig_iterative(A, M, k, which="smallest", maxiter=500, tol=1e-9,
     and M are applied to X again and Rayleigh-Ritz rerun on those products;
     iteration stops only when that explicit residual meets ``tol``. Small
     problems (n <= max(4k, 12)) are materialized and solved densely. ``precond``
-    seeds the iterative linearization memoized on the result: its derivative
+    seeds the linearization memoized on the result: its iterative derivative
     solves for ``which="smallest"`` run PCG with it.
     """
     n = A.dim
@@ -216,5 +216,5 @@ def eig_iterative(A, M, k, which="smallest", maxiter=500, tol=1e-9,
 
     eig = _finalize(S[:, :k].copy(), theta, which, M, degeneracy_rtol)
     if precond is not None:
-        linearize(A, M, eig, "iterative").precond = precond
+        linearize(A, M, eig).precond = precond
     return eig

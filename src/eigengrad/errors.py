@@ -29,17 +29,6 @@ class MaxIterExceeded(EigengradError):
         self.payload = payload
 
 
-class NotSolvable(EigengradError):
-    """Right-hand side has a component in the nullspace of the shifted pencil."""
-
-    def __init__(self, column, defect):
-        super().__init__(
-            f"column {column}: RHS nullspace component {defect:.3e} exceeds tolerance"
-        )
-        self.column = column
-        self.defect = defect
-
-
 class ValidityViolated(EigengradError):
     """A degeneracy validity condition does not hold for the given input."""
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteError, ValidityViolated
-from .sylvester import linearize, project_rhs, solve_dense, solve_iterative
+from .sylvester import check_solver, linearize, project_rhs, solve_dense, solve_iterative
 
 TOL_COND = 1e-7
 
@@ -68,15 +68,16 @@ def in_group_defect(eig, C, S):
 def jvp(A, M, eig, t, solver="dense", force=False):
     """First-order response (Lambda', X') along t = (A', M'); requires forward
     validity, which ``force`` skips. A sequence ``t`` gives a list: every
-    direction is checked, then all are solved as one block. Runs on the
-    linearization memoized on ``eig`` (see :func:`linearize`).
+    direction is checked, then all are solved as one block (an empty one
+    gives [] and applies nothing). Runs on the linearization memoized on
+    ``eig`` (see :func:`linearize`).
 
     Pipeline: build V = A'X - M'X Lambda and F = X^T V once; check validity
     on F and take Lambda' = diag F; project V's degenerate-group component
     out and solve the shifted systems for Y', which the solvers gauge
     M-orthogonal to each group; assemble X' = -1/2 X [I o (X^T M' X)] - Y'.
     """
-    lin = linearize(A, M, eig, solver)
+    check_solver(solver)
     X, parts = eig.X, []
     for ti in [t] if isinstance(t, TangentInput) else t:
         MpX, V, F = _coupling(eig, ti)
@@ -84,6 +85,10 @@ def jvp(A, M, eig, t, solver="dense", force=False):
         if not ok and not force:
             raise ValidityViolated(defect)
         parts.append((MpX, V, F, defect))
+    if not parts:
+        return []
+    lin = linearize(A, M, eig)
+    # the solvers project B themselves; bench/tracing.py times this stage
     B = project_rhs(lin, np.hstack([V for _, V, _, _ in parts]))
     Y = (solve_dense(lin, B) if solver == "dense" else solve_iterative(lin, B)).Y
     outs = [TangentOutput(lambda_prime=np.diag(F).copy(),

@@ -3,17 +3,17 @@
 Because the shift matrix is diagonal the system decouples into k shifted
 linear solves (A - lambda_j M) y_j = b_j. When lambda_j is an eigenvalue the
 operator is singular with nullspace spanned by the eigenvectors of its
-degeneracy group; the right-hand side must be orthogonal to that group and
-the returned representative is gauged M-orthogonal to it (minimum-norm in M).
+degeneracy group; a solver takes any b_j, solves for its projection off that
+group and gauges y_j M-orthogonal to it (minimum-norm in M).
 
-Both modes share one :class:`Linearization` of (A, M) at the retrieved
-eigenpairs. A right-hand block may hold s directions, s k columns: column c
-belongs to eigencolumn c mod k. The dense route works in the tridiagonal basis
-of the pencil's :class:`Reduction` (made by ``eig_dense``, or by the first
-dense solve): each column costs two O(n^2) maps and one O(n) banded solve. The
-iterative route runs CG on the operator deflated of all k retrieved pairs, all
-columns in lockstep, preconditioned with the primal's preconditioner if any.
-"""
+Both modes and both routes share one :class:`Linearization` of (A, M) at the
+retrieved eigenpairs. A right-hand block may hold s directions, s k columns:
+column c belongs to eigencolumn c mod k. The dense route works in the
+tridiagonal basis of the pencil's :class:`Reduction` (made by ``eig_dense``,
+or by the first dense solve): each column costs two O(n^2) maps and one O(n)
+banded solve. The iterative route runs CG on the operator deflated of all k
+retrieved pairs, all columns in lockstep, preconditioned with the primal's
+preconditioner if any."""
 
 from __future__ import annotations
 
@@ -24,17 +24,17 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import ClusterSplit, MaxIterExceeded, NotPositiveDefinite, NotSolvable
+from .errors import ClusterSplit, MaxIterExceeded, NotPositiveDefinite
 from .linop import as_dense_array
 
-# solves aim at 1e-2 TOL_SOLV |b_j|; NotSolvable and ClusterSplit are gated on it
+# solves aim at 1e-2 TOL_SOLV |b_j|; ClusterSplit is gated on it
 TOL_SOLV = 1e-10
 
 
 @dataclass
 class SylvesterSolution:
     Y: np.ndarray
-    residuals: np.ndarray      # per-column ||(A - l_j M) y_j - b_j|| (iterative: off the group)
+    residuals: np.ndarray      # per-column ||b_j - (A - l_j M) y_j||, off the group
     iterations: np.ndarray     # per-column iteration counts (0 for dense)
 
 
@@ -82,16 +82,14 @@ class Reduction:
 class Linearization:
     """(A, M) linearized at the eigenpairs ``eig``; build it with :func:`linearize`.
 
-    Holds M X and, on the dense route, the pencil's :attr:`reduction`, which
-    ``eig_dense`` seeds (or the first dense solve makes), and :attr:`band`'s
-    LU: each derivative then costs O(n^2 k). On the iterative route ``precond``
-    is ``eig_iterative``'s. Refers to A and M, never copies.
+    Holds M X, the pencil's :attr:`reduction`, which ``eig_dense`` seeds (or
+    the first dense solve makes), and :attr:`band`'s LU, with which each dense
+    derivative costs O(n^2 k), and ``precond``, ``eig_iterative``'s, for the
+    iterative solves. Both routes share it. Refers to A and M, never copies.
     """
 
-    def __init__(self, A, M, eig, solver):
-        if solver not in ("dense", "iterative"):
-            raise ValueError(f"solver must be 'dense' or 'iterative', got {solver!r}")
-        self.A, self.M, self.eig, self.solver = A, M, eig, solver
+    def __init__(self, A, M, eig):
+        self.A, self.M, self.eig = A, M, eig
         self.MX = M.apply_batch(eig.X)
         self.precond = None
 
@@ -126,20 +124,27 @@ class Linearization:
         return S, lu, piv, p
 
 
-def linearize(A, M, eig, solver="dense"):
+def linearize(A, M, eig):
     """The :class:`Linearization` of (A, M) at ``eig``, memoized on ``eig``.
 
-    The memo holds one entry, keyed by the identity of A and M and by
-    ``solver``; operators are immutable, so a hit is exact. It dies with ``eig``.
+    The memo holds one entry, keyed by the identity of A and M; operators are
+    immutable, so a hit is exact. Both routes use it, so switching ``solver``
+    keeps the reduction and the preconditioner. It dies with ``eig``.
     """
     lin = eig._linearization
-    if lin is None or lin.A is not A or lin.M is not M or lin.solver != solver:
+    if lin is None or lin.A is not A or lin.M is not M:
         # on a shallow copy of eig without its memo (eig -> lin -> eig would be
         # a cycle); copying skips the groups check eig already passed
         memo = copy.copy(eig)
         memo._linearization = None
-        lin = eig._linearization = Linearization(A, M, memo, solver)
+        lin = eig._linearization = Linearization(A, M, memo)
     return lin
+
+
+def check_solver(solver):
+    """ValueError unless ``solver`` names a route: "dense" or "iterative"."""
+    if solver not in ("dense", "iterative"):
+        raise ValueError(f"solver must be 'dense' or 'iterative', got {solver!r}")
 
 
 def _tiled(eig, m):
@@ -155,13 +160,10 @@ def project_rhs(lin, B):
     return B - lin.MX @ (_tiled(lin.eig, B.shape[1])[0] * (lin.eig.X.T @ B))
 
 
-def _check_solvable(eig, B):
-    """Per-column nullspace-component check; raises NotSolvable on violation."""
-    defect = np.linalg.norm(_tiled(eig, B.shape[1])[0] * (eig.X.T @ B), axis=0)
-    bnorm = np.linalg.norm(B, axis=0)
-    bad = np.flatnonzero(defect > TOL_SOLV * bnorm * 10)
-    if bad.size:
-        raise NotSolvable(int(bad[0]), defect[bad[0]] / bnorm[bad[0]])
+def _residual(lin, B, Y, lam):
+    """b_j - (A - lambda_j M) y_j projected off column j's group: the part of
+    B a solve answers for, so both routes measure the same thing."""
+    return project_rhs(lin, B - (lin.A.apply_batch(Y) - lin.M.apply_batch(Y) * lam))
 
 
 def _check_split(residuals, B):
@@ -181,35 +183,36 @@ def _check_split(residuals, B):
 
 def solve_dense(lin, B):
     """Columnwise solve of (A - lambda_j M) y_j = b_j in the tridiagonal basis:
-    r = Q^T L^-1 b, w by ``Linearization.band``'s LU (made on the first
-    call) with r and w deflated of S_g, so y = L^-T Q w is M-orthogonal to its
+    r = Q^T L^-1 b deflated of S_g, w by ``Linearization.band``'s LU (made on
+    the first call) deflated of S_g too, so y = L^-T Q w is M-orthogonal to its
     group. Where the group's eigenvalues differ, the border leaves a residual
     that one refinement step removes, unless it already meets the CG target.
     s directions map in and out as one block and share one banded solve.
     """
     eig = lin.eig
-    _check_solvable(eig, B)
     (S, lu, piv, p), red = lin.band, lin.reduction
     n, m = B.shape
     D, lam = _tiled(eig, m)
 
+    def deflate(R):    # off each column's group S_g
+        return R - S @ (D * (S.T @ R))
+
     def solve(R):
         # direction i's k columns, stacked, are right-hand side i of the LU
-        R = R - S @ (D * (S.T @ R))
         Z = scipy.linalg.lapack.dgbtrs(lu, 1, 1, R.T.reshape(-1, eig.k * n).T, piv)[0]
         Z[p] = 0.0    # the border's multipliers
-        Z = Z.T.reshape(m, n).T
-        return Z - S @ (D * (S.T @ Z))
+        return deflate(Z.T.reshape(m, n).T)
 
-    R0 = red.to_tri(B)
+    R0 = deflate(red.to_tri(B))
     W = solve(R0)
     R = R0 - red.d[:, None] * W + W * lam     # R0 - (T - lambda_j) W
     R[1:] -= red.e[:, None] * W[:-1]
     R[:-1] -= red.e[:, None] * W[1:]
+    R = deflate(R)
     if np.any(np.linalg.norm(R, axis=0) > 1e-2 * TOL_SOLV * np.linalg.norm(R0, axis=0)):
         W += solve(R)
     Y = red.from_tri(W)
-    residuals = np.linalg.norm(B - lin.A.apply_batch(Y) + lin.M.apply_batch(Y) * lam, axis=0)
+    residuals = np.linalg.norm(_residual(lin, B, Y, lam), axis=0)
     _check_split(residuals, B)
     return SylvesterSolution(Y=Y, residuals=residuals, iterations=np.zeros(m, dtype=int))
 
@@ -229,7 +232,6 @@ def solve_iterative(lin, B, maxiter=None):
     maxiter = 20 * n if maxiter is None else maxiter
     if maxiter < 1:
         raise ValueError(f"maxiter must be >= 1, got {maxiter}")
-    _check_solvable(eig, B)
     A, M, X, MX = lin.A, lin.M, eig.X, lin.MX
     D, lam = _tiled(eig, m)
     inv = np.where(D == 1, 0.0, 1.0 / np.where(D == 1, 1.0, eig.lambdas[:, None] - lam))
@@ -237,11 +239,8 @@ def solve_iterative(lin, B, maxiter=None):
     bnorm = np.linalg.norm(B, axis=0)
     target = 1e-2 * TOL_SOLV * bnorm
 
-    def shifted(V, cols):    # (A - lambda_j M) V on block columns ``cols``
-        return A.apply_batch(V) - M.apply_batch(V) * lam[cols]
-
-    def op(V, cols):    # P_L (A - lambda_j M), applied to V in the range of P_S
-        Q = shifted(V, cols)
+    def op(V, cols):    # P_L (A - lambda_j M) on block columns ``cols``, V in range(P_S)
+        Q = A.apply_batch(V) - M.apply_batch(V) * lam[cols]
         Q -= MX @ (X.T @ Q)
         return Q
 
@@ -255,11 +254,11 @@ def solve_iterative(lin, B, maxiter=None):
         return Z + X @ (inv * C), its, maxed
 
     Y, iterations, maxed = solve(B, np.full(m, maxiter))
-    E = project_rhs(lin, B - shifted(Y, slice(None)))
+    E = _residual(lin, B, Y, lam)
     if np.any(np.linalg.norm(E, axis=0) > target):
         dY, its, maxed = solve(E, maxiter - iterations)
         Y, iterations = Y + dY, iterations + its
-        E = project_rhs(lin, B - shifted(Y, slice(None)))
+        E = _residual(lin, B, Y, lam)
     residuals = np.linalg.norm(E, axis=0)
     sol = SylvesterSolution(Y=Y, residuals=residuals, iterations=iterations)
     bad = np.flatnonzero(maxed & (residuals > TOL_SOLV * bnorm * 10))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteError, ValidityViolated
 from .jvp import in_group_defect
-from .sylvester import linearize, project_rhs, solve_dense, solve_iterative
+from .sylvester import check_solver, linearize, project_rhs, solve_dense, solve_iterative
 
 
 @dataclass
@@ -47,8 +47,9 @@ def check_backward_validity(eig, c):
 def vjp(A, M, eig, c, solver="dense", force=False):
     """Adjoint map (Lambda_bar, X_bar) -> (A_bar, M_bar); requires backward
     validity, which ``force`` skips. A sequence ``c`` gives a list: every
-    cotangent is checked, then all are solved as one block. Runs on the
-    linearization memoized on ``eig`` (see :func:`linearize`).
+    cotangent is checked, then all are solved as one block (an empty one
+    gives [] and applies nothing). Runs on the linearization memoized on
+    ``eig`` (see :func:`linearize`).
 
     Solves the shifted systems (A - lambda_j M) ybar_j = xbar_j projected off
     the degenerate group, which the solvers gauge M-orthogonal to it (Vbar =
@@ -59,18 +60,22 @@ def vjp(A, M, eig, c, solver="dense", force=False):
     The eigenvalue term of M_bar carries a minus sign, matching the
     single-pair adjoint and the pairing identity with forward mode.
     """
-    lin = linearize(A, M, eig, solver)
+    check_solver(solver)
     parts = []
     for ci in [c] if isinstance(c, CotangentInput) else c:
         ok, defect = check_backward_validity(eig, ci)
         if not ok and not force:
             raise ValidityViolated(defect)
         parts.append((np.asarray(ci.lambda_bar, float), np.asarray(ci.X_bar, float), defect))
+    if not parts:
+        return []
 
     X, lam = eig.X, eig.lambdas
     Xbs = np.hstack([Xb for _, Xb, _ in parts])
     Vbar = np.zeros_like(Xbs)
     if np.any(Xbs):
+        lin = linearize(A, M, eig)
+        # the solvers project B themselves; bench/tracing.py times this stage
         B = project_rhs(lin, Xbs)
         Vbar = (solve_dense(lin, B) if solver == "dense" else solve_iterative(lin, B)).Y
     outs = [CotangentOutput(

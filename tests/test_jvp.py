@@ -211,3 +211,16 @@ def test_nondegenerate_agrees_with_series(rng):
     ser = eg.jvp_series(fs, M, eig, t)
     np.testing.assert_allclose(out.lambda_prime, ser.lambda_prime, atol=1e-10)
     np.testing.assert_allclose(out.X_prime, ser.X_prime, atol=1e-9)
+
+
+def test_forced_violating_tangent_returns_on_both_solvers():
+    # the tangent's V lies in the group's span, so its projected columns are
+    # at roundoff; both solves take them as they are and agree
+    A, M = make_pencil([2, 2, 5], 12, 3, mass="random")
+    eig = eg.eig_dense(A, M, 3)
+    t = sampling.violating_tangent(eig, M, [0, 1])
+    dense = eg.jvp(A, M, eig, t, force=True)
+    iterative = eg.jvp(A, M, eig, t, solver="iterative", force=True)
+    np.testing.assert_allclose(dense.X_prime, iterative.X_prime, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(dense.lambda_prime, iterative.lambda_prime, rtol=0, atol=1e-12)
+    assert dense.validity_defect == iterative.validity_defect > 0.1

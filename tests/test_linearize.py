@@ -12,6 +12,7 @@ from scipy.sparse.linalg import splu
 import eigengrad as eg
 from eigengrad import sampling
 from eigengrad.errors import ClusterSplit
+from eigengrad.sylvester import project_rhs
 
 from conftest import make_pencil, membrane, pairing_gap, pseudo_inverse_apply, sparse_ops
 
@@ -27,9 +28,9 @@ def test_cached_matches_uncached(solver):
     rng = np.random.default_rng(5)
     t = sampling.valid_tangent(eig, M, rng)
     c = sampling.valid_cotangent(eig, M, rng)
-    lin = eg.linearize(A, M, eig, solver)
+    lin = eg.linearize(A, M, eig)
     eg.jvp(A, M, eig, sampling.valid_tangent(eig, M, rng), solver=solver)
-    assert eg.linearize(A, M, eig, solver) is lin
+    assert eg.linearize(A, M, eig) is lin
     fresh = eg.eig_dense(A, M, 4)
     fwd, ref = eg.jvp(A, M, eig, t, solver=solver), eg.jvp(A, M, fresh, t, solver=solver)
     np.testing.assert_allclose(fwd.X_prime, ref.X_prime, rtol=0, atol=1e-12)
@@ -37,21 +38,42 @@ def test_cached_matches_uncached(solver):
     bwd, ref = eg.vjp(A, M, eig, c, solver=solver), eg.vjp(A, M, fresh, c, solver=solver)
     np.testing.assert_allclose(bwd.A_bar, ref.A_bar, rtol=0, atol=1e-12)
     np.testing.assert_allclose(bwd.M_bar, ref.M_bar, rtol=0, atol=1e-12)
-    assert eg.linearize(A, M, eig, solver) is lin
+    assert eg.linearize(A, M, eig) is lin
 
 
-def test_cache_keyed_by_operator_identity_and_solver():
-    A, M = make_pencil([], 12, 2, mass="random")
+def test_cache_keyed_by_operator_identity_alone(monkeypatch):
+    # alternating solvers on an eig_dense result keep its reduction
+    A, M = make_pencil([1.0, 1.0, 3.0], 12, 2, mass="random")
     eig = eg.eig_dense(A, M, 3)
-    lin = eg.linearize(A, M, eig)
-    assert eg.linearize(A, M, eig, "dense") is lin
+    lin, calls = eg.linearize(A, M, eig), counting_lapack(monkeypatch)
+    rng = np.random.default_rng(2)
+    for solver in ("iterative", "dense", "iterative", "dense"):
+        eg.jvp(A, M, eig, sampling.valid_tangent(eig, M, rng), solver=solver)
+        eg.vjp(A, M, eig, sampling.valid_cotangent(eig, M, rng), solver=solver)
+        assert eg.linearize(A, M, eig) is lin
+    assert calls == {}
     same_A = eg.make_dense(eg.as_dense_array(A))
     same_M = eg.make_spd(eg.as_dense_array(M))
-    for other in (eg.linearize(same_A, M, eig), eg.linearize(A, same_M, eig),
-                  eg.linearize(A, M, eig, "iterative")):
+    for other in (eg.linearize(same_A, M, eig), eg.linearize(A, same_M, eig)):
         assert other is not lin
-    with pytest.raises(ValueError):
-        eg.linearize(A, M, eig, "cholesky")
+
+
+@pytest.mark.parametrize("mode", ["jvp", "vjp"])
+def test_unknown_solver_is_a_value_error_before_any_apply(mode):
+    A, M = make_pencil([], 12, 2, mass="random")
+    eig = eg.eig_dense(A, M, 3)
+    lin, applied = eig._linearization, []
+
+    def counted(V):
+        applied.append(V.shape)
+        return V
+
+    op = eg.SymmetricOperator(12, None, counted)
+    direction = (eg.TangentInput(Aprime=op, Mprime=op) if mode == "jvp" else
+                 sampling.valid_cotangent(eig, M, np.random.default_rng(2)))
+    with pytest.raises(ValueError, match="solver"):
+        getattr(eg, mode)(op, op, eig, direction, solver="cholesky")
+    assert applied == [] and eig._linearization is lin
 
 
 def test_cache_freed_with_eigen_result():
@@ -81,27 +103,24 @@ def test_eig_dense_seeds_the_dense_linearization():
     eig = eg.eig_dense(A, M, 3)
     lin = eig._linearization
     assert lin is not None and "reduction" in vars(lin)
-    assert eg.linearize(A, M, eig) is lin
-    assert eg.linearize(A, M, eig, "iterative") is not lin
+    t = sampling.valid_tangent(eig, M, np.random.default_rng(3))
+    eg.jvp(A, M, eig, t, solver="iterative")
+    assert eg.linearize(A, M, eig) is lin and "reduction" in vars(lin)
 
 
-def test_eig_iterative_preconditioner_carries_into_jvp(monkeypatch):
-    # the n = 3,969 membrane: eig_iterative's splu(K) seeds the iterative
-    # linearization, so the jvp's solve is PCG; the same pairs without it
-    # (a copy, which holds no linearization) run plain CG
-    K, Mm = membrane(63)
-    A, M = sparse_ops(K, Mm)
-    eig = eg.eig_iterative(A, M, 6, precond=splu(K.tocsc()).solve)
-    assert eg.linearize(A, M, eig, "iterative").precond is not None
-    plain = copy.copy(eig)
-    plain._linearization = None
+def membrane_tangent(K, M, eig, seed):
+    """A valid tangent of the membrane: a random diagonal A' less its in-group coupling."""
     MX = M.apply_batch(eig.X)
-    d = np.random.default_rng(6).uniform(-0.1, 0.1, K.shape[0]) * K.diagonal()
+    d = np.random.default_rng(seed).uniform(-0.1, 0.1, K.shape[0]) * K.diagonal()
     G = (eig.D - np.eye(eig.k)) * (eig.X.T @ (d[:, None] * eig.X))    # in-group coupling
-    t = eg.TangentInput(
+    return eg.TangentInput(
         Aprime=eg.SymmetricOperator(K.shape[0], None,
                                     lambda V: d[:, None] * V - MX @ (G @ (MX.T @ V))),
         Mprime=eg.SymmetricOperator(K.shape[0], None, np.zeros_like))
+
+
+def recorded_iterations(monkeypatch):
+    """The iteration counts of every iterative solve a jvp makes, in order."""
     iterations, solve = [], jvp_module.solve_iterative
 
     def recording(lin, B):
@@ -110,12 +129,44 @@ def test_eig_iterative_preconditioner_carries_into_jvp(monkeypatch):
         return sol
 
     monkeypatch.setattr(jvp_module, "solve_iterative", recording)
+    return iterations
+
+
+def test_eig_iterative_preconditioner_carries_into_jvp(monkeypatch):
+    # the n = 3,969 membrane: eig_iterative's splu(K) seeds the linearization,
+    # so the jvp's solve is PCG; the same pairs without it (a copy, which holds
+    # no linearization) run plain CG
+    K, Mm = membrane(63)
+    A, M = sparse_ops(K, Mm)
+    eig = eg.eig_iterative(A, M, 6, precond=splu(K.tocsc()).solve)
+    assert eg.linearize(A, M, eig).precond is not None
+    plain = copy.copy(eig)
+    plain._linearization = None
+    t = membrane_tangent(K, M, eig, 6)
+    iterations = recorded_iterations(monkeypatch)
     fwd = eg.jvp(A, M, eig, t, solver="iterative")
     ref = eg.jvp(A, M, plain, t, solver="iterative")
     assert iterations[0].max() < iterations[1].min()
     scale = np.max(np.abs(ref.X_prime))
     assert np.max(np.abs(fwd.X_prime - ref.X_prime)) <= 1e-8 * scale
     np.testing.assert_array_equal(fwd.lambda_prime, ref.lambda_prime)
+
+
+def test_preconditioner_survives_a_dense_derivative(monkeypatch):
+    # the n = 961 membrane: a dense jvp between eig_iterative and an iterative
+    # jvp leaves the preconditioner in place, so that solve is still PCG
+    K, Mm = membrane(31)
+    A, M = sparse_ops(K, Mm)
+    eig = eg.eig_iterative(A, M, 6, precond=splu(K.tocsc()).solve)
+    plain = copy.copy(eig)
+    plain._linearization = None
+    t = membrane_tangent(K, M, eig, 7)
+    dense = eg.jvp(A, M, eig, t)
+    iterations = recorded_iterations(monkeypatch)
+    fwd = eg.jvp(A, M, eig, t, solver="iterative")
+    eg.jvp(A, M, plain, t, solver="iterative")
+    assert iterations[0].max() < iterations[1].min()
+    assert np.max(np.abs(fwd.X_prime - dense.X_prime)) <= 1e-7 * np.max(np.abs(dense.X_prime))
 
 
 def test_eig_dense_checks_its_groups_once(monkeypatch):
@@ -129,7 +180,7 @@ def test_eig_dense_checks_its_groups_once(monkeypatch):
     monkeypatch.setattr(eg.eigsolve, "group_mask", counted)
     A, M = make_pencil([2.0, 2.0, 5.0], 12, 3, mass="random")
     eig = eg.eig_dense(A, M, 3)
-    eg.linearize(A, M, eig, "iterative")
+    eg.linearize(A, M, eig)
     assert len(calls) == 1
 
 
@@ -176,13 +227,13 @@ def test_pairing_on_one_linearization(solver, mass):
     A, M = make_pencil([1.0, 1.0, 3.0, 3.0, 3.0, 6.0], 20, 7, mass=mass)
     eig = eg.eig_dense(A, M, 6)
     assert [len(g) for g in eig.groups] == [2, 3, 1]
-    lin = eg.linearize(A, M, eig, solver)
+    lin = eg.linearize(A, M, eig)
     rng = np.random.default_rng(7)
     for _ in range(3):
         t = sampling.valid_tangent(eig, M, rng)
         c = sampling.valid_cotangent(eig, M, rng)
         assert pairing_gap(A, M, eig, t, c, solver=solver) < 1e-9
-    assert eg.linearize(A, M, eig, solver) is lin
+    assert eg.linearize(A, M, eig) is lin
 
 
 def test_cached_dense_solve_matches_spectral_series():
@@ -192,7 +243,7 @@ def test_cached_dense_solve_matches_spectral_series():
     fs = eg.full_spectrum(A, M)
     rng = np.random.default_rng(4)
     for _ in range(2):
-        B = eg.project_rhs(lin, rng.standard_normal((11, 5)))
+        B = project_rhs(lin, rng.standard_normal((11, 5)))
         sol = eg.solve_dense(lin, B)
         for j in range(5):
             ref = pseudo_inverse_apply(fs, eig.lambdas[j], B[:, j])
@@ -250,7 +301,7 @@ def test_dense_solve_refines_a_group_with_spread():
     assert eig.groups == [[0, 1], [2]]
     lin = eg.linearize(A, M, eig)
     fs = eg.full_spectrum(A, M)
-    B = eg.project_rhs(lin, np.random.default_rng(11).standard_normal((10, 3)))
+    B = project_rhs(lin, np.random.default_rng(11).standard_normal((10, 3)))
     sol = eg.solve_dense(lin, B)
     for j in range(3):
         ref = pseudo_inverse_apply(fs, eig.lambdas[j], B[:, j])

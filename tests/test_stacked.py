@@ -116,3 +116,17 @@ def test_all_zero_x_bar_stack_builds_nothing(monkeypatch):
     assert not {"reduction", "band"} & set(vars(eg.linearize(A, M, eig)))
     np.testing.assert_array_equal(outs[0].A_bar, np.zeros((40, 40)))
     np.testing.assert_allclose(outs[2].A_bar, 2.0 * eig.X @ eig.X.T, rtol=1e-14)
+
+
+@pytest.mark.parametrize("solver", ["dense", "iterative"])
+def test_empty_sequence_gives_an_empty_list(degenerate, solver):
+    A, M, eig, _ = degenerate
+    lin, applied = eig._linearization, []
+
+    def counted(op):
+        return eg.SymmetricOperator(op.dim, None, lambda V: applied.append(V) or op.apply_batch(V))
+
+    Ac, Mc = counted(A), counted(M)
+    assert eg.jvp(Ac, Mc, eig, [], solver=solver) == []
+    assert eg.vjp(Ac, Mc, eig, (), solver=solver) == []
+    assert applied == [] and eig._linearization is lin

@@ -5,7 +5,7 @@ import scipy.sparse.linalg
 
 import eigengrad as eg
 from eigengrad import sampling, sylvester
-from eigengrad.errors import ClusterSplit, MaxIterExceeded, NotSolvable
+from eigengrad.errors import ClusterSplit, MaxIterExceeded
 from eigengrad.sylvester import project_rhs, solve_dense, solve_iterative
 
 from conftest import make_pencil, membrane, pseudo_inverse_apply, sparse_ops
@@ -42,11 +42,22 @@ def test_degenerate_nullspace_excluded(solve):
 
 
 @pytest.mark.parametrize("solve", [solve_dense, solve_iterative])
-def test_rhs_in_nullspace_not_solvable(solve):
+def test_unprojected_rhs_solves_its_projection(solve):
+    # a column inside its group projects to zero, and so solves to zero
     e1 = np.eye(3)[:, 0]
-    with pytest.raises(NotSolvable) as excinfo:
-        solve(degen_lin([2.0, 2.0], [[0, 1]]), np.column_stack([e1, np.zeros(3)]))
-    assert excinfo.value.defect > 0.5
+    sol = solve(degen_lin([2.0, 2.0], [[0, 1]]), np.column_stack([e1, np.zeros(3)]))
+    np.testing.assert_array_equal(sol.Y, np.zeros((3, 2)))
+    # two directions whose group components are as large as the rest
+    A, M = make_pencil([2.0, 2.0, 5.0], 12, 3, mass="random")
+    eig = eg.eig_dense(A, M, 3)
+    lin = eg.linearize(A, M, eig)
+    rng = np.random.default_rng(3)
+    B = rng.standard_normal((12, 6)) + lin.MX @ rng.standard_normal((3, 6))
+    P = project_rhs(lin, B)
+    assert np.all(np.linalg.norm(B - P, axis=0) > 0.1 * np.linalg.norm(B, axis=0))
+    direct, ref = solve(lin, B), solve(lin, P)
+    np.testing.assert_allclose(direct.Y, ref.Y, rtol=0, atol=1e-12 * np.max(np.abs(ref.Y)))
+    assert np.all(direct.residuals <= 1e-12 * np.linalg.norm(B, axis=0))
 
 
 @pytest.mark.parametrize("solve", [solve_dense, solve_iterative])
@@ -92,7 +103,7 @@ def test_iterative_residual_self_certifying():
     A, M = make_pencil([], 100, 0, mass="random")
     eig = eg.eig_dense(A, M, 2)
     rng = np.random.default_rng(0)
-    lin = eg.linearize(A, M, eig, "iterative")
+    lin = eg.linearize(A, M, eig)
     B = project_rhs(lin, rng.standard_normal((100, 2)))
     sol = solve_iterative(lin, B)
     bnorms = np.linalg.norm(B, axis=0)
@@ -142,7 +153,7 @@ def test_dense_solve_matches_spectral_series():
 def test_iterative_maxiter_payload():
     A, M = make_pencil([2, 2, 5], 30, 0, mass="random")
     eig = eg.eig_dense(A, M, 3)
-    lin = eg.linearize(A, M, eig, "iterative")
+    lin = eg.linearize(A, M, eig)
     B = project_rhs(lin, np.random.default_rng(0).standard_normal((30, 6)))
     B[:, 4] = 0.0
     with pytest.raises(MaxIterExceeded) as exc:
@@ -170,7 +181,7 @@ def bordered_reference(K, Mm, lin, B):
 
 def assert_matches_bordered(K, Mm, eig, seed):
     A, M = sparse_ops(K, Mm)
-    lin = eg.linearize(A, M, eig, "iterative")
+    lin = eg.linearize(A, M, eig)
     n = K.shape[0]
     B = project_rhs(lin, np.random.default_rng(seed).standard_normal((n, 2 * eig.k)))
     sol = solve_iterative(lin, B)
@@ -221,7 +232,7 @@ def test_iterative_maxiter_bounds_both_passes():
     K, Mm = membrane(15)
     A, M = sparse_ops(K, Mm)
     eig = eg.eig_iterative(A, M, 4, tol=1e-9)
-    lin = eg.linearize(A, M, eig, "iterative")
+    lin = eg.linearize(A, M, eig)
     B = project_rhs(lin, np.random.default_rng(2).standard_normal((K.shape[0], 4)))
     full = solve_iterative(lin, B).iterations
     # one step short cuts a second pass, which leaves its column well inside the
@@ -237,7 +248,7 @@ def test_skipped_lower_eigenvalue_raises_cluster_split():
     n = 12
     A, M = eg.make_dense(np.diag(np.arange(1.0, n + 1))), eg.identity_operator(n)
     eig = eg.EigenResult(X=np.eye(n)[:, 1:3], lambdas=np.array([2.0, 3.0]), groups=[[0], [1]])
-    lin = eg.linearize(A, M, eig, "iterative")
+    lin = eg.linearize(A, M, eig)
     B = project_rhs(lin, np.random.default_rng(0).standard_normal((n, 2)))
     with pytest.raises(ClusterSplit) as excinfo:
         solve_iterative(lin, B)
@@ -247,7 +258,7 @@ def test_skipped_lower_eigenvalue_raises_cluster_split():
 def test_lockstep_cg_zero_columns():
     A, M = make_pencil([2.0, 2.0, 5.0], 20, 1, mass="random")
     eig = eg.eig_dense(A, M, 3)
-    lin = eg.linearize(A, M, eig, "iterative")
+    lin = eg.linearize(A, M, eig)
     B = project_rhs(lin, np.random.default_rng(1).standard_normal((20, 6)))
     B[:, [1, 3]] = 0.0
     sol = solve_iterative(lin, B)
@@ -260,7 +271,7 @@ def test_lockstep_cg_zero_columns():
 def test_iterative_maxiter_below_one_is_a_value_error(maxiter):
     A, M = (eg.make_dense(a) for a in sampling.random_spd_pencil(40, np.random.default_rng(0)))
     eig = eg.eig_dense(A, M, 3)
-    lin = eg.linearize(A, M, eig, "iterative")
+    lin = eg.linearize(A, M, eig)
     B = project_rhs(lin, np.random.default_rng(0).standard_normal((40, 3)))
     with pytest.raises(ValueError, match="maxiter"):
         solve_iterative(lin, B, maxiter=maxiter)
