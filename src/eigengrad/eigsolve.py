@@ -18,6 +18,8 @@ from .linop import spot_check_spd
 from .sylvester import Reduction, linearize
 
 DEFAULT_DEGENERACY_RTOL = 1e-8
+# eig_iterative iterates on this many columns beyond the k it returns
+GUARD = 2
 
 
 @dataclass
@@ -142,16 +144,23 @@ def eig_iterative(A, M, k, which="smallest", maxiter=500, tol=1e-9,
                   precond=None, seed=0, degeneracy_rtol=DEFAULT_DEGENERACY_RTOL):
     """Matrix-free path: LOBPCG (Knyazev 2001) with carried block products.
 
-    Rayleigh-Ritz runs on S = [X, P, W]: the Ritz block, the conjugate
-    directions and the (preconditioned) residuals. A S and M S are carried
-    through the Ritz coefficients, so each step applies A and M once, to W
-    only; P is kept M-orthonormal to X (Duersch et al. 2018). No column is
-    locked. When the carried residuals meet ``tol``, and every 32 steps, A
-    and M are applied to X again and Rayleigh-Ritz rerun on those products;
-    iteration stops only when that explicit residual meets ``tol``. Small
-    problems (n <= max(4k, 12)) are materialized and solved densely. ``precond``
-    seeds the linearization memoized on the result: its iterative derivative
-    solves for ``which="smallest"`` run PCG with it.
+    The block holds b = min(k + GUARD, n // 4) columns: the k wanted ones plus
+    guard columns, which move the gap the wanted columns converge against
+    from lambda_{k+1} to lambda_{b+1}. Only the k wanted columns (the first k
+    for ``"smallest"``, the last k for ``"largest"``) are tested for
+    convergence, and only they are returned. Rayleigh-Ritz runs on
+    S = [X, P, W]: the Ritz block, the conjugate directions and the
+    (preconditioned) residuals. A S and M S are carried through the Ritz
+    coefficients, so each step applies A and M once, to W only; P is kept
+    M-orthonormal to X (Duersch et al. 2018). Columns whose residual meets
+    ``tol`` are soft-locked: they stay in the Rayleigh-Ritz basis but get no
+    new direction in W. When the carried residuals of the wanted columns meet
+    ``tol``, and every 32 steps, A and M are applied to all of X again and
+    Rayleigh-Ritz rerun on those products; iteration stops only when that
+    explicit residual meets ``tol``. Small problems (n <= max(4k, 12)) are
+    materialized and solved densely. ``precond`` seeds the linearization
+    memoized on the result: its iterative derivative solves for
+    ``which="smallest"`` run PCG with it.
     """
     n = A.dim
     _check_request(n, k, which)
@@ -162,34 +171,39 @@ def eig_iterative(A, M, k, which="smallest", maxiter=500, tol=1e-9,
     if n <= max(4 * k, 12):
         return eig_dense(A, M, k, which, degeneracy_rtol)
 
-    X = np.random.default_rng(seed).standard_normal((n, k))
+    b = min(k + GUARD, n // 4)   # 3 b <= 3 n / 4: the basis S stays well short of n
+    want = slice(0, k) if which == "smallest" else slice(b - k, b)
+    X = np.random.default_rng(seed).standard_normal((n, b))
     theta, X, AX, MX = _ritz(X, A.apply_batch(X), M.apply_batch(X))
     # column-major, so the column blocks X, [X, P] and W are contiguous
-    S, AS, MS = (np.empty((n, 3 * k), order="F") for _ in range(3))
-    S[:, :k], AS[:, :k], MS[:, :k] = X, AX, MX
-    q, it, fresh = k, 0, 0   # q: columns of [X, P]; fresh: last step with explicit A X, M X
+    S, AS, MS = (np.empty((n, 3 * b), order="F") for _ in range(3))
+    S[:, :b], AS[:, :b], MS[:, :b] = X, AX, MX
+    q, it, fresh = b, 0, 0   # q: columns of [X, P]; fresh: last step with explicit A X, M X
 
     while True:
-        X, AX, MX = S[:, :k], AS[:, :k], MS[:, :k]
+        X, AX, MX = S[:, :b], AS[:, :b], MS[:, :b]
         R = AX - MX * theta
         resnorms = np.linalg.norm(R, axis=0)
         scale = np.linalg.norm(AX, axis=0) + np.abs(theta) * np.linalg.norm(MX, axis=0)
-        converged = np.all(resnorms <= tol * np.maximum(scale, 1e-30))
+        done = resnorms <= tol * np.maximum(scale, 1e-30)
+        converged = np.all(done[want])
         # explicit products every 32 steps too: they reset the roundoff the
         # carried ones gather, without which the attainable residual stalls
         if (converged or it % 32 == 0) and fresh != it:
-            theta, S[:, :k], AS[:, :k], MS[:, :k] = _ritz(X, A.apply_batch(X),
+            theta, S[:, :b], AS[:, :b], MS[:, :b] = _ritz(X, A.apply_batch(X),
                                                           M.apply_batch(X))
             fresh = it
             continue
         if converged:
             break
         if it == maxiter:
-            best = _finalize(X.copy(), theta, which, M, degeneracy_rtol)
+            best = _finalize(X[:, want].copy(), theta[want], which, M, degeneracy_rtol)
             raise MaxIterExceeded(
-                f"eig_iterative: {maxiter} iterations, residuals {resnorms}", payload=best)
+                f"eig_iterative: {maxiter} iterations, residuals {resnorms[want]}",
+                payload=best)
         it += 1
 
+        R = R[:, ~done]
         W = precond(R) if precond is not None else R
         Q, MQ = S[:, :q], MS[:, :q]
         W = W - Q @ (MQ.T @ W)
@@ -205,16 +219,16 @@ def eig_iterative(A, M, k, which="smallest", maxiter=500, tol=1e-9,
         AS[:, q:p] = A.apply_batch(W)
 
         w, C = np.linalg.eigh(S[:, :p].T @ AS[:, :p])
-        sel, rest = ((slice(0, k), slice(k, p)) if which == "smallest"
-                     else (slice(p - k, p), slice(0, p - k)))
+        sel, rest = ((slice(0, b), slice(b, p)) if which == "smallest"
+                     else (slice(p - b, p), slice(0, p - b)))
         # P spans what the new X gained over the old one, M-orthonormal to it:
         # the rest of the Ritz basis, rotated onto the old X's coordinates
-        C = np.hstack([C[:, sel], C[:, rest] @ np.linalg.qr(C[:k, rest].T)[0]])
+        C = np.hstack([C[:, sel], C[:, rest] @ np.linalg.qr(C[:b, rest].T)[0]])
         theta, q = w[sel], C.shape[1]
-        for B in (S, AS, MS):
-            B[:, :q] = B[:, :p] @ C
+        for B in (S, AS, MS):   # transposed, so the product is column-major too
+            B[:, :q] = (C.T @ B[:, :p].T).T
 
-    eig = _finalize(S[:, :k].copy(), theta, which, M, degeneracy_rtol)
+    eig = _finalize(S[:, want].copy(), theta[want], which, M, degeneracy_rtol)
     if precond is not None:
         linearize(A, M, eig).precond = precond
     return eig

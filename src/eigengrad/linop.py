@@ -99,9 +99,24 @@ def check_symmetry(op):
 
 
 def spot_check_spd(op, seed=0):
-    """Probabilistic positivity check: <v, Mv> > 0 for five random v, one block."""
-    V = np.random.default_rng(seed).standard_normal((5, op.dim)).T
-    return not np.any(np.einsum("ij,ij->j", V, op.apply_batch(V)) <= 0.0)
+    """Probabilistic positivity check: Rayleigh-Ritz of M on the two-block
+    Krylov space [V, M V] of five random probes V, applied as two blocks.
+
+    True when the smallest Ritz value exceeds 1e-12 of the largest. The second
+    block, the part of M V off V, points at a direction where M is negative
+    even when each probe's <v, M v> is positive.
+    """
+    V = np.linalg.qr(np.random.default_rng(seed).standard_normal((5, op.dim)).T)[0]
+    MV = op.apply_batch(V)
+    W = MV - V @ (V.T @ MV)
+    W -= V @ (V.T @ W)   # twice: directions down to 1e-8 of ||M V|| are kept
+    U, sv, _ = np.linalg.svd(W, full_matrices=False)
+    U = U[:, sv > 1e-8 * np.linalg.norm(MV, 2)]
+    if U.shape[1]:       # at n <= 5 the probes already span the space
+        V, MV = np.hstack([V, U]), np.hstack([MV, op.apply_batch(U)])
+    G = V.T @ MV
+    theta = np.linalg.eigvalsh(0.5 * (G + G.T))
+    return bool(theta[0] > 1e-12 * theta[-1])
 
 
 def read_rows(path):

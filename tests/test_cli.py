@@ -155,6 +155,14 @@ def test_default_suite_passes(tmp_path):
     assert {"diag123", "degen225", "degen1114", "random20", "iter50"} <= labels
 
 
+@pytest.mark.parametrize("seed", [2, 5])
+def test_default_suite_passes_on_iter50_gap_seeds(tmp_path, seed):
+    # iter50's primal runs at tol 1e-9; a block of k columns left its
+    # eigenvector error along lambda_{k+1} above jvp_vs_series' 1e-8 here
+    assert run(["verify", "--seed", seed, "--out", tmp_path]) == 0
+    assert json.loads((tmp_path / "report.json").read_text())["all_passed"] is True
+
+
 def test_typed_error_exits_2(tmp_path):
     # k = 1 retrieves one eigenvector of the double eigenvalue 2: ClusterSplit
     run(["generate", "--n", 6, "--degeneracy", "2x2,5x1", "--out", tmp_path])

@@ -5,7 +5,7 @@ from scipy.sparse.linalg import splu
 
 import eigengrad as eg
 from eigengrad import sampling
-from eigengrad.eigsolve import group_mask
+from eigengrad.eigsolve import GUARD, group_mask
 from eigengrad.errors import MaxIterExceeded, NotPositiveDefinite
 
 from conftest import make_pencil, membrane
@@ -204,6 +204,29 @@ def test_eig_iterative_negative_mass_direction():
         eg.eig_iterative(eg.make_dense(np.eye(60)), eg.make_spd(Md), 3)
 
 
+@pytest.mark.parametrize("generator, seed, j, k", [
+    (sampling.pencil_from_spectrum, 0, 5, 3), (sampling.pencil_from_spectrum, 1, 5, 3),
+    (sampling.pencil_from_spectrum, 2, 5, 3), (sampling.random_spd_pencil, 0, 7, 4)])
+def test_eig_iterative_rejects_one_negative_mass_entry(generator, seed, j, k):
+    # M = I except M_jj = -1e-3: each random probe's <v, M v> is positive and,
+    # on these generic A, no Gram matrix in the loop turns indefinite; the
+    # spot-check's second block, the part of M V off V, finds e_j
+    args = ([], 60) if generator is sampling.pencil_from_spectrum else (60,)
+    A_arr, _ = generator(*args, np.random.default_rng(seed))
+    Md = np.eye(60)
+    Md[j, j] = -1e-3
+    with pytest.raises(NotPositiveDefinite):
+        eg.eig_iterative(eg.make_dense(A_arr), eg.make_spd(Md), k)
+
+
+def test_eig_iterative_reaches_tight_tol():
+    # converged columns get no new directions (soft locking); without it 7 of
+    # these 40 pencils raise MaxIterExceeded at 3e-15
+    for s in range(40):
+        A_arr, M_arr = sampling.random_spd_pencil(60, np.random.default_rng(s))
+        eg.eig_iterative(eg.make_dense(A_arr), eg.make_spd(M_arr), 4, tol=3e-15)
+
+
 def test_eigen_result_rejects_mask_not_matching_groups():
     X, lam = np.eye(3)[:, :2], np.array([2.0, 2.0])
     with pytest.raises(ValueError):    # column 1 in no group
@@ -242,8 +265,9 @@ def test_eig_iterative_applies_each_operator_once_per_direction():
     with pytest.raises(MaxIterExceeded):
         eg.eig_iterative(_counting(A_arr, counts, "A"), _counting(M_arr, counts, "M"),
                          k, maxiter=maxiter, tol=1e-14)
-    assert counts["A"] <= (maxiter + 3) * k
-    assert counts["M"] <= (maxiter + 3) * k + 5   # + spot_check_spd's probes
+    b = min(k + GUARD, n // 4)   # the block width, guard columns included
+    assert counts["A"] <= (maxiter + 3) * b
+    assert counts["M"] <= (maxiter + 3) * b + 10   # + spot_check_spd's two probe blocks
 
 
 def test_eig_iterative_preconditioned_membrane():

@@ -113,10 +113,15 @@ def test_spot_checks_apply_one_block_per_probe_set():
         calls = []
         assert eg.check_symmetry(_counting(mat, calls)) == symmetric
         assert calls == [(2, 10), (2, 10)]
-    for mat, spd in ((np.diag([1.0, 4.0]), True), (-np.eye(3), False)):
+    # five orthonormal probes V, then the part of M V off them; at n <= 5 the
+    # probes span the whole space and the second block is empty
+    d = np.arange(1.0, 13.0)
+    cases = ((np.diag(d), True, [(12, 5), (12, 5)]), (-np.diag(d), False, [(12, 5), (12, 5)]),
+             (np.diag([1.0, 4.0]), True, [(2, 2)]), (-np.eye(3), False, [(3, 3)]))
+    for mat, spd, blocks in cases:
         calls = []
         assert eg.linop.spot_check_spd(_counting(mat, calls)) == spd
-        assert calls == [(mat.shape[0], 5)]
+        assert calls == blocks
 
 
 def test_symmat_roundtrip(tmp_path, rng):
