@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import MaxIterExceeded, NotPositiveDefinite
-from .linop import spot_check_spd
+from .linop import require_finite, spot_check_spd
 from .sylvester import Reduction, linearize
 
 DEFAULT_DEGENERACY_RTOL = 1e-8
@@ -174,7 +174,8 @@ def eig_iterative(A, M, k, which="smallest", maxiter=500, tol=1e-9,
     b = min(k + GUARD, n // 4)   # 3 b <= 3 n / 4: the basis S stays well short of n
     want = slice(0, k) if which == "smallest" else slice(b - k, b)
     X = np.random.default_rng(seed).standard_normal((n, b))
-    theta, X, AX, MX = _ritz(X, A.apply_batch(X), M.apply_batch(X))
+    theta, X, AX, MX = _ritz(X, require_finite(A.apply_batch(X), "A X"),
+                             require_finite(M.apply_batch(X), "M X"))
     # column-major, so the column blocks X, [X, P] and W are contiguous
     S, AS, MS = (np.empty((n, 3 * b), order="F") for _ in range(3))
     S[:, :b], AS[:, :b], MS[:, :b] = X, AX, MX

@@ -73,14 +73,22 @@ def identity_operator(n):
     return make_spd(np.eye(n))
 
 
+def require_finite(P, what):
+    """``P``, or NonFiniteError naming ``what`` if it holds a NaN or inf."""
+    if not np.all(np.isfinite(P)):
+        raise NonFiniteError(f"{what} must be finite")
+    return P
+
+
 def as_dense_array(op):
     """Materialize an operator as a new dense array.
 
-    Cheap for dense-backed operators; otherwise costs ``dim`` applies.
+    Cheap for dense-backed operators; otherwise costs ``dim`` applies, whose
+    products must be finite (NonFiniteError).
     """
     if isinstance(op, DenseSymmetric):
         return op.entries.copy()
-    return op.apply_batch(np.eye(op.dim))
+    return require_finite(op.apply_batch(np.eye(op.dim)), "an operator's products")
 
 
 def check_symmetry(op):
@@ -104,16 +112,18 @@ def spot_check_spd(op, seed=0):
 
     True when the smallest Ritz value exceeds 1e-12 of the largest. The second
     block, the part of M V off V, points at a direction where M is negative
-    even when each probe's <v, M v> is positive.
+    even when each probe's <v, M v> is positive. A NaN or inf product raises
+    NonFiniteError.
     """
     V = np.linalg.qr(np.random.default_rng(seed).standard_normal((5, op.dim)).T)[0]
-    MV = op.apply_batch(V)
+    MV = require_finite(op.apply_batch(V), "M's probe products")
     W = MV - V @ (V.T @ MV)
     W -= V @ (V.T @ W)   # twice: directions down to 1e-8 of ||M V|| are kept
     U, sv, _ = np.linalg.svd(W, full_matrices=False)
     U = U[:, sv > 1e-8 * np.linalg.norm(MV, 2)]
     if U.shape[1]:       # at n <= 5 the probes already span the space
-        V, MV = np.hstack([V, U]), np.hstack([MV, op.apply_batch(U)])
+        MU = require_finite(op.apply_batch(U), "M's probe products")
+        V, MV = np.hstack([V, U]), np.hstack([MV, MU])
     G = V.T @ MV
     theta = np.linalg.eigvalsh(0.5 * (G + G.T))
     return bool(theta[0] > 1e-12 * theta[-1])

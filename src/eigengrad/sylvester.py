@@ -11,9 +11,10 @@ retrieved eigenpairs. A right-hand block may hold s directions, s k columns:
 column c belongs to eigencolumn c mod k. The dense route works in the
 tridiagonal basis of the pencil's :class:`Reduction` (made by ``eig_dense``,
 or by the first dense solve): each column costs two O(n^2) maps and one O(n)
-banded solve. The iterative route runs CG on the operator deflated of all k
-retrieved pairs, all columns in lockstep, preconditioned with the primal's
-preconditioner if any."""
+banded solve. The iterative route runs one pass of CG on the operator
+deflated of all k retrieved pairs, all columns in lockstep, preconditioned
+with the primal's preconditioner if any; the primal's residual enters its
+right-hand side, so the one pass serves inexact pairs too."""
 
 from __future__ import annotations
 
@@ -220,13 +221,15 @@ def solve_dense(lin, B):
 def solve_iterative(lin, B, maxiter=None):
     """Columnwise CG on the shifted operator deflated of all k retrieved pairs.
 
-    Column j's component along a retrieved x_i outside its group is exact,
-    x_i (x_i^T b_j) / (lambda_i - lambda_j), and 0 along its own group. CG
-    solves P_L (A - lambda_j M) P_S z = P_L b_j for the rest (P_L = I - M X X^T,
-    P_S = P_L^T), definite when no eigenvalue on the retrieved side of lambda_j
-    is missing; the linearization's ``precond`` makes it PCG for "smallest".
-    Both take the pairs as exact: where the explicit residual misses the
-    target, one more pass solves for it. ``maxiter`` bounds the two together.
+    With y_j = z_j + X c_j, z_j M-orthogonal to X, CG solves
+    P_L (A - lambda_j M) P_S z = P_L (b_j - G (inv o C)) for z (P_L = I - M X X^T,
+    P_S = P_L^T, C = X^T B, G = P_L A X the primal's residual off span(M X),
+    inv_ij = 1/(lambda_i - lambda_j) outside column j's group and 0 in it), and
+    c = inv o (C - G^T Z) gives the rest: the block system's Schur coupling up
+    to O(|G|^2 / gap), so one pass serves an inexact primal too. The operator
+    is definite when no eigenvalue on the retrieved side of lambda_j is missing;
+    the linearization's ``precond`` makes it PCG for "smallest". ``maxiter``
+    bounds the CG steps of each column.
     """
     eig, (n, m) = lin.eig, B.shape
     maxiter = 20 * n if maxiter is None else maxiter
@@ -237,7 +240,6 @@ def solve_iterative(lin, B, maxiter=None):
     inv = np.where(D == 1, 0.0, 1.0 / np.where(D == 1, 1.0, eig.lambdas[:, None] - lam))
     sign, precond = (1.0, lin.precond) if eig.which == "smallest" else (-1.0, None)
     bnorm = np.linalg.norm(B, axis=0)
-    target = 1e-2 * TOL_SOLV * bnorm
 
     def op(V, cols):    # P_L (A - lambda_j M) on block columns ``cols``, V in range(P_S)
         Q = A.apply_batch(V) - M.apply_batch(V) * lam[cols]
@@ -248,18 +250,15 @@ def solve_iterative(lin, B, maxiter=None):
         Z = R if precond is None else np.asarray(precond(R), dtype=float)
         return Z - X @ (MX.T @ Z)
 
-    def solve(R, budget):
-        C = X.T @ R
-        Z, its, maxed = _cg(op, prec, sign, R - MX @ C, target, budget, bnorm)
-        return Z + X @ (inv * C), its, maxed
-
-    Y, iterations, maxed = solve(B, np.full(m, maxiter))
-    E = _residual(lin, B, Y, lam)
-    if np.any(np.linalg.norm(E, axis=0) > target):
-        dY, its, maxed = solve(E, maxiter - iterations)
-        Y, iterations = Y + dY, iterations + its
-        E = _residual(lin, B, Y, lam)
-    residuals = np.linalg.norm(E, axis=0)
+    G = A.apply_batch(X)
+    G -= MX @ (X.T @ G)
+    C = X.T @ B
+    # projected last: G (inv o C) has roundoff along M X that inv can make large
+    R = B - G @ (inv * C)
+    R -= MX @ (X.T @ R)
+    Z, iterations, maxed = _cg(op, prec, sign, R, 1e-2 * TOL_SOLV * bnorm, maxiter, bnorm)
+    Y = Z + X @ (inv * (C - G.T @ Z))
+    residuals = np.linalg.norm(_residual(lin, B, Y, lam), axis=0)
     sol = SylvesterSolution(Y=Y, residuals=residuals, iterations=iterations)
     bad = np.flatnonzero(maxed & (residuals > TOL_SOLV * bnorm * 10))
     if bad.size:
@@ -269,20 +268,19 @@ def solve_iterative(lin, B, maxiter=None):
     return sol
 
 
-def _cg(op, prec, sign, R, target, budget, bnorm):
+def _cg(op, prec, sign, R, target, maxiter, bnorm):
     """CG (Hestenes & Stiefel 1952) from x = 0 on all columns of R in lockstep:
     ``op(V, cols)`` applies block columns ``cols``'s operators, definite of
     ``sign``, ``prec`` preconditions, and column c leaves the block when its
-    recursive residual reaches ``target[c]`` or after ``budget[c]`` steps.
+    recursive residual reaches ``target[c]`` or after ``maxiter`` steps.
     Curvature at roundoff of the largest seen, or below, raises ClusterSplit
     (defect: the column's least relative residual). Returns (X, iterations,
-    columns stopped by their budget)."""
+    columns stopped by ``maxiter``)."""
     (n, m), eps = R.shape, np.finfo(float).eps
-    out, iterations = np.zeros((n, m)), np.zeros(m, dtype=int)
+    out, iterations, maxed = np.zeros((n, m)), np.zeros(m, dtype=int), np.zeros(m, dtype=bool)
     rnorm = np.linalg.norm(R, axis=0)
-    maxed = (rnorm > target) & (budget < 1)
-    cols = np.flatnonzero((rnorm > target) & (budget >= 1))
-    rmin, target, budget = rnorm[cols], target[cols], budget[cols]
+    cols = np.flatnonzero(rnorm > target)
+    rmin, target = rnorm[cols], target[cols]
     r = np.ascontiguousarray(R[:, cols])    # n x m' in C order, as sparse products want
     x, t, p = np.zeros_like(r), np.empty_like(r), prec(r)    # products go to t
     rho, kmax, itn = np.einsum("ij,ij->j", r, p), np.zeros(cols.size), 0
@@ -303,12 +301,11 @@ def _cg(op, prec, sign, R, target, budget, bnorm):
         rnorm = np.sqrt(np.einsum("ij,ij->j", r, r))
         np.minimum(rmin, rnorm, out=rmin)
         met = rnorm <= target
-        stop = met | (budget == itn)
+        stop = met | (itn == maxiter)
         if stop.any():
             done, keep = cols[stop], ~stop
             out[:, done], iterations[done], maxed[done] = x[:, stop], itn, ~met[stop]
-            cols, rho, kmax, rmin, target, budget = (
-                a[keep] for a in (cols, rho, kmax, rmin, target, budget))
+            cols, rho, kmax, rmin, target = (a[keep] for a in (cols, rho, kmax, rmin, target))
             x, r, p, t = x[:, keep], r[:, keep], p[:, keep], t[:, keep]
             if not cols.size:
                 break

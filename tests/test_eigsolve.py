@@ -6,7 +6,7 @@ from scipy.sparse.linalg import splu
 import eigengrad as eg
 from eigengrad import sampling
 from eigengrad.eigsolve import GUARD, group_mask
-from eigengrad.errors import MaxIterExceeded, NotPositiveDefinite
+from eigengrad.errors import MaxIterExceeded, NonFiniteError, NotPositiveDefinite
 
 from conftest import make_pencil, membrane
 
@@ -130,6 +130,21 @@ def test_eig_iterative_matrix_free_closure():
     M = eg.SymmetricOperator(10, lambda v: v, lambda V: V)
     res = eg.eig_iterative(A, M, 3)
     np.testing.assert_allclose(res.lambdas, [1.0, 2.0, 3.0], atol=1e-8)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("operand", ["A", "M"])
+@pytest.mark.parametrize("solve, n", [(eg.eig_dense, 40), (eg.eig_iterative, 10),
+                                      (eg.eig_iterative, 40)])
+def test_non_finite_closure_raises_non_finite_error(solve, n, operand, bad):
+    # n = 10 takes eig_iterative's dense fallback; its closures reach the
+    # reduction through as_dense_array
+    d = np.arange(1.0, n + 1)
+    ops = {"A": eg.SymmetricOperator(n, None, lambda V: d[:, None] * V),
+           "M": eg.SymmetricOperator(n, None, lambda V: V)}
+    ops[operand] = eg.SymmetricOperator(n, None, lambda V: np.full_like(V, bad))
+    with pytest.raises(NonFiniteError, match="finite"):
+        solve(ops["A"], ops["M"], 2)
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -210,12 +210,15 @@ def test_cg_matches_bordered_reference(pencil, which):
     assert_matches_bordered(K, Mm, eig, 3)
 
 
-def test_refinement_pass_reaches_bordered_reference(monkeypatch):
-    # a tol-1e-9 LOBPCG primal: the first pass takes its pairs as exact and
-    # misses the target, so a second pass runs and makes up the difference
+@pytest.mark.parametrize("which", ["smallest", "largest"])
+def test_iterative_primal_reaches_bordered_reference(monkeypatch, which):
+    # a tol-1e-9 LOBPCG primal: deflation alone takes its pairs as exact and
+    # misses the reference by 3e-10 ("smallest") and 1e-8 ("largest"); folding
+    # the primal's residual into the right-hand side meets it in one CG pass
     K, Mm = membrane(31)
-    eig = eg.eig_iterative(*sparse_ops(K, Mm), 6, tol=1e-9)
-    assert [len(g) for g in eig.groups] == [1, 2, 1, 2]
+    eig = eg.eig_iterative(*sparse_ops(K, Mm), 6, which=which, tol=1e-9)
+    sizes = {"smallest": [1, 2, 1, 2], "largest": [2, 1, 2, 1]}[which]
+    assert [len(g) for g in eig.groups] == sizes
     passes, cg = [], sylvester._cg
 
     def recording(*args):
@@ -224,18 +227,18 @@ def test_refinement_pass_reaches_bordered_reference(monkeypatch):
 
     monkeypatch.setattr(sylvester, "_cg", recording)
     sol = assert_matches_bordered(K, Mm, eig, 5)
-    assert len(passes) == 2
-    np.testing.assert_array_equal(sol.iterations, passes[0][1] + passes[1][1])
+    assert len(passes) == 1
+    np.testing.assert_array_equal(sol.iterations, passes[0][1])
 
 
-def test_iterative_maxiter_bounds_both_passes():
+def test_iterative_maxiter_bounds_cg_steps():
     K, Mm = membrane(15)
     A, M = sparse_ops(K, Mm)
     eig = eg.eig_iterative(A, M, 4, tol=1e-9)
     lin = eg.linearize(A, M, eig)
     B = project_rhs(lin, np.random.default_rng(2).standard_normal((K.shape[0], 4)))
     full = solve_iterative(lin, B).iterations
-    # one step short cuts a second pass, which leaves its column well inside the
+    # one step short of the target leaves the column well inside the
     # MaxIterExceeded bound
     maxiter = int(full.max()) - 1
     sol = solve_iterative(lin, B, maxiter=maxiter)
