@@ -1,9 +1,9 @@
 """Seeded construction of test pencils, tangents, and cotangents.
 
-Degeneracy is exact by construction: A = Q diag(spec) Q^T with orthogonal Q,
-so repeated entries of the spectrum are bit-identical eigenvalues. Valid
-perturbation directions for degenerate groups are obtained by sampling and
-then projecting out the offending in-group coupling.
+Degeneracy is exact by construction: A = R diag(spec) R^T, a closed-form
+congruence (R = Q, or M^{1/2} Q for a random mass; no eigensolve), so repeated
+entries of the spectrum are bit-identical eigenvalues. Valid perturbation
+directions are sampled, then cleared of their in-group coupling.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .linop import make_dense
 
 def random_orthogonal(n, rng):
     Q, R = np.linalg.qr(rng.standard_normal((n, n)))
-    return Q * np.sign(np.diag(R))
+    return Q * np.sign(R.diagonal())
 
 
 def random_symmetric(n, rng):
@@ -29,8 +29,9 @@ def pencil_from_spectrum(spectrum, n, rng, mass="identity"):
     """Build (A, M) dense arrays with A's generalized spectrum as prescribed.
 
     Missing entries of the spectrum are padded with distinct values above the
-    given ones. With a random mass matrix, A is built as M Q diag Q^T M-style
-    congruence so the generalized eigenvalues stay exactly the prescribed set.
+    given ones. A random mass M = Qm diag(w) Qm^T is built from its factors,
+    and A = R diag(full) R^T with R = M^{1/2} Q = M U for the M-orthonormal
+    U = M^{-1/2} Q. Draws come in the order Qm, w, Q (Q alone for M = I).
     """
     spectrum = list(spectrum)
     if len(spectrum) > n:
@@ -41,19 +42,17 @@ def pencil_from_spectrum(spectrum, n, rng, mass="identity"):
 
     if mass == "identity":
         Q = random_orthogonal(n, rng)
-        A = Q @ np.diag(full) @ Q.T
+        A = (Q * full) @ Q.T
         M = np.eye(n)
     elif mass == "random":
         Qm = random_orthogonal(n, rng)
-        M = Qm @ np.diag(rng.uniform(1.0, 2.0, size=n)) @ Qm.T
+        w = rng.uniform(1.0, 2.0, size=n)
+        M = (Qm * w) @ Qm.T
         M = 0.5 * (M + M.T)
-        # U with U^T M U = I: whiten by M^{-1/2}, then rotate
-        w, V = np.linalg.eigh(M)
-        Msqrt_inv = V @ np.diag(1.0 / np.sqrt(w)) @ V.T
         Q = random_orthogonal(n, rng)
-        U = Msqrt_inv @ Q
-        # A U = M U diag(full)  =>  A = M U diag U^T M
-        A = M @ U @ np.diag(full) @ U.T @ M
+        # M^{1/2} Q, applied right to left
+        R = Qm @ (np.sqrt(w)[:, None] * (Qm.T @ Q))
+        A = (R * full) @ R.T
         A = 0.5 * (A + A.T)
     else:
         raise ValueError(f"mass must be 'identity' or 'random', got {mass!r}")

@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import eigengrad as eg
+from eigengrad import cli
 from eigengrad.cli import main, parse_degeneracy
 from eigengrad.errors import InvalidSpec
 
@@ -31,14 +33,21 @@ def test_parse_degeneracy():
             parse_degeneracy(text)
 
 
-def test_generate_spectrum_by_construction(tmp_path):
-    assert run(["generate", "--n", 3, "--degeneracy", "2x2,5x1",
+@pytest.mark.parametrize("mass", ["identity", "random"])
+def test_generate_spectrum_by_construction(tmp_path, monkeypatch, mass):
+    def no_eigh(*args, **kwargs):
+        pytest.fail("the pencil is built in closed form, without np.linalg.eigh")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    assert run(["generate", "--n", 3, "--degeneracy", "2x2,5x1", "--mass", mass,
                 "--seed", 7, "--out", tmp_path]) == 0
+    monkeypatch.undo()
     A = eg.as_dense_array(eg.read_symmat(tmp_path / "A.mat"))
     M = eg.as_dense_array(eg.read_symmat(tmp_path / "M.mat"))
-    np.testing.assert_array_equal(M, np.eye(3))
-    np.testing.assert_allclose(np.linalg.eigvalsh(A), [2.0, 2.0, 5.0],
-                               atol=1e-12)
+    if mass == "identity":
+        np.testing.assert_array_equal(M, np.eye(3))
+    np.testing.assert_allclose(scipy.linalg.eigh(A, M, eigvals_only=True),
+                               [2.0, 2.0, 5.0], atol=1e-12)
 
 
 def test_generate_deterministic_bytes(tmp_path):
@@ -131,6 +140,11 @@ def test_verify_invalid_tangent_fails_and_exits_nonzero(tmp_path):
     assert code == 1
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["all_passed"] is False
+    # the stacked jvp raises before anything past the defect is recorded
+    assert [r["name"] for r in report["checks"]] == [
+        "input/symmetry_A", "input/symmetry_M", "input/eig_residual",
+        "input/m_orthonormality", "input/forward_validity_defect",
+        "input/ValidityViolated"]
     by_name = {r["name"]: r for r in report["checks"]}
     rec = by_name["input/forward_validity_defect"]
     assert rec["status"] == "fail" and rec["measured"] >= 0.5
@@ -153,6 +167,28 @@ def test_default_suite_passes(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     labels = {r["name"].split("/")[0] for r in report["checks"]}
     assert {"diag123", "degen225", "degen1114", "random20", "iter50"} <= labels
+
+
+def test_default_suite_one_stacked_call_per_mode(tmp_path, monkeypatch):
+    # per instance: one primal, and one jvp and one vjp on t (c) plus the 20
+    # pairing directions; iter50's eigenvalue reference is the oracle's spectrum
+    calls = {"jvp": [], "vjp": [], "eig_dense": []}
+
+    def counting(name):
+        inner = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name].append(args)
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counting(name))
+    assert run(["verify", "--out", tmp_path]) == 0
+    for mode in ("jvp", "vjp"):
+        directions = [args[3] for args in calls[mode]]
+        assert [len(d) if isinstance(d, list) else 1 for d in directions] == [21] * 5
+    assert [args[0].dim for args in calls["eig_dense"]] == [3, 3, 6, 20]
 
 
 @pytest.mark.parametrize("seed", [2, 5])
