@@ -140,15 +140,10 @@ def read_rows(path):
         if len(header) != 2 or header[0] != "symmat" or int(header[1]) < 1:
             raise ValueError(f"{path}: bad symmat header {header!r}")
         n = int(header[1])
-        rows = []
-        for i in range(n):
-            row = [float(tok) for tok in fh.readline().split()]
-            if len(row) != n:
-                raise ValueError(f"{path}: row {i} has {len(row)} entries, expected {n}")
-            rows.append(row)
-    if not np.all(np.isfinite(rows)):
-        raise NonFiniteError(f"{path}: matrix entries must be finite")
-    return np.array(rows)
+        rows = np.loadtxt(fh, ndmin=2, max_rows=n)
+    if rows.shape != (n, n):
+        raise ValueError(f"{path}: expected {n} rows of {n} entries, got shape {rows.shape}")
+    return require_finite(rows, f"{path}: matrix entries")
 
 
 def read_symmat(path):
@@ -160,8 +155,4 @@ def read_symmat(path):
 def write_symmat(path, entries):
     """Write a square array in the ``symmat`` text format (full precision)."""
     entries = np.asarray(entries, dtype=float)
-    n = entries.shape[0]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"symmat {n}\n")
-        for i in range(n):
-            fh.write(" ".join(format(x, ".17g") for x in entries[i]) + "\n")
+    np.savetxt(path, entries, fmt="%.17g", header=f"symmat {entries.shape[0]}", comments="")

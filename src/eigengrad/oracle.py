@@ -151,17 +151,15 @@ def finite_difference_jvp(A, M, k, which, t, step=1e-5, base=None):
             or np.max(np.abs(em.lambdas - base.lambdas)) > 0.5 * scale):
         raise ClusterSplit("retrieved spectrum changed drastically under the FD step")
 
-    lam_prime = (ep.lambdas - em.lambdas) / (2.0 * step)
-    n = base.X.shape[0]
-    X_prime = np.zeros((n, k))
+    lam_prime = np.zeros(k)
+    X_prime = np.zeros((base.X.shape[0], k))
     proj_prime = {}
     for grp in base.groups:
-        if len(grp) > 1:
-            # a split group reorders oppositely on the two branches; pairing
-            # +h ascending with -h descending recovers the ascending rates
-            # (exact to O(step) per entry, O(step^2) for the group sum)
-            lam_prime[grp] = (ep.lambdas[grp] - em.lambdas[grp][::-1]) / (2.0 * step)
-    for grp in base.groups:
+        # a split group reorders oppositely on the two branches; pairing +h
+        # ascending with -h descending recovers the ascending rates (exact to
+        # O(step) per entry, O(step^2) for the group sum), and is the identity
+        # on a singleton
+        lam_prime[grp] = (ep.lambdas[grp] - em.lambdas[grp][::-1]) / (2.0 * step)
         if len(grp) == 1:
             j = grp[0]
             xp = _align(ep.X[:, j], base.X[:, j])

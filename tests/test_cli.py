@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 import eigengrad as eg
-from eigengrad import cli
+from eigengrad import cli, oracle
 from eigengrad.cli import main, parse_degeneracy
 from eigengrad.errors import InvalidSpec
 
@@ -191,10 +191,27 @@ def test_default_suite_one_stacked_call_per_mode(tmp_path, monkeypatch):
     assert [args[0].dim for args in calls["eig_dense"]] == [3, 3, 6, 20]
 
 
-@pytest.mark.parametrize("seed", [2, 5])
+def test_default_suite_extrapolates_two_fd_steps(tmp_path, monkeypatch):
+    # per instance, the finite-difference reference combines central
+    # differences at --fd-step and at twice it
+    steps = []
+    inner = oracle.finite_difference_jvp
+
+    def counting(*args, **kwargs):
+        steps.append(kwargs["step"])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "finite_difference_jvp", counting)
+    assert run(["verify", "--fd-step", 2e-5, "--out", tmp_path]) == 0
+    assert steps == [2e-5, 4e-5] * 5
+
+
+@pytest.mark.parametrize("seed", [2, 5, 21, 33])
 def test_default_suite_passes_on_iter50_gap_seeds(tmp_path, seed):
     # iter50's primal runs at tol 1e-9; a block of k columns left its
-    # eigenvector error along lambda_{k+1} above jvp_vs_series' 1e-8 here
+    # eigenvector error along lambda_{k+1} above jvp_vs_series' 1e-8 on
+    # seeds 2 and 5; on 21 and 33 a plain central difference's O(h^2)
+    # truncation reached jvp_eigenvalues_vs_fd's 1e-7
     assert run(["verify", "--seed", seed, "--out", tmp_path]) == 0
     assert json.loads((tmp_path / "report.json").read_text())["all_passed"] is True
 

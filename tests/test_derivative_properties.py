@@ -56,9 +56,10 @@ def test_pairing_and_series_agree(solver, problem):
 @settings(max_examples=50, derandomize=True, deadline=None, database=None)
 @given(problems())
 def test_finite_differences_agree(solver, problem):
-    # verify's comparison: singleton columns one by one; a group through its
-    # trace rate and projector derivative, since its single rates are only
-    # O(step) once the step splits it
+    # verify's comparison against a plain central difference (verify itself
+    # extrapolates from h and 2h): singleton columns one by one; a group
+    # through its trace rate and projector derivative, since its single rates
+    # are only O(step) once the step splits it
     A, M, eig, rng = instance(problem)
     t = sampling.valid_tangent(eig, M, rng)
     out = eg.jvp(A, M, eig, t, solver=solver)
