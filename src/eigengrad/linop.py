@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonFiniteError, NonSquareError
+from .errors import DimensionMismatch, NonFiniteError, NonSquareError
 
 SYMMETRY_TRIALS = 10
 
@@ -38,11 +38,16 @@ class SymmetricOperator:
         self._apply_batch = apply_batch_fn
 
     def apply_batch(self, V):
-        """Apply to an n-by-m block."""
+        """Apply to an n-by-m block; DimensionMismatch unless the block and
+        its product are both n by m (a transposed product is not reshaped)."""
         V = np.asarray(V, dtype=float)
         if V.ndim != 2 or V.shape[0] != self.dim:
-            raise ValueError(f"expected a block with {self.dim} rows, got shape {V.shape}")
-        return np.asarray(self._apply_batch(V), dtype=float).reshape(V.shape)
+            raise DimensionMismatch(f"expected a block with {self.dim} rows, got shape {V.shape}")
+        out = np.asarray(self._apply_batch(V), dtype=float)
+        if out.shape != V.shape:
+            raise DimensionMismatch(f"an operator of dim {self.dim} returned shape {out.shape} "
+                                    f"for a block of shape {V.shape}")
+        return out
 
 
 class DenseSymmetric(SymmetricOperator):

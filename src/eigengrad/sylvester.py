@@ -10,11 +10,12 @@ Both modes and both routes share one :class:`Linearization` of (A, M) at the
 retrieved eigenpairs. A right-hand block may hold s directions, s k columns:
 column c belongs to eigencolumn c mod k. The dense route works in the
 tridiagonal basis of the pencil's :class:`Reduction` (made by ``eig_dense``,
-or by the first dense solve): each column costs two O(n^2) maps and one O(n)
-banded solve. The iterative route runs one pass of CG on the operator
-deflated of all k retrieved pairs, all columns in lockstep, preconditioned
-with the primal's preconditioner if any; the primal's residual enters its
-right-hand side, so the one pass serves inexact pairs too."""
+or by the first dense solve): each column costs two O(n^2) maps, blocked
+numpy GEMMs, and one O(n) banded solve. The iterative route runs one pass of
+CG on the operator deflated of all k retrieved pairs, all columns in
+lockstep, preconditioned with the primal's preconditioner if any; the
+primal's residual enters its right-hand side, so the one pass serves inexact
+pairs too."""
 
 from __future__ import annotations
 
@@ -25,11 +26,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import ClusterSplit, MaxIterExceeded, NotPositiveDefinite
+from .errors import ClusterSplit, DimensionMismatch, MaxIterExceeded, NotPositiveDefinite
 from .linop import as_dense_array
 
 # solves aim at 1e-2 TOL_SOLV |b_j|; ClusterSplit is gated on it
 TOL_SOLV = 1e-10
+# block size of the Reduction's maps: its diagonal blocks of L and its
+# compact-WY reflector blocks
+NB = 64
+_STRICT_UPPER = ~np.tri(NB, dtype=bool)
 
 
 @dataclass
@@ -41,43 +46,80 @@ class SylvesterSolution:
 
 class Reduction:
     """M = L L^T and L^-1 A L^-T = Q T Q^T (dpotrf, dsygst, dsytrd on copies),
-    T tridiagonal with diagonal ``d`` and off-diagonal ``e``; holds L and Q's
-    reflectors, 2n^2 doubles. The pencil's eigenpairs are (lambda, L^-T Q s)
-    for T's (lambda, s), and M-orthogonal x, y map to orthogonal Q^T L^T x, y.
+    T tridiagonal with diagonal ``d`` and off-diagonal ``e``. The pencil's
+    eigenpairs are (lambda, L^-T Q s) for T's (lambda, s), and M-orthogonal
+    x, y map to orthogonal Q^T L^T x, y.
+
+    Holds 2n^2 doubles, LAPACK's output arrays set up in place: ``L`` with
+    its NB x NB diagonal blocks replaced by their inverses, and Q = diag(1, Q~)
+    in compact-WY form (Schreiber & Van Loan 1989): ``wy`` lists (V_b, T_b)
+    with Q~ = prod_b (I - V_b T_b V_b^T) over blocks of NB of dsytrd's
+    reflectors, V_b unit lower trapezoidal, a view of the reduced matrix, and
+    T_b upper triangular. :meth:`to_tri` and :meth:`from_tri` are then numpy
+    GEMMs alone, O(n^2) per column: they run on the BLAS pool the operator
+    products and the caller's code use, where scipy's LAPACK would be a
+    second pool that each switch waits on.
     """
 
     def __init__(self, A, M):
-        lapack = scipy.linalg.lapack
+        lapack, blas = scipy.linalg.lapack, scipy.linalg.blas
         # A and M are symmetric: their copies' transposes are the Fortran-ordered
         # arrays LAPACK overwrites in place
-        self.L, info = lapack.dpotrf(as_dense_array(M).T, lower=1, overwrite_a=1)
+        L, info = lapack.dpotrf(as_dense_array(M).T, lower=1, overwrite_a=1)
         if info:
             raise NotPositiveDefinite(f"M is not positive definite (dpotrf info {info})")
-        C = lapack.dsygst(as_dense_array(A).T, self.L, lower=1, overwrite_a=1)[0]
+        C = lapack.dsygst(as_dense_array(A).T, L, lower=1, overwrite_a=1)[0]
         lwork = int(lapack.dsytrd_lwork(A.dim, lower=1)[0])
-        C, self.d, self.e, self.tau, _ = lapack.dsytrd(C, lower=1, lwork=lwork, overwrite_a=1)
-        # Q = diag(1, Q~), Q~ the QR-form product of the trailing reflector block
-        # (LAPACK's lower dormtr, which scipy does not wrap, is this dormqr)
-        self.V = np.asfortranarray(C[1:, :-1])
+        C, self.d, self.e, tau, _ = lapack.dsytrd(C, lower=1, lwork=lwork, overwrite_a=1)
+        n = self.d.size
+        for j in range(0, n, NB):    # dtrtri overwrites a block that is all of L
+            b, w = slice(j, j + NB), min(NB, n - j)
+            inv = lapack.dtrtri(L[b, b], lower=1, overwrite_c=1)[0]
+            inv[_STRICT_UPPER[:w, :w]] = 0.0    # M's entries
+            L[b, b] = inv
+        self.L, self.wy = L, []
+        # reflector j is column j of V below its row j, with a unit at row j,
+        # where dsytrd left e_j; above that row sit d and A's entries
+        V = C[1:, :-1]
+        for j in range(0, n - 1, NB):
+            b, w = slice(j, j + NB), min(NB, n - 1 - j)
+            top = V[b, b]
+            top[_STRICT_UPPER[:w, :w]] = 0.0
+            np.fill_diagonal(top, 1.0)
+            # T_b = (I + D_b striu(V_b^T V_b))^-1 D_b, D_b = diag(tau_b), valid
+            # where tau is 0 too; dsyrk leaves the lower triangle 0. An inverse
+            # and not dtrsm: OpenBLAS threads dtrsm from 32 columns, and at
+            # small n its workers then wait on numpy's spinning ones
+            S = blas.dsyrk(1.0, V[j:, b], trans=1)
+            S *= tau[b, None]
+            np.fill_diagonal(S, 1.0)
+            T = lapack.dtrtri(S, overwrite_c=1)[0]
+            T *= tau[b]
+            self.wy.append((V[j:, b], T))
 
-    def _q(self, Z, trans):
-        """Z <- Q Z (``trans`` "N") or Q^T Z ("T"). The minimal workspace keeps
-        dormqr unblocked: the blocked path rebuilds a 32-reflector panel factor
-        per call, O(32 n^2), which costs more than it saves up to about 8
-        columns at n = 1000 (at 24 columns it is 6x faster)."""
-        Z[1:] = scipy.linalg.lapack.dormqr("L", trans, self.V, self.tau, Z[1:], Z.shape[1])[0]
-        return Z
-
-    # the triangular solves are BLAS dtrsm: OpenBLAS runs LAPACK dtrtrs on all
-    # its threads at any size, and at small n the woken threads then spin
     def to_tri(self, B):
         """Q^T L^-1 B."""
-        return self._q(scipy.linalg.blas.dtrsm(1.0, self.L, B, lower=1), "T")
+        L, n = self.L, self.d.size
+        Z = np.empty(B.shape)
+        for j in range(0, n, NB):    # block forward substitution
+            b = slice(j, j + NB)
+            Z[b] = L[b, b] @ (B[b] - L[b, :j] @ Z[:j])
+        for V, T in self.wy:
+            Zb = Z[-V.shape[0]:]
+            Zb -= V @ (T.T @ (V.T @ Zb))
+        return Z
 
     def from_tri(self, W):
         """L^-T Q W."""
-        Z = self._q(np.array(W, dtype=float, order="F"), "N")
-        return scipy.linalg.blas.dtrsm(1.0, self.L, Z, lower=1, trans_a=1)
+        L, n = self.L, self.d.size
+        Z = np.array(W, dtype=float)
+        for V, T in reversed(self.wy):
+            Zb = Z[-V.shape[0]:]
+            Zb -= V @ (T @ (V.T @ Zb))
+        for j in reversed(range(0, n, NB)):    # block back substitution
+            b, rest = slice(j, j + NB), slice(j + NB, None)
+            Z[b] = L[b, b].T @ (Z[b] - L[rest, b].T @ Z[rest])
+        return Z
 
 
 class Linearization:
@@ -151,7 +193,8 @@ def check_solver(solver):
 def _tiled(eig, m):
     """(D, lambdas) for a block of m = s k columns, column c of eigencolumn c mod k."""
     if m % eig.k:
-        raise ValueError(f"a right-hand block needs a multiple of k = {eig.k} columns, got {m}")
+        raise DimensionMismatch(f"a right-hand block needs a multiple of k = {eig.k} columns, "
+                                f"got {m}")
     return np.tile(eig.D, m // eig.k), np.tile(eig.lambdas, m // eig.k)
 
 

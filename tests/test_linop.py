@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import eigengrad as eg
-from eigengrad.errors import NonFiniteError, NonSquareError
+from eigengrad import sampling
+from eigengrad.errors import DimensionMismatch, EigengradError, NonFiniteError, NonSquareError
 
 
 def test_make_dense_diagonal():
@@ -84,11 +85,29 @@ def test_apply_batch_takes_blocks_only():
     ops = (eg.make_dense(np.eye(3)), eg.SymmetricOperator(3, lambda v: v),
            eg.SymmetricOperator(3, None, lambda V: V))
     for op in ops:
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionMismatch, match="3 rows"):
             op.apply_batch(np.ones(3))
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionMismatch, match="3 rows"):
             op.apply_batch(np.ones((2, 1)))
         np.testing.assert_array_equal(op.apply_batch(np.ones((3, 2))), np.ones((3, 2)))
+
+
+def test_transposed_product_is_a_dimension_mismatch():
+    D = np.diag([1.0, 2.0, 3.0, 4.0])
+    op = eg.SymmetricOperator(4, None, lambda V: (D @ V).T)
+    with pytest.raises(DimensionMismatch, match=r"dim 4 returned shape \(3, 4\)") as exc:
+        op.apply_batch(np.ones((4, 3)))
+    assert isinstance(exc.value, EigengradError) and isinstance(exc.value, ValueError)
+    # a square block's transpose has the right shape: only the map can tell
+    np.testing.assert_array_equal(op.apply_batch(np.eye(4)), D)
+
+
+def test_wrong_size_product_is_a_dimension_mismatch_inside_jvp():
+    A, M = (eg.make_dense(a) for a in sampling.pencil_from_spectrum([], 6, np.random.default_rng(0)))
+    eig = eg.eig_dense(A, M, 2)
+    short = eg.SymmetricOperator(6, None, lambda V: V[:-1])
+    with pytest.raises(DimensionMismatch, match=r"dim 6 returned shape \(5, 2\)"):
+        eg.jvp(A, M, eig, eg.TangentInput(Aprime=short, Mprime=M))
 
 
 def test_vector_closure_block_equals_columnwise_bitwise(rng):

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
 import eigengrad as eg
 from eigengrad import sampling, sylvester
-from eigengrad.errors import ClusterSplit, MaxIterExceeded
-from eigengrad.sylvester import project_rhs, solve_dense, solve_iterative
+from eigengrad.errors import ClusterSplit, DimensionMismatch, MaxIterExceeded
+from eigengrad.sylvester import NB, Reduction, project_rhs, solve_dense, solve_iterative
 
 from conftest import make_pencil, membrane, pseudo_inverse_apply, sparse_ops
 
@@ -24,6 +25,44 @@ def diag_lin(lambdas, X, groups):
 
 def degen_lin(lambdas, groups):
     return linearization([2.0, 2.0, 5.0], lambdas, np.eye(3)[:, :2], groups)
+
+
+def reference_factors(A, M):
+    """(L, Q, tau) by the reduction's LAPACK calls, Q = diag(1, Q~) formed
+    explicitly by dorgqr from dsytrd's reflectors."""
+    lapack = scipy.linalg.lapack
+    L = lapack.dpotrf(M, lower=1)[0]
+    C, _, _, tau, _ = lapack.dsytrd(lapack.dsygst(A, L, lower=1)[0], lower=1)
+    Q = np.eye(len(A))
+    Q[1:, 1:] = lapack.dorgqr(C[1:, :-1], tau)[0]
+    return np.tril(L), Q, tau
+
+
+@pytest.mark.parametrize("n", [2, 3, NB - 1, NB, NB + 1, 2 * NB + 5])
+@pytest.mark.parametrize("pencil", ["diagonal", "cond-1e8"])
+def test_blocked_maps_match_triangular_solves_and_explicit_q(pencil, n):
+    rng = np.random.default_rng(n)
+    if pencil == "diagonal":
+        A, M = np.diag(rng.uniform(-1.0, 1.0, n)), np.diag(rng.uniform(1.0, 2.0, n))
+    else:
+        Qm = sampling.random_orthogonal(n, rng)
+        M = (Qm * np.logspace(0.0, 8.0, n)) @ Qm.T
+        A, M = sampling.random_symmetric(n, rng), 0.5 * (M + M.T)
+    red = Reduction(eg.make_dense(A), eg.make_spd(M))
+    L, Q, tau = reference_factors(A, M)
+    if pencil == "diagonal":
+        assert not np.any(tau)
+    # forward error bounds of a triangular solve with L and of M's Cholesky
+    eps, cond_M = np.finfo(float).eps, np.linalg.cond(M)
+    B, W = rng.standard_normal((n, 5)), rng.standard_normal((n, 5))
+    for got, ref in [(red.to_tri(B), Q.T @ scipy.linalg.solve_triangular(L, B, lower=True)),
+                     (red.from_tri(W), scipy.linalg.solve_triangular(L, Q @ W, lower=True,
+                                                                      trans="T"))]:
+        assert np.max(np.abs(got - ref)) <= n * eps * np.sqrt(cond_M) * np.max(np.abs(ref))
+    # to about 1e-13 for a well-conditioned M; at cond(M) = 1e8 the reference
+    # maps miss it by 1e-9 too, as dpotrf's L L^T is M only to eps |M|
+    ident = red.to_tri(M @ red.from_tri(W))
+    assert np.max(np.abs(ident - W)) <= n * eps * cond_M * np.max(np.abs(W))
 
 
 @pytest.mark.parametrize("solve", [solve_dense, solve_iterative])
@@ -283,5 +322,5 @@ def test_iterative_maxiter_below_one_is_a_value_error(maxiter):
 def test_block_width_must_be_a_multiple_of_k():
     lin = degen_lin([2.0, 2.0], [[0, 1]])
     for solve in (project_rhs, solve_dense, solve_iterative):
-        with pytest.raises(ValueError, match="multiple of k"):
+        with pytest.raises(DimensionMismatch, match="multiple of k"):
             solve(lin, np.ones((3, 3)))
