@@ -216,7 +216,7 @@ def run_verify(cfg):
     checks = _Checks()
 
     instances = []
-    if cfg.a_path and cfg.m_path:
+    if cfg.a_path:
         A_arr = read_rows(cfg.a_path)
         M_arr = read_rows(cfg.m_path)
         instances.append(("input", A_arr, M_arr, cfg.k, cfg.solver))
@@ -273,12 +273,13 @@ def build_parser():
         sp = sub.add_parser(name, help=helptext)
         sp.add_argument("--a", dest="a_path", default="")
         sp.add_argument("--m", dest="m_path", default="")
-        sp.add_argument("--k", type=int, default=2)
+        # verify's default suite fixes its own k and solver: None marks "not given"
+        sp.add_argument("--k", type=int, default=None if name == "verify" else 2)
         sp.add_argument("--which", choices=["smallest", "largest"],
                         default="smallest")
         seed_and_out(sp)
         sp.add_argument("--solver", choices=["dense", "iterative"],
-                        default="dense")
+                        default=None if name == "verify" else "dense")
         sp.add_argument("--tol-eig", type=float, default=1e-9)
         if name == "verify":
             sp.add_argument("--fd-step", type=float, default=1e-5)
@@ -288,10 +289,31 @@ def build_parser():
     return p
 
 
+def _check_options(parser, cfg):
+    """parser.error (exit 2) for an option the run would ignore or misuse;
+    fills in verify's pencil defaults, k = 2 and the dense solver."""
+    for opt in ("tol_eig", "fd_step"):
+        value = getattr(cfg, opt, None)    # None: the subcommand has no such option
+        if value is not None and not 0 < value < np.inf:    # nan fails too
+            parser.error(f"--{opt.replace('_', '-')} must be a finite number above 0, "
+                         f"got {value}")
+    if cfg.command != "verify":
+        return
+    if bool(cfg.a_path) != bool(cfg.m_path):
+        parser.error("verify reads an input pencil from --a and --m together")
+    if cfg.a_path:
+        cfg.k = 2 if cfg.k is None else cfg.k
+        cfg.solver = cfg.solver or "dense"
+    elif cfg.k is not None or cfg.solver is not None:
+        parser.error("--k and --solver apply to an --a/--m pencil; "
+                     "the default suite fixes its own")
+
+
 def main(argv=None):
     parser = build_parser()
     try:
         cfg = parser.parse_args(argv)    # the run's configuration
+        _check_options(parser, cfg)
         if cfg.command == "generate":
             for path in generate(cfg):
                 print(path)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import MaxIterExceeded, NotPositiveDefinite
+from .errors import DimensionMismatch, MaxIterExceeded, NotPositiveDefinite
 from .linop import require_finite, spot_check_spd
 from .sylvester import Reduction, linearize
 
@@ -71,28 +71,21 @@ def build_degeneracy(lambdas, tol_rel=DEFAULT_DEGENERACY_RTOL):
 
 def _fix_gauge(X):
     """Make each column's largest-|entry| positive (first index wins ties)."""
-    X = np.array(X, dtype=float)
     peak = X[np.argmax(np.abs(X), axis=0), np.arange(X.shape[1])]
     return X * np.where(peak < 0, -1.0, 1.0)
 
 
-def _group_orthonormalize(X, M, groups):
-    """Gram-Schmidt (as Cholesky QR) in the M-inner product inside each group."""
-    X = np.array(X, dtype=float)
-    for grp in (g for g in groups if len(g) > 1):
-        X[:, grp] = X[:, grp] @ _whitening(X[:, grp].T @ M.apply_batch(X[:, grp]))
-    return X
+def _finalize(X, lam, which, tol_rel=DEFAULT_DEGENERACY_RTOL):
+    """The result for X, which both solvers deliver M-orthonormal."""
+    return EigenResult(X=_fix_gauge(X), lambdas=np.asarray(lam, float),
+                       groups=build_degeneracy(lam, tol_rel=tol_rel), which=which)
 
 
-def _finalize(X, lam, which, M, tol_rel):
-    groups = build_degeneracy(lam, tol_rel=tol_rel)
-    X = _group_orthonormalize(X, M, groups)
-    X = _fix_gauge(X)
-    return EigenResult(X=X, lambdas=np.asarray(lam, float), groups=groups, which=which)
-
-
-def _check_request(n, k, which):
-    """The checks both eigensolvers make on (k, which) before any work."""
+def _check_request(A, M, k, which):
+    """The checks both eigensolvers make on (A, M, k, which) before any work."""
+    n = A.dim
+    if M.dim != n:
+        raise DimensionMismatch(f"A has dim {n} but M has dim {M.dim}")
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
     if which not in ("smallest", "largest"):
@@ -108,11 +101,11 @@ def eig_dense(A, M, k, which="smallest", degeneracy_rtol=DEFAULT_DEGENERACY_RTOL
     result, so every dense derivative reuses it.
     """
     n = A.dim
-    _check_request(n, k, which)
+    _check_request(A, M, k, which)
     red = Reduction(A, M)
     sel = (0, k - 1) if which == "smallest" else (n - k, n - 1)
     lam, S = scipy.linalg.eigh_tridiagonal(red.d, red.e, select="i", select_range=sel)
-    eig = _finalize(red.from_tri(S), lam, which, M, degeneracy_rtol)
+    eig = _finalize(red.from_tri(S), lam, which, degeneracy_rtol)
     linearize(A, M, eig).reduction = red
     return eig
 
@@ -140,8 +133,7 @@ def _ritz(X, AX, MX):
     return theta, X @ F, AX @ F, MX @ F
 
 
-def eig_iterative(A, M, k, which="smallest", maxiter=500, tol=1e-9,
-                  precond=None, seed=0, degeneracy_rtol=DEFAULT_DEGENERACY_RTOL):
+def eig_iterative(A, M, k, which="smallest", maxiter=500, tol=1e-9, precond=None, seed=0):
     """Matrix-free path: LOBPCG (Knyazev 2001) with carried block products.
 
     The block holds b = min(k + GUARD, n // 4) columns: the k wanted ones plus
@@ -163,13 +155,13 @@ def eig_iterative(A, M, k, which="smallest", maxiter=500, tol=1e-9,
     ``which="smallest"`` run PCG with it.
     """
     n = A.dim
-    _check_request(n, k, which)
+    _check_request(A, M, k, which)
     if maxiter < 1:
         raise ValueError(f"maxiter must be >= 1, got {maxiter}")
     if not spot_check_spd(M, seed=seed):
         raise NotPositiveDefinite("M failed the positivity spot-check")
     if n <= max(4 * k, 12):
-        return eig_dense(A, M, k, which, degeneracy_rtol)
+        return eig_dense(A, M, k, which)
 
     b = min(k + GUARD, n // 4)   # 3 b <= 3 n / 4: the basis S stays well short of n
     want = slice(0, k) if which == "smallest" else slice(b - k, b)
@@ -198,7 +190,7 @@ def eig_iterative(A, M, k, which="smallest", maxiter=500, tol=1e-9,
         if converged:
             break
         if it == maxiter:
-            best = _finalize(X[:, want].copy(), theta[want], which, M, degeneracy_rtol)
+            best = _finalize(X[:, want].copy(), theta[want], which)
             raise MaxIterExceeded(
                 f"eig_iterative: {maxiter} iterations, residuals {resnorms[want]}",
                 payload=best)
@@ -229,7 +221,7 @@ def eig_iterative(A, M, k, which="smallest", maxiter=500, tol=1e-9,
         for B in (S, AS, MS):   # transposed, so the product is column-major too
             B[:, :q] = (C.T @ B[:, :p].T).T
 
-    eig = _finalize(S[:, want].copy(), theta[want], which, M, degeneracy_rtol)
+    eig = _finalize(S[:, want].copy(), theta[want], which)
     if precond is not None:
         linearize(A, M, eig).precond = precond
     return eig

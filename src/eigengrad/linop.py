@@ -33,7 +33,11 @@ class SymmetricOperator:
             def apply_batch_fn(V):
                 out = np.empty_like(V)
                 for j in range(V.shape[1]):
-                    out[:, j] = np.asarray(apply_fn(V[:, j]), dtype=float).reshape(dim)
+                    y = np.asarray(apply_fn(V[:, j]), dtype=float)
+                    if y.size != dim:
+                        raise DimensionMismatch(f"an operator of dim {dim} returned shape "
+                                                f"{y.shape} for a vector")
+                    out[:, j] = y.reshape(dim)
                 return out
         self._apply_batch = apply_batch_fn
 

@@ -128,7 +128,6 @@ class FdTangent:
     lambda_prime: np.ndarray
     X_prime: np.ndarray
     proj_prime: dict = field(default_factory=dict)   # tuple(group) -> n x n
-    step: float = 0.0
 
 
 def finite_difference_jvp(A, M, k, which, t, step=1e-5, base=None):
@@ -169,8 +168,7 @@ def finite_difference_jvp(A, M, k, which, t, step=1e-5, base=None):
             Pp = ep.X[:, grp] @ ep.X[:, grp].T @ (M0 + step * Mp)
             Pm = em.X[:, grp] @ em.X[:, grp].T @ (M0 - step * Mp)
             proj_prime[tuple(grp)] = (Pp - Pm) / (2.0 * step)
-    return FdTangent(lambda_prime=lam_prime, X_prime=X_prime,
-                     proj_prime=proj_prime, step=step)
+    return FdTangent(lambda_prime=lam_prime, X_prime=X_prime, proj_prime=proj_prime)
 
 
 def _align(x, ref):

@@ -109,7 +109,7 @@ def test_verify_input_pencil_all_pass(tmp_path, diag_pencil):
                            "timing"}
     assert report["schema"] == 1
     assert report["all_passed"] is True
-    assert set(report["environment"]) == {"seed", "k", "solver"}
+    assert report["environment"] == {"seed": 0, "k": 2, "solver": "dense"}
     for rec in report["checks"]:
         assert rec["status"] == ("pass" if rec["measured"] <= rec["tolerance"]
                                  else "fail")
@@ -167,6 +167,8 @@ def test_default_suite_passes(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     labels = {r["name"].split("/")[0] for r in report["checks"]}
     assert {"diag123", "degen225", "degen1114", "random20", "iter50"} <= labels
+    # each instance fixes its own k and solver
+    assert report["environment"] == {"seed": 0, "k": None, "solver": None}
 
 
 def test_default_suite_one_stacked_call_per_mode(tmp_path, monkeypatch):
@@ -236,8 +238,20 @@ def test_verify_honours_which(tmp_path):
                                   ["jvp", "--fd-step", 1e-5],
                                   ["verify", "--n", 5],
                                   ["jvp", "--tol-solv", 1e-10],
-                                  ["verify", "--tol-cond", 1e-7]])
-def test_option_the_subcommand_does_not_read_exit_2(args):
+                                  ["verify", "--tol-cond", 1e-7],
+                                  # read only with an --a/--m pencil, and only as a pair
+                                  ["verify", "--a", "A.mat"],
+                                  ["verify", "--m", "M.mat"],
+                                  ["verify", "--k", 0],
+                                  ["verify", "--solver", "iterative"],
+                                  # a step or tolerance must be finite and above 0
+                                  ["verify", "--fd-step", 0],
+                                  ["verify", "--fd-step", "nan"],
+                                  ["verify", "--tol-eig", "inf"],
+                                  ["jvp", "--tol-eig", "nan", "--solver", "iterative"],
+                                  ["vjp", "--tol-eig", 0]])
+def test_option_the_subcommand_does_not_read_exit_2(args, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)   # where a run that ignored the option would write
     with pytest.raises(SystemExit) as exc:
         run(args)
     assert exc.value.code == 2

@@ -6,7 +6,8 @@ from scipy.sparse.linalg import splu
 import eigengrad as eg
 from eigengrad import sampling
 from eigengrad.eigsolve import GUARD, group_mask
-from eigengrad.errors import MaxIterExceeded, NonFiniteError, NotPositiveDefinite
+from eigengrad.errors import (DimensionMismatch, MaxIterExceeded, NonFiniteError,
+                              NotPositiveDefinite)
 
 from conftest import make_pencil, membrane
 
@@ -72,6 +73,8 @@ def test_eig_dense_matches_scipy_eigh(which, mass, mult):
     for grp in res.groups:
         np.testing.assert_allclose(res.X[:, grp] @ res.X[:, grp].T @ Md,
                                    U[:, grp] @ U[:, grp].T @ Md, rtol=0, atol=1e-10)
+    # the mapped eigenvectors of T are M-orthonormal as they come, groups included
+    assert np.max(np.abs(res.X.T @ Md @ res.X - np.eye(k))) <= 1e-13
 
 
 def test_eig_dense_largest():
@@ -145,6 +148,16 @@ def test_non_finite_closure_raises_non_finite_error(solve, n, operand, bad):
     ops[operand] = eg.SymmetricOperator(n, None, lambda V: np.full_like(V, bad))
     with pytest.raises(NonFiniteError, match="finite"):
         solve(ops["A"], ops["M"], 2)
+
+
+@pytest.mark.parametrize("solve", [eg.eig_dense, eg.eig_iterative])
+def test_mismatched_pencil_is_a_dimension_mismatch_before_any_work(solve):
+    def untouched(V):
+        pytest.fail("M was applied before the dimensions were checked")
+
+    M = eg.SymmetricOperator(39, None, untouched)
+    with pytest.raises(DimensionMismatch, match="A has dim 40 but M has dim 39"):
+        solve(eg.make_dense(np.eye(40)), M, 2)
 
 
 @pytest.mark.parametrize("seed", range(3))

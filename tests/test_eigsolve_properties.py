@@ -49,4 +49,5 @@ def test_eig_iterative_matches_dense_groups(problem):
         proj_it = it.X[:, grp] @ it.X[:, grp].T @ M_arr
         proj_de = de.X[:, grp] @ de.X[:, grp].T @ M_arr
         assert np.max(np.abs(proj_it - proj_de)) <= 1e-6
-    assert np.max(np.abs(it.X.T @ M_arr @ it.X - np.eye(k))) <= 1e-9
+    # the last Rayleigh-Ritz step whitens in M, degenerate groups included
+    assert np.max(np.abs(it.X.T @ M_arr @ it.X - np.eye(k))) <= 1e-13

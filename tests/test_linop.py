@@ -102,12 +102,22 @@ def test_transposed_product_is_a_dimension_mismatch():
     np.testing.assert_array_equal(op.apply_batch(np.eye(4)), D)
 
 
-def test_wrong_size_product_is_a_dimension_mismatch_inside_jvp():
+@pytest.mark.parametrize("short, got", [
+    (eg.SymmetricOperator(6, None, lambda V: V[:-1]), r"\(5, 2\)"),
+    (eg.SymmetricOperator(6, lambda v: v[:-1]), r"\(5,\)"),
+], ids=["block", "vector"])
+def test_wrong_size_product_is_a_dimension_mismatch_inside_jvp(short, got):
     A, M = (eg.make_dense(a) for a in sampling.pencil_from_spectrum([], 6, np.random.default_rng(0)))
     eig = eg.eig_dense(A, M, 2)
-    short = eg.SymmetricOperator(6, None, lambda V: V[:-1])
-    with pytest.raises(DimensionMismatch, match=r"dim 6 returned shape \(5, 2\)"):
+    with pytest.raises(DimensionMismatch, match=rf"dim 6 returned shape {got}"):
         eg.jvp(A, M, eig, eg.TangentInput(Aprime=short, Mprime=M))
+
+
+@pytest.mark.parametrize("shape", [(5,), (5, 1), (1, 5)])
+def test_vector_closure_takes_a_flat_row_or_column_product(rng, shape):
+    V = rng.standard_normal((5, 3))
+    op = eg.SymmetricOperator(5, lambda v: (2.0 * v).reshape(shape))
+    np.testing.assert_array_equal(op.apply_batch(V), 2.0 * V)
 
 
 def test_vector_closure_block_equals_columnwise_bitwise(rng):
