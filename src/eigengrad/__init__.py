@@ -6,7 +6,7 @@ eigenvalues, with matrix-free solvers and dense verification oracles.
 """
 
 from . import errors, sampling
-from .linop import (DenseSymmetric, SymmetricOperator, as_dense_array,
+from .linop import (DenseSymmetric, LowRank, SymmetricOperator, as_dense_array,
                     check_symmetry, identity_operator, make_dense, make_spd,
                     read_symmat, write_symmat)
 from .eigsolve import (EigenResult, build_degeneracy, eig_dense, eig_iterative)
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "errors", "sampling",
-    "SymmetricOperator", "DenseSymmetric",
+    "SymmetricOperator", "DenseSymmetric", "LowRank",
     "make_dense", "make_spd", "identity_operator", "as_dense_array",
     "check_symmetry", "read_symmat", "write_symmat",
     "EigenResult", "eig_dense", "eig_iterative", "build_degeneracy",

@@ -83,7 +83,7 @@ def run_derivative(cfg):
     else:
         c = sampling.valid_cotangent(eig, M, np.random.default_rng(cfg.seed + 2))
         out = vjp(A, M, eig, c, solver=cfg.solver)
-        fields = {"A_bar": out.A_bar, "M_bar": out.M_bar}
+        fields = {"A_bar": np.asarray(out.A_bar), "M_bar": np.asarray(out.M_bar)}
     payload = {"lambdas": eig.lambdas.tolist(),
                **{key: value.tolist() for key, value in fields.items()},
                "validity_defect": out.validity_defect}
@@ -197,15 +197,15 @@ def _verify_instance(label, A_arr, M_arr, k, cfg, checks, solver="dense"):
     bout, *bwds = vjp(A, M, eig, [c] + [cc for _, cc in pairs], solver=solver)
     bser = oracle.vjp_series(fs, M, eig, c)
     checks.add(f"{label}/vjp_vs_series",
-               max(np.max(np.abs(bout.A_bar - bser.A_bar)),
-                   np.max(np.abs(bout.M_bar - bser.M_bar))), 1e-8)
+               max(np.max(np.abs(np.asarray(bout.A_bar) - bser.A_bar)),
+                   np.max(np.abs(np.asarray(bout.M_bar) - bser.M_bar))), 1e-8)
 
     worst = 0.0
     for (tt, cc), fwd, bwd in zip(pairs, fwds, bwds):
         lhs = (cc.lambda_bar @ fwd.lambda_prime
                + np.sum(cc.X_bar * fwd.X_prime))
-        rhs = (np.sum(bwd.A_bar * as_dense_array(tt.Aprime))
-               + np.sum(bwd.M_bar * as_dense_array(tt.Mprime)))
+        rhs = (np.sum(np.asarray(bwd.A_bar) * as_dense_array(tt.Aprime))
+               + np.sum(np.asarray(bwd.M_bar) * as_dense_array(tt.Mprime)))
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0))
     checks.add(f"{label}/adjoint_pairing", worst, 1e-8)
 

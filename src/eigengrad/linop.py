@@ -67,6 +67,70 @@ class DenseSymmetric(SymmetricOperator):
         super().__init__(entries.shape[0], None, self.entries.__matmul__)
 
 
+class LowRank:
+    """The n x n matrix U W^T, kept as its two n x k factors.
+
+    Costs O(nk) memory; ``.dense()`` (or ``np.asarray``) forms the n x n
+    array. ``@`` applies it as U (W^T V), ``.pair(P)`` is the Frobenius
+    inner product with a matrix or :class:`SymmetricOperator` at one apply to
+    k columns, ``.T`` swaps the factors, a scalar ``*`` scales U, and ``+``/``-``
+    between two LowRanks concatenate the factors (ranks add). Every result is
+    a new LowRank: no method writes the factors, which may alias the caller's
+    arrays (a ``vjp`` output's W is ``eig.X``). Any other mix with numpy
+    arrays, or a numpy scalar on the left, goes through ``__array__`` and
+    gives a dense array.
+    """
+
+    def __init__(self, U, W):
+        if U.ndim != 2 or W.ndim != 2 or U.shape[1] != W.shape[1]:
+            raise DimensionMismatch(f"factors of shapes {U.shape} and {W.shape} "
+                                    "do not form U W^T")
+        self.U, self.W = U, W
+
+    @property
+    def shape(self):
+        return (self.U.shape[0], self.W.shape[0])
+
+    @property
+    def T(self):
+        return LowRank(self.W, self.U)
+
+    def dense(self):
+        return self.U @ self.W.T
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("a LowRank has no n x n array to share; np.asarray forms one")
+        return self.dense() if dtype is None else self.dense().astype(dtype, copy=False)
+
+    def pair(self, P):
+        """<U W^T, P>_F = sum U o (P W), one apply of ``P`` to k columns."""
+        PW = P.apply_batch(self.W) if isinstance(P, SymmetricOperator) else np.asarray(P) @ self.W
+        return float(np.vdot(self.U, PW))
+
+    def __matmul__(self, V):
+        return self.U @ (self.W.T @ V)
+
+    def __mul__(self, s):
+        if np.ndim(s) != 0:
+            return NotImplemented
+        return LowRank(self.U * s, self.W)
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        if not isinstance(other, LowRank):
+            return NotImplemented
+        if other.shape != self.shape:
+            raise DimensionMismatch(f"cannot add LowRanks of shapes {self.shape} and {other.shape}")
+        return LowRank(np.hstack([self.U, other.U]), np.hstack([self.W, other.W]))
+
+    def __sub__(self, other):
+        if not isinstance(other, LowRank):
+            return NotImplemented
+        return self + other * -1.0
+
+
 def make_dense(entries):
     """Wrap a square array as a :class:`DenseSymmetric` (symmetrizing it)."""
     return DenseSymmetric(entries)

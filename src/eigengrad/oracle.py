@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import (ClusterSplit, GaugeAlignmentFailed, NotPositiveDefinite,
-                     ValidityViolated)
+from .errors import (ClusterSplit, DimensionMismatch, GaugeAlignmentFailed,
+                     NotPositiveDefinite, ValidityViolated)
 from .eigsolve import DEFAULT_DEGENERACY_RTOL, eig_dense
 from .jvp import TangentOutput, check_forward_validity
 from .vjp import CotangentOutput, check_backward_validity
@@ -31,17 +31,28 @@ class FullSpectrum:
 
 
 def full_spectrum(A, M):
-    """All n eigenpairs of the pencil, M-orthonormal."""
+    """All n eigenpairs of the pencil, M-orthonormal.
+
+    M = L L^T (dpotrf) and C = L^-1 A L^-T (dsygst), C = V diag(E) V^T
+    (scipy.linalg.eigh of the standard matrix), then U = L^-T V through L^-1
+    (dtrtri) and one GEMM. ``scipy.linalg.eigh(A, M)`` (dsygvd) maps back
+    with dtrsm instead, which OpenBLAS threads from 32 columns: at n = 50
+    each call woke a worker thread that went on spinning beside the caller.
+    """
     Ad = as_dense_array(A)
     Md = as_dense_array(M)
     n = Ad.shape[0]
     if n > ORACLE_SIZE_CAP:
         raise ValueError(f"oracle capped at n <= {ORACLE_SIZE_CAP}, got {n}")
-    try:
-        ee, U = scipy.linalg.eigh(Ad, Md)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("M is not positive definite") from exc
-    return FullSpectrum(U=U, E=ee)
+    if Md.shape != Ad.shape:
+        raise DimensionMismatch(f"A is {Ad.shape}, M is {Md.shape}")
+    L, info = scipy.linalg.lapack.dpotrf(Md, lower=1)
+    if info != 0:
+        raise NotPositiveDefinite(f"M is not positive definite (dpotrf info {info})")
+    C, _ = scipy.linalg.lapack.dsygst(Ad, L, lower=1)
+    E, V = scipy.linalg.eigh(C, lower=True)
+    Linv, _ = scipy.linalg.lapack.dtrtri(L, lower=1)
+    return FullSpectrum(U=Linv.T @ V, E=E)
 
 
 def _series_weights(fs, M, eig):

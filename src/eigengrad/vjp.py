@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteError, ValidityViolated
 from .jvp import in_group_defect
+from .linop import LowRank
 from .sylvester import check_solver, linearize, project_rhs, solve_dense, solve_iterative
 
 
@@ -26,8 +27,8 @@ class CotangentInput:
 
 @dataclass
 class CotangentOutput:
-    A_bar: np.ndarray        # n x n
-    M_bar: np.ndarray        # n x n
+    A_bar: LowRank           # n x n, as n x k factors
+    M_bar: LowRank           # n x n, as n x k factors
     validity_defect: float = 0.0
 
 
@@ -53,10 +54,10 @@ def vjp(A, M, eig, c, solver="dense", force=False):
 
     Solves the shifted systems (A - lambda_j M) ybar_j = xbar_j projected off
     the degenerate group, which the solvers gauge M-orthogonal to it (Vbar =
-    Ybar), and assembles
-        A_bar = X Lambda_bar X^T - Vbar X^T
-        M_bar = -X Lambda Lambda_bar X^T
-                - 1/2 X [I o (X^T X_bar)] X^T + Vbar Lambda X^T.
+    Ybar), and returns both adjoints as rank-k :class:`LowRank` products
+    that share the right factor X (never formed as n x n arrays):
+        A_bar = (X Lambda_bar - Vbar) X^T
+        M_bar = (Vbar Lambda - X (Lambda Lambda_bar + 1/2 I o (X^T X_bar))) X^T.
     The eigenvalue term of M_bar carries a minus sign, matching the
     single-pair adjoint and the pairing identity with forward mode.
     """
@@ -79,8 +80,8 @@ def vjp(A, M, eig, c, solver="dense", force=False):
         B = project_rhs(lin, Xbs)
         Vbar = (solve_dense(lin, B) if solver == "dense" else solve_iterative(lin, B)).Y
     outs = [CotangentOutput(
-        A_bar=(X * lbar - Vi) @ X.T,
-        M_bar=(Vi * lam - X * (lam * lbar + 0.5 * np.einsum("ij,ij->j", X, Xb))) @ X.T,
+        A_bar=LowRank(X * lbar - Vi, X),
+        M_bar=LowRank(Vi * lam - X * (lam * lbar + 0.5 * np.einsum("ij,ij->j", X, Xb)), X),
         validity_defect=defect)
         for (lbar, Xb, defect), Vi in zip(parts, np.hsplit(Vbar, len(parts)))]
     return outs[0] if isinstance(c, CotangentInput) else outs

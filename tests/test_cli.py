@@ -96,8 +96,10 @@ def test_vjp_subcommand_writes_json(tmp_path, diag_pencil):
     assert run(["vjp", "--a", a, "--m", m, "--k", 2, "--out", tmp_path]) == 0
     payload = json.loads((tmp_path / "vjp.json").read_text())
     assert set(payload) == {"lambdas", "A_bar", "M_bar", "validity_defect"}
-    Ab = np.asarray(payload["A_bar"])
-    assert Ab.shape == (3, 3) and np.all(np.isfinite(Ab))
+    for key in ("A_bar", "M_bar"):    # dense n x n lists of rank-k adjoints
+        bar = np.asarray(payload[key])
+        assert bar.shape == (3, 3) and np.all(np.isfinite(bar))
+        assert np.linalg.matrix_rank(bar) <= 2
 
 
 def test_verify_input_pencil_all_pass(tmp_path, diag_pencil):

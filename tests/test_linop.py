@@ -174,3 +174,73 @@ def test_symmat_bad_header(tmp_path):
     path.write_text("matrix 2\n1 0\n0 1\n")
     with pytest.raises(ValueError):
         eg.read_symmat(path)
+
+
+@pytest.fixture
+def low_rank():
+    gen = np.random.default_rng(5)
+    U, W = gen.standard_normal((7, 2)), gen.standard_normal((7, 2))
+    return eg.LowRank(U, W), U @ W.T
+
+
+def close(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
+
+
+def test_low_rank_behaves_as_its_dense_matrix(low_rank):
+    L, D = low_rank
+    P = np.random.default_rng(6).standard_normal((7, 7))
+    V = np.random.default_rng(7).standard_normal((7, 3))
+    np.testing.assert_array_equal(np.asarray(L), D)
+    np.testing.assert_array_equal(L.dense(), D)
+    assert L.shape == (7, 7)
+    close(np.vdot(L, P), np.vdot(D, P))
+    close(np.diagonal(L), np.diagonal(D))
+    close(L @ V, D @ V)
+    close(L @ V[:, 0], D @ V[:, 0])
+    close(np.asarray(L.T), D.T)
+    for scaled in (2.5 * L, L * 2.5, L * np.float64(2.5)):
+        assert isinstance(scaled, eg.LowRank)
+        close(np.asarray(scaled), 2.5 * D)
+    sym = 0.5 * (L + L.T)
+    assert isinstance(sym, eg.LowRank) and sym.U.shape == (7, 4)
+    close(np.asarray(sym), 0.5 * (D + D.T))
+    close(np.asarray(L - 3.0 * L.T), D - 3.0 * D.T)
+    close(L - P, D - P)     # mixed with an array: dense, through __array__
+
+
+def test_low_rank_in_place_scaling_leaves_the_factors(low_rank):
+    L, D = low_rank
+    U, W = L.U.copy(), L.W.copy()
+    scaled = L
+    scaled *= 2.0
+    close(np.asarray(scaled), 2.0 * D)
+    np.testing.assert_array_equal(L.U, U)
+    np.testing.assert_array_equal(L.W, W)
+
+
+@pytest.mark.parametrize("kind", ["array", "dense", "closure"])
+def test_low_rank_pairs_with_an_operator_in_one_block_apply(low_rank, kind):
+    L, D = low_rank
+    S = sampling.random_symmetric(7, np.random.default_rng(8))
+    blocks = []
+
+    def apply(V):
+        blocks.append(V.shape)
+        return S @ V
+
+    P = {"array": S, "dense": eg.make_dense(S),
+         "closure": eg.SymmetricOperator(7, None, apply)}[kind]
+    want = np.vdot(D, S)
+    assert abs(L.pair(P) - want) <= 1e-12 * abs(want)
+    assert blocks == ([(7, 2)] if kind == "closure" else [])
+
+
+def test_low_rank_shape_errors(low_rank):
+    L, _ = low_rank
+    with pytest.raises(DimensionMismatch):
+        eg.LowRank(np.ones((7, 2)), np.ones((7, 3)))
+    with pytest.raises(DimensionMismatch):
+        L + eg.LowRank(np.ones((6, 2)), np.ones((6, 2)))
+    with pytest.raises(ValueError):
+        L.__array__(copy=False)

@@ -2,10 +2,11 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import eigengrad as eg
 from eigengrad import sampling
-from eigengrad.errors import ClusterSplit, ValidityViolated
+from eigengrad.errors import ClusterSplit, DimensionMismatch, NotPositiveDefinite, ValidityViolated
 
 from conftest import make_pencil, pseudo_inverse_apply
 
@@ -30,6 +31,29 @@ def test_full_spectrum_invariants(rng):
     Md = eg.as_dense_array(M)
     assert np.max(np.abs(fs.U.T @ Md @ fs.U - np.eye(8))) < 1e-10
     assert np.max(np.abs(fs.U @ fs.U.T - np.linalg.inv(Md))) < 1e-10
+
+
+@pytest.mark.parametrize("n", [3, 20, 50])
+def test_full_spectrum_matches_scipy_generalized_eigh(n):
+    A, M = make_pencil([1.0, 1.0, 2.0], n, 31, mass="random")
+    Ad, Md = eg.as_dense_array(A), eg.as_dense_array(M)
+    fs = eg.full_spectrum(A, M)
+    E, U = scipy.linalg.eigh(Ad, Md)
+    assert np.max(np.abs(fs.E - E)) <= 1e-13 * np.max(np.abs(E))
+    assert np.max(np.abs(fs.U.T @ Md @ fs.U - np.eye(n))) <= 1e-12
+    gaps = np.diff(E)
+    simple = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf)) > 1e-8
+    assert simple.sum() == n - 2
+    sign = np.sign(np.sum(fs.U * U, axis=0))
+    np.testing.assert_allclose((fs.U * sign)[:, simple], U[:, simple], rtol=0,
+                               atol=1e-11 * np.max(np.abs(U)))
+
+
+def test_full_spectrum_typed_pencil_errors():
+    with pytest.raises(NotPositiveDefinite):
+        eg.full_spectrum(eg.make_dense(np.eye(3)), eg.make_spd(np.diag([1.0, -1.0, 2.0])))
+    with pytest.raises(DimensionMismatch):
+        eg.full_spectrum(eg.make_dense(np.eye(3)), eg.identity_operator(4))
 
 
 def test_full_spectrum_size_cap():

@@ -41,8 +41,10 @@ def test_stacked_equals_single_calls(solver, problem, s):
         assert fwd.validity_defect == one.validity_defect
     for c, bwd in zip(cs, bwds):
         one = eg.vjp(A, M, eig, c, solver=solver)
-        assert rel_gap(bwd.A_bar, one.A_bar) <= 1e-12
-        assert rel_gap(bwd.M_bar, one.M_bar) <= 1e-12
+        for bar in (bwd.A_bar, bwd.M_bar):
+            assert isinstance(bar, eg.LowRank) and bar.U.shape == eig.X.shape
+        assert rel_gap(np.asarray(bwd.A_bar), np.asarray(one.A_bar)) <= 1e-12
+        assert rel_gap(np.asarray(bwd.M_bar), np.asarray(one.M_bar)) <= 1e-12
 
 
 @pytest.fixture

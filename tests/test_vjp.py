@@ -1,3 +1,6 @@
+import importlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,7 @@ import eigengrad as eg
 from eigengrad import sampling
 from eigengrad.errors import NonFiniteError, ValidityViolated
 
-from conftest import make_pencil, pairing_gap
+from conftest import make_pencil, membrane, pairing_gap, sparse_ops
 
 
 @pytest.fixture
@@ -114,8 +117,10 @@ def test_vjp_linearity(rng):
     combo = eg.CotangentInput(lambda_bar=3.0 * c1.lambda_bar - c2.lambda_bar,
                               X_bar=3.0 * c1.X_bar - c2.X_bar)
     o1, o2, oc = (eg.vjp(A, M, eig, c) for c in (c1, c2, combo))
-    np.testing.assert_allclose(oc.A_bar, 3.0 * o1.A_bar - o2.A_bar, atol=1e-9)
-    np.testing.assert_allclose(oc.M_bar, 3.0 * o1.M_bar - o2.M_bar, atol=1e-9)
+    for bar in ("A_bar", "M_bar"):
+        mixed = 3.0 * getattr(o1, bar) - getattr(o2, bar)
+        assert isinstance(mixed, eg.LowRank) and mixed.U.shape == (6, 6)
+        np.testing.assert_allclose(np.asarray(getattr(oc, bar)), np.asarray(mixed), atol=1e-9)
 
 
 def test_degenerate_path_reduces_to_nondegenerate(rng):
@@ -129,3 +134,59 @@ def test_degenerate_path_reduces_to_nondegenerate(rng):
     ser = eg.vjp_series(fs, M, eig, c)
     np.testing.assert_allclose(out.A_bar, ser.A_bar, atol=1e-9)
     np.testing.assert_allclose(out.M_bar, ser.M_bar, atol=1e-9)
+
+
+@pytest.mark.parametrize("solver", ["dense", "iterative"])
+def test_vjp_returns_low_rank_factors_of_the_dense_assembly(solver, rng, monkeypatch):
+    # the factors give the n x n assembly of the formula from the solve's Vbar
+    # bit for bit, and pair with a dense or a closure operator like it does
+    A, M = make_pencil([2.0, 2.0, 5.0], 40, 19, mass="random")
+    eig = eg.eig_dense(A, M, 3)
+    X, lam = eig.X, eig.lambdas
+    c = sampling.valid_cotangent(eig, M, rng)
+    lbar, Xb = c.lambda_bar, c.X_bar
+    module, name = importlib.import_module("eigengrad.vjp"), f"solve_{solver}"
+    solves, solve = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda lin, B: solves.append(solve(lin, B)) or solves[-1])
+    out = eg.vjp(A, M, eig, c, solver=solver)
+    V = solves[0].Y
+    assert isinstance(out.A_bar, eg.LowRank) and isinstance(out.M_bar, eg.LowRank)
+    assert out.A_bar.W is X and out.M_bar.W is X
+    np.testing.assert_array_equal(np.asarray(out.A_bar), (X * lbar - V) @ X.T)
+    np.testing.assert_array_equal(
+        np.asarray(out.M_bar),
+        (V * lam - X * (lam * lbar + 0.5 * np.einsum("ij,ij->j", X, Xb))) @ X.T)
+    S = sampling.random_symmetric(40, rng)
+    for bar in (out.A_bar, out.M_bar):
+        want = np.vdot(np.asarray(bar), S)
+        for P in (eg.make_dense(S), eg.SymmetricOperator(40, None, S.__matmul__)):
+            assert abs(bar.pair(P) - want) <= 1e-12 * abs(want)
+
+
+def test_scaling_an_output_in_place_leaves_the_primal(rng):
+    A, M = make_pencil([2.0, 2.0, 5.0], 12, 23, mass="random")
+    eig = eg.eig_dense(A, M, 3)
+    X = eig.X.copy()
+    out = eg.vjp(A, M, eig, sampling.valid_cotangent(eig, M, rng))
+    A_bar, M_bar = np.asarray(out.A_bar), np.asarray(out.M_bar)
+    out.A_bar *= 2.0
+    out.M_bar *= 2.0
+    np.testing.assert_array_equal(eig.X, X)
+    np.testing.assert_array_equal(np.asarray(out.A_bar), 2.0 * A_bar)
+    np.testing.assert_array_equal(np.asarray(out.M_bar), 2.0 * M_bar)
+
+
+def test_iterative_vjp_allocates_no_n_by_n_array():
+    # one n x n output would be n^2 8 bytes; the whole call stays under an eighth of it
+    K, Mm = membrane(40)
+    A, M = sparse_ops(K, Mm)
+    n = K.shape[0]
+    eig = eg.eig_iterative(A, M, 6)
+    c = sampling.valid_cotangent(eig, M, np.random.default_rng(4))
+    tracemalloc.start()
+    try:
+        eg.vjp(A, M, eig, c, solver="iterative")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 8
