@@ -71,14 +71,16 @@ class LowRank:
     """The n x n matrix U W^T, kept as its two n x k factors.
 
     Costs O(nk) memory; ``.dense()`` (or ``np.asarray``) forms the n x n
-    array. ``@`` applies it as U (W^T V), ``.pair(P)`` is the Frobenius
-    inner product with a matrix or :class:`SymmetricOperator` at one apply to
-    k columns, ``.T`` swaps the factors, a scalar ``*`` scales U, and ``+``/``-``
-    between two LowRanks concatenate the factors (ranks add). Every result is
-    a new LowRank: no method writes the factors, which may alias the caller's
-    arrays (a ``vjp`` output's W is ``eig.X``). Any other mix with numpy
-    arrays, or a numpy scalar on the left, goes through ``__array__`` and
-    gives a dense array.
+    array. ``@`` applies it as U (W^T V), ``.pair(P)`` is the Frobenius inner
+    product with a matrix, LowRank or :class:`SymmetricOperator` (one apply to
+    k columns), ``.T`` swaps the factors, a scalar ``*`` and unary ``-`` scale
+    U, and ``+``/``-`` between LowRanks concatenate the factors (ranks add).
+    Every result is a new LowRank: no method writes the factors, which may
+    alias the caller's arrays (a ``vjp`` output's W is ``eig.X``). The numpy
+    calls in ``_NUMPY`` stay factored: ``np.diagonal``, ``np.trace``, ``np.vdot``,
+    ``np.transpose``, ``np.matmul``/``np.dot`` with a block or LowRank, a scalar
+    ``np.multiply`` (``np.float64(2.0) * L``) and ``np.negative``. Any other
+    numpy function or ufunc (``np.sum``, ``ndarray * L``) gets the dense array.
     """
 
     def __init__(self, U, W):
@@ -104,19 +106,27 @@ class LowRank:
         return self.dense() if dtype is None else self.dense().astype(dtype, copy=False)
 
     def pair(self, P):
-        """<U W^T, P>_F = sum U o (P W), one apply of ``P`` to k columns."""
+        """<U W^T, P>_F = sum U o (P W), one apply of ``P`` to k columns; for a
+        LowRank P = U2 W2^T, sum (U^T U2) o (W^T W2)."""
+        if isinstance(P, LowRank):
+            return float(np.vdot(self.U.T @ P.U, self.W.T @ P.W))
         PW = P.apply_batch(self.W) if isinstance(P, SymmetricOperator) else np.asarray(P) @ self.W
         return float(np.vdot(self.U, PW))
 
     def __matmul__(self, V):
+        if isinstance(V, LowRank):
+            return LowRank(self.U @ (self.W.T @ V.U), V.W)
         return self.U @ (self.W.T @ V)
 
     def __mul__(self, s):
-        if np.ndim(s) != 0:
+        if isinstance(s, LowRank) or np.ndim(s) != 0:
             return NotImplemented
         return LowRank(self.U * s, self.W)
 
     __rmul__ = __mul__
+
+    def __neg__(self):
+        return LowRank(-self.U, self.W)
 
     def __add__(self, other):
         if not isinstance(other, LowRank):
@@ -126,9 +136,58 @@ class LowRank:
         return LowRank(np.hstack([self.U, other.U]), np.hstack([self.W, other.W]))
 
     def __sub__(self, other):
-        if not isinstance(other, LowRank):
+        return self + -other if isinstance(other, LowRank) else NotImplemented
+
+    # binary entries of _NUMPY: the LowRank may be either argument
+    def _vdot(a, b):
+        L, P = (a, b) if isinstance(a, LowRank) else (b, a)
+        real = isinstance(P, LowRank) or (isinstance(P, np.ndarray) and P.dtype.kind in "biuf")
+        return L.pair(P) if real and P.shape == L.shape else NotImplemented
+
+    def _matmul(a, b):
+        if not isinstance(b, LowRank):
+            return a @ b if np.ndim(b) in (1, 2) else NotImplemented
+        if not isinstance(a, LowRank):
+            return (a @ b.U) @ b.W.T if np.ndim(a) in (1, 2) else NotImplemented
+        return a @ b
+
+    # numpy functions and ufuncs answered from the factors: func -> (number of
+    # positional arguments, implementation); an implementation's NotImplemented,
+    # like any keyword argument, leaves the call to the dense array
+    _NUMPY = {
+        np.diagonal: (1, lambda L: np.einsum("ij,ij->i", *(F[:min(L.shape)] for F in (L.U, L.W)))),
+        np.trace: (1, lambda L: np.sum(np.diagonal(L))),
+        np.transpose: (1, lambda L: L.T),
+        np.negative: (1, lambda L: -L),
+        np.multiply: (2, lambda a, b: a.__mul__(b) if isinstance(a, LowRank) else b.__rmul__(a)),
+        np.vdot: (2, _vdot),
+        np.matmul: (2, _matmul),
+        np.dot: (2, _matmul),
+    }
+
+    def _factored(self, func, args, kwargs):
+        arity, impl = self._NUMPY.get(func, (None, None))
+        return impl(*args) if arity == len(args) and not kwargs else NotImplemented
+
+    def __array_function__(self, func, types, args, kwargs):
+        if not all(issubclass(t, (np.ndarray, LowRank)) for t in types):
             return NotImplemented
-        return self + other * -1.0
+        out = self._factored(func, args, kwargs)
+        if out is NotImplemented and hasattr(func, "_implementation"):
+            out = func._implementation(*args, **kwargs)    # numpy's own code, through __array__
+        return out
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        outs = kwargs.get("out", ())
+        if any(isinstance(x, LowRank) for x in outs) or any(
+                hasattr(x, "__array_ufunc__") and not isinstance(x, (np.ndarray, LowRank))
+                for x in inputs + outs):
+            return NotImplemented
+        out = self._factored(ufunc, inputs, kwargs) if method == "__call__" else NotImplemented
+        if out is NotImplemented:
+            out = getattr(ufunc, method)(*(x.dense() if isinstance(x, LowRank) else x
+                                           for x in inputs), **kwargs)
+        return out
 
 
 def make_dense(entries):

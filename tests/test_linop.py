@@ -1,9 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import eigengrad as eg
 from eigengrad import sampling
 from eigengrad.errors import DimensionMismatch, EigengradError, NonFiniteError, NonSquareError
+
+from conftest import membrane, sparse_ops
 
 
 def test_make_dense_diagonal():
@@ -215,6 +220,9 @@ def test_low_rank_in_place_scaling_leaves_the_factors(low_rank):
     scaled = L
     scaled *= 2.0
     close(np.asarray(scaled), 2.0 * D)
+    neg = -L
+    assert isinstance(neg, eg.LowRank) and neg.W is L.W
+    np.testing.assert_array_equal(np.asarray(neg), -D)
     np.testing.assert_array_equal(L.U, U)
     np.testing.assert_array_equal(L.W, W)
 
@@ -244,3 +252,114 @@ def test_low_rank_shape_errors(low_rank):
         L + eg.LowRank(np.ones((6, 2)), np.ones((6, 2)))
     with pytest.raises(ValueError):
         L.__array__(copy=False)
+
+
+@st.composite
+def factored(draw):
+    """(L, L2, D, D2): two n x n LowRanks and their dense arrays; n in 1..40,
+    k in 1..5, each either rank k or a rank-2k sum of two LowRanks."""
+    n, k, seed = draw(st.integers(1, 40)), draw(st.integers(1, 5)), draw(st.integers(0, 2**16))
+    gen = np.random.default_rng(seed)
+
+    def one(summed):
+        Ls = [eg.LowRank(gen.standard_normal((n, k)), gen.standard_normal((n, k)))
+              for _ in range(1 + summed)]
+        return Ls[0] + Ls[1] if summed else Ls[0]
+
+    L, L2 = one(draw(st.booleans())), one(draw(st.booleans()))
+    return L, L2, np.asarray(L), np.asarray(L2)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(factored(), st.sampled_from([2.5, np.float64(-1.5), np.array(0.75)]))
+def test_numpy_calls_on_a_low_rank_stay_factored(case, s):
+    # each handled call against the same call on the dense array, to 1e-12 of the
+    # magnitude |U| |W| |other| bounding its terms, and of the documented type
+    L, L2, D, D2 = case
+    n = D.shape[0]
+    gen = np.random.default_rng(n)
+    P, V = gen.standard_normal((n, n)), gen.standard_normal((n, 3))
+    mag = np.linalg.norm(L.U) * np.linalg.norm(L.W) * max(
+        np.linalg.norm(P), np.linalg.norm(V), np.linalg.norm(D2), 1.0)
+    calls = [
+        (np.ndarray, np.diagonal, (L,), (D,)),
+        (float, np.trace, (L,), (D,)),
+        (float, np.vdot, (L, P), (D, P)),
+        (float, np.vdot, (P, L), (P, D)),
+        (float, np.vdot, (L, L2), (D, D2)),
+        (float, L.pair, (L2,), (D2,)),
+        (eg.LowRank, np.transpose, (L,), (D,)),
+        (np.ndarray, np.matmul, (L, V), (D, V)),
+        (np.ndarray, np.matmul, (V.T, L), (V.T, D)),
+        (np.ndarray, np.dot, (L, V[:, 0]), (D, V[:, 0])),
+        (np.ndarray, np.dot, (V.T, L), (V.T, D)),
+        (np.ndarray, lambda a, b: a @ b, (V.T, L), (V.T, D)),
+        (eg.LowRank, lambda a, b: a @ b, (L, L2), (D, D2)),
+        (eg.LowRank, np.matmul, (L, L2), (D, D2)),
+        (eg.LowRank, np.dot, (L, L2), (D, D2)),
+        (eg.LowRank, np.multiply, (s, L), (s, D)),
+        (eg.LowRank, np.multiply, (L, s), (D, s)),
+        (eg.LowRank, lambda a, b: a * b, (s, L), (s, D)),
+        (eg.LowRank, np.negative, (L,), (D,)),
+        (eg.LowRank, lambda a: -a, (L,), (D,)),
+    ]
+    for kind, func, args, dense_args in calls:
+        got, want = func(*args), func(*dense_args)
+        assert isinstance(got, kind), (func, type(got))
+        np.testing.assert_allclose(np.asarray(got), want, rtol=1e-12, atol=1e-12 * mag)
+
+
+def test_unhandled_numpy_calls_get_the_dense_array(low_rank):
+    L, D = low_rank
+    P = np.random.default_rng(9).standard_normal((7, 7))
+    calls = [(np.linalg.norm, (L,), (D,)), (np.sum, (L,), (D,)),
+             (np.concatenate, ([L, P],), ([D, P],)), (np.allclose, (L, P), (D, P)),
+             (lambda a, b: b + a, (L, P), (D, P)), (lambda a, b: b * a, (L, P), (D, P)),
+             (np.shape, (L,), (D,))]
+    for func, args, dense_args in calls:
+        got, want = func(*args), func(*dense_args)
+        assert type(got) is type(want)
+        np.testing.assert_array_equal(got, want)
+
+
+def test_low_rank_defers_to_other_array_types(low_rank):
+    L, _ = low_rank
+
+    class Duck:
+        def __array_function__(self, func, types, args, kwargs):
+            return NotImplemented
+
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            return NotImplemented
+
+    duck = Duck()
+    assert L.__array_function__(np.diagonal, (type(L), Duck), (L,), {}) is NotImplemented
+    assert L.__array_ufunc__(np.multiply, "__call__", 2.0, duck) is NotImplemented
+    with pytest.raises(TypeError):
+        np.multiply(L, duck)
+
+
+def test_numpy_calls_on_vjp_adjoints_allocate_no_n_by_n_array():
+    # one n x n array would be n^2 8 bytes; each call stays under an eighth of it
+    K, Mm = membrane(40)
+    A, M = sparse_ops(K, Mm)
+    n = K.shape[0]
+    eig = eg.eig_iterative(A, M, 6)
+    out = eg.vjp(A, M, eig, sampling.valid_cotangent(eig, M, np.random.default_rng(4)),
+                 solver="iterative")
+    A_bar, M_bar = out.A_bar, out.M_bar
+    P = np.random.default_rng(5).standard_normal((n, n))
+    calls = {"diagonal": lambda: np.diagonal(A_bar), "trace": lambda: np.trace(A_bar),
+             "vdot dense": lambda: np.vdot(A_bar, P),
+             "vdot adjoints": lambda: np.vdot(A_bar, M_bar), "pair": lambda: A_bar.pair(M_bar),
+             "product": lambda: A_bar @ M_bar, "numpy scalar": lambda: np.float64(2.0) * A_bar,
+             "negation": lambda: -A_bar}
+    peaks = {}
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            call()
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert all(peak < n * n * 8 / 8 for peak in peaks.values()), peaks
