@@ -65,17 +65,19 @@ def generate(cfg):
     return [os.path.join(cfg.out, f) for f in ("A.mat", "M.mat")]
 
 
-def _solve_eig(A, M, cfg):
-    if cfg.solver == "iterative":
-        return eig_iterative(A, M, cfg.k, cfg.which, tol=cfg.tol_eig, seed=cfg.seed)
-    return eig_dense(A, M, cfg.k, cfg.which)
+def _solve_eig(A, M, k, solver, cfg, tol):
+    """The primal solve of every subcommand, through this module's
+    ``eig_dense`` and ``eig_iterative`` names."""
+    if solver == "iterative":
+        return eig_iterative(A, M, k, cfg.which, tol=tol, seed=cfg.seed)
+    return eig_dense(A, M, k, cfg.which)
 
 
 def run_derivative(cfg):
     """Eigendecompose the input pencil, then push a sampled valid tangent
     (``jvp``) or pull back a sampled valid cotangent (``vjp``)."""
     A, M = read_symmat(cfg.a_path), make_spd(read_rows(cfg.m_path))
-    eig = _solve_eig(A, M, cfg)
+    eig = _solve_eig(A, M, cfg.k, cfg.solver, cfg, cfg.tol_eig)
     if cfg.command == "jvp":
         t = sampling.valid_tangent(eig, M, np.random.default_rng(cfg.seed + 1))
         out = jvp(A, M, eig, t, solver=cfg.solver)
@@ -94,27 +96,12 @@ def run_derivative(cfg):
     return path
 
 
-class _Checks:
-    def __init__(self):
-        self.records = []
-
-    def add(self, name, measured, tolerance):
-        measured = float(measured)
-        self.records.append({
-            "name": name,
-            "status": "pass" if measured <= tolerance else "fail",
-            "measured": measured,
-            "tolerance": tolerance,
-        })
-
-    def fail(self, name, message):
-        self.records.append({
-            "name": name, "status": "fail",
-            "measured": float("inf"), "tolerance": 0.0, "error": message,
-        })
-
-    def all_passed(self):
-        return all(r["status"] != "fail" for r in self.records)
+def _check(checks, name, measured, tolerance, **error):
+    """Append one report record: pass when ``measured <= tolerance`` (a NaN
+    fails); ``error`` adds the message of a check that raised."""
+    measured = float(measured)
+    checks.append({"name": name, "status": "pass" if measured <= tolerance else "fail",
+                   "measured": measured, "tolerance": tolerance, **error})
 
 
 def _verify_instance(label, A_arr, M_arr, k, cfg, checks, solver="dense"):
@@ -126,24 +113,20 @@ def _verify_instance(label, A_arr, M_arr, k, cfg, checks, solver="dense"):
     # on the arrays as given: A and M above are symmetrized
     for name, arr in (("A", A_arr), ("M", M_arr)):
         symmetric = check_symmetry(SymmetricOperator(arr.shape[0], None, arr.__matmul__))
-        checks.add(f"{label}/symmetry_{name}", 0.0 if symmetric else 1.0, 0.5)
+        _check(checks, f"{label}/symmetry_{name}", 0.0 if symmetric else 1.0, 0.5)
 
     fs = oracle.full_spectrum(A, M)
+    eig = _solve_eig(A, M, k, solver, cfg, min(cfg.tol_eig, 1e-9))
     if solver == "iterative":
-        eig = eig_iterative(A, M, k, cfg.which, tol=min(cfg.tol_eig, 1e-9),
-                            seed=cfg.seed)
         ref = fs.E[:k] if cfg.which == "smallest" else fs.E[-k:]
-        checks.add(f"{label}/iter_vs_dense_eigenvalues",
-                   np.max(np.abs(eig.lambdas - ref))
-                   / max(1.0, np.max(np.abs(ref))), 1e-7)
-    else:
-        eig = eig_dense(A, M, k, cfg.which)
+        _check(checks, f"{label}/iter_vs_dense_eigenvalues",
+               np.max(np.abs(eig.lambdas - ref)) / max(1.0, np.max(np.abs(ref))), 1e-7)
 
     resid = np.linalg.norm(A_arr @ eig.X - M_arr @ eig.X * eig.lambdas)
     scale = np.linalg.norm(A_arr) * np.linalg.norm(eig.X)
-    checks.add(f"{label}/eig_residual", resid / scale, cfg.tol_eig)
+    _check(checks, f"{label}/eig_residual", resid / scale, cfg.tol_eig)
     ortho = np.max(np.abs(eig.X.T @ M_arr @ eig.X - np.eye(k)))
-    checks.add(f"{label}/m_orthonormality", ortho, max(cfg.tol_eig, 1e-10))
+    _check(checks, f"{label}/m_orthonormality", ortho, max(cfg.tol_eig, 1e-10))
 
     # drawn in turn: t, c, then 20 (tangent, cotangent) pairs for the adjoint
     # pairing; t and c lead one stacked call per mode
@@ -156,13 +139,13 @@ def _verify_instance(label, A_arr, M_arr, k, cfg, checks, solver="dense"):
     pairs = [(sampling.valid_tangent(eig, M, rng), sampling.valid_cotangent(eig, M, rng))
              for _ in range(20)]
     _, fdefect = check_forward_validity(eig, t)
-    checks.add(f"{label}/forward_validity_defect", fdefect, 1e-10)
+    _check(checks, f"{label}/forward_validity_defect", fdefect, 1e-10)
 
     out, *fwds = jvp(A, M, eig, [t] + [tt for tt, _ in pairs], solver=solver)
     ser = oracle.jvp_series(fs, M, eig, t)
-    checks.add(f"{label}/jvp_vs_series",
-               max(np.max(np.abs(out.lambda_prime - ser.lambda_prime)),
-                   np.max(np.abs(out.X_prime - ser.X_prime))), 1e-8)
+    _check(checks, f"{label}/jvp_vs_series",
+           max(np.max(np.abs(out.lambda_prime - ser.lambda_prime)),
+               np.max(np.abs(out.X_prime - ser.X_prime))), 1e-8)
 
     # (4 FD(h) - FD(2h)) / 3 cancels the central differences' O(h^2)
     # truncation, which grows with |A' - lambda M'|
@@ -187,18 +170,18 @@ def _verify_instance(label, A_arr, M_arr, k, cfg, checks, solver="dense"):
             got = oracle.analytic_projector_derivative(eig, out, M, t.Mprime, grp)
             ref = extrapolated(fd.proj_prime[tuple(grp)], fd2.proj_prime[tuple(grp)])
         errs.append(np.max(np.abs(got - ref)) / max(1.0, np.max(np.abs(got))))
-    checks.add(f"{label}/jvp_eigenvalues_vs_fd",
-               lam_err / max(1.0, np.max(np.abs(out.lambda_prime))), 1e-7)
-    checks.add(f"{label}/jvp_eigenvectors_vs_fd", max(errs), 1e-6)
+    _check(checks, f"{label}/jvp_eigenvalues_vs_fd",
+           lam_err / max(1.0, np.max(np.abs(out.lambda_prime))), 1e-7)
+    _check(checks, f"{label}/jvp_eigenvectors_vs_fd", max(errs), 1e-6)
 
     _, bdefect = check_backward_validity(eig, c)
-    checks.add(f"{label}/backward_validity_defect", bdefect, 1e-10)
+    _check(checks, f"{label}/backward_validity_defect", bdefect, 1e-10)
 
     bout, *bwds = vjp(A, M, eig, [c] + [cc for _, cc in pairs], solver=solver)
     bser = oracle.vjp_series(fs, M, eig, c)
-    checks.add(f"{label}/vjp_vs_series",
-               max(np.max(np.abs(np.asarray(bout.A_bar) - bser.A_bar)),
-                   np.max(np.abs(np.asarray(bout.M_bar) - bser.M_bar))), 1e-8)
+    _check(checks, f"{label}/vjp_vs_series",
+           max(np.max(np.abs(np.asarray(bout.A_bar) - bser.A_bar)),
+               np.max(np.abs(np.asarray(bout.M_bar) - bser.M_bar))), 1e-8)
 
     worst = 0.0
     for (tt, cc), fwd, bwd in zip(pairs, fwds, bwds):
@@ -207,13 +190,13 @@ def _verify_instance(label, A_arr, M_arr, k, cfg, checks, solver="dense"):
         rhs = (np.sum(np.asarray(bwd.A_bar) * as_dense_array(tt.Aprime))
                + np.sum(np.asarray(bwd.M_bar) * as_dense_array(tt.Mprime)))
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0))
-    checks.add(f"{label}/adjoint_pairing", worst, 1e-8)
+    _check(checks, f"{label}/adjoint_pairing", worst, 1e-8)
 
 
 def run_verify(cfg):
     """Run the verification battery; returns the report dict."""
     start = time.time()
-    checks = _Checks()
+    checks = []
 
     instances = []
     if cfg.a_path:
@@ -236,13 +219,13 @@ def run_verify(cfg):
         try:
             _verify_instance(label, A_arr, M_arr, k, cfg, checks, solver=solver)
         except EigengradError as exc:
-            checks.fail(f"{label}/{type(exc).__name__}", str(exc))
+            _check(checks, f"{label}/{type(exc).__name__}", np.inf, 0.0, error=str(exc))
 
     report = {
         "schema": REPORT_SCHEMA,
         "environment": {"seed": cfg.seed, "k": cfg.k, "solver": cfg.solver},
-        "checks": checks.records,
-        "all_passed": checks.all_passed(),
+        "checks": checks,
+        "all_passed": all(r["status"] == "pass" for r in checks),
         "timing": time.time() - start,
     }
     os.makedirs(cfg.out, exist_ok=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteError, ValidityViolated
+from .errors import DimensionMismatch, ValidityViolated
 from .sylvester import check_solver, linearize, project_rhs, solve_dense, solve_iterative
 
 TOL_COND = 1e-7
@@ -42,10 +42,7 @@ def _coupling(eig, t):
         raise DimensionMismatch(
             f"tangent dim ({t.Aprime.dim}, {t.Mprime.dim}) != primal dim {X.shape[0]}")
     MpX = t.Mprime.apply_batch(X)
-    ApX = t.Aprime.apply_batch(X)
-    if not (np.all(np.isfinite(ApX)) and np.all(np.isfinite(MpX))):
-        raise NonFiniteError("tangent products A'X and M'X must be finite")
-    V = ApX - MpX * eig.lambdas
+    V = t.Aprime.apply_batch(X) - MpX * eig.lambdas
     return MpX, V, X.T @ V
 
 

@@ -43,7 +43,9 @@ class SymmetricOperator:
 
     def apply_batch(self, V):
         """Apply to an n-by-m block; DimensionMismatch unless the block and
-        its product are both n by m (a transposed product is not reshaped)."""
+        its product are both n by m (a transposed product is not reshaped),
+        NonFiniteError if the product holds a NaN or inf. Every layer applies
+        operators here, so these are the only checks on a product."""
         V = np.asarray(V, dtype=float)
         if V.ndim != 2 or V.shape[0] != self.dim:
             raise DimensionMismatch(f"expected a block with {self.dim} rows, got shape {V.shape}")
@@ -51,6 +53,8 @@ class SymmetricOperator:
         if out.shape != V.shape:
             raise DimensionMismatch(f"an operator of dim {self.dim} returned shape {out.shape} "
                                     f"for a block of shape {V.shape}")
+        if not np.isfinite(out).all():    # the method skips np.all's Python wrapper
+            raise NonFiniteError(f"an operator of dim {self.dim} returned a non-finite product")
         return out
 
 
@@ -73,14 +77,15 @@ class LowRank:
     Costs O(nk) memory; ``.dense()`` (or ``np.asarray``) forms the n x n
     array. ``@`` applies it as U (W^T V), ``.pair(P)`` is the Frobenius inner
     product with a matrix, LowRank or :class:`SymmetricOperator` (one apply to
-    k columns), ``.T`` swaps the factors, a scalar ``*`` and unary ``-`` scale
-    U, and ``+``/``-`` between LowRanks concatenate the factors (ranks add).
+    k columns), ``.T`` swaps the factors, a scalar ``*``, ``/`` and unary ``-``
+    scale U, and ``+``/``-`` between LowRanks concatenate the factors (ranks add).
     Every result is a new LowRank: no method writes the factors, which may
     alias the caller's arrays (a ``vjp`` output's W is ``eig.X``). The numpy
     calls in ``_NUMPY`` stay factored: ``np.diagonal``, ``np.trace``, ``np.vdot``,
     ``np.transpose``, ``np.matmul``/``np.dot`` with a block or LowRank, a scalar
-    ``np.multiply`` (``np.float64(2.0) * L``) and ``np.negative``. Any other
-    numpy function or ufunc (``np.sum``, ``ndarray * L``) gets the dense array.
+    ``np.multiply`` (``np.float64(2.0) * L``), ``np.divide`` by a scalar and
+    ``np.negative``. Any other numpy function or ufunc (``np.sum``,
+    ``ndarray * L``) gets the dense array.
     """
 
     def __init__(self, U, W):
@@ -107,10 +112,17 @@ class LowRank:
 
     def pair(self, P):
         """<U W^T, P>_F = sum U o (P W), one apply of ``P`` to k columns; for a
-        LowRank P = U2 W2^T, sum (U^T U2) o (W^T W2)."""
+        LowRank P = U2 W2^T, sum (U^T U2) o (W^T W2). DimensionMismatch unless
+        ``P`` has this shape."""
+        if not isinstance(P, (SymmetricOperator, LowRank)):
+            P = np.asarray(P)
+        shape = (P.dim, P.dim) if isinstance(P, SymmetricOperator) else P.shape
+        if shape != self.shape:
+            raise DimensionMismatch(f"cannot pair a LowRank of shape {self.shape} "
+                                    f"with shape {shape}")
         if isinstance(P, LowRank):
             return float(np.vdot(self.U.T @ P.U, self.W.T @ P.W))
-        PW = P.apply_batch(self.W) if isinstance(P, SymmetricOperator) else np.asarray(P) @ self.W
+        PW = P.apply_batch(self.W) if isinstance(P, SymmetricOperator) else P @ self.W
         return float(np.vdot(self.U, PW))
 
     def __matmul__(self, V):
@@ -124,6 +136,11 @@ class LowRank:
         return LowRank(self.U * s, self.W)
 
     __rmul__ = __mul__
+
+    def __truediv__(self, s):
+        if isinstance(s, LowRank) or np.ndim(s) != 0:
+            return NotImplemented
+        return LowRank(self.U / s, self.W)
 
     def __neg__(self):
         return LowRank(-self.U, self.W)
@@ -142,7 +159,7 @@ class LowRank:
     def _vdot(a, b):
         L, P = (a, b) if isinstance(a, LowRank) else (b, a)
         real = isinstance(P, LowRank) or (isinstance(P, np.ndarray) and P.dtype.kind in "biuf")
-        return L.pair(P) if real and P.shape == L.shape else NotImplemented
+        return L.pair(P) if real else NotImplemented
 
     def _matmul(a, b):
         if not isinstance(b, LowRank):
@@ -160,6 +177,8 @@ class LowRank:
         np.transpose: (1, lambda L: L.T),
         np.negative: (1, lambda L: -L),
         np.multiply: (2, lambda a, b: a.__mul__(b) if isinstance(a, LowRank) else b.__rmul__(a)),
+        np.divide: (2, lambda a, b: (a.__truediv__(b) if isinstance(a, LowRank)
+                                     else NotImplemented)),
         np.vdot: (2, _vdot),
         np.matmul: (2, _matmul),
         np.dot: (2, _matmul),
@@ -205,22 +224,14 @@ def identity_operator(n):
     return make_spd(np.eye(n))
 
 
-def require_finite(P, what):
-    """``P``, or NonFiniteError naming ``what`` if it holds a NaN or inf."""
-    if not np.all(np.isfinite(P)):
-        raise NonFiniteError(f"{what} must be finite")
-    return P
-
-
 def as_dense_array(op):
     """Materialize an operator as a new dense array.
 
-    Cheap for dense-backed operators; otherwise costs ``dim`` applies, whose
-    products must be finite (NonFiniteError).
+    Cheap for dense-backed operators; otherwise costs ``dim`` applies.
     """
     if isinstance(op, DenseSymmetric):
         return op.entries.copy()
-    return require_finite(op.apply_batch(np.eye(op.dim)), "an operator's products")
+    return op.apply_batch(np.eye(op.dim))
 
 
 def check_symmetry(op):
@@ -244,17 +255,16 @@ def spot_check_spd(op, seed=0):
 
     True when the smallest Ritz value exceeds 1e-12 of the largest. The second
     block, the part of M V off V, points at a direction where M is negative
-    even when each probe's <v, M v> is positive. A NaN or inf product raises
-    NonFiniteError.
+    even when each probe's <v, M v> is positive.
     """
     V = np.linalg.qr(np.random.default_rng(seed).standard_normal((5, op.dim)).T)[0]
-    MV = require_finite(op.apply_batch(V), "M's probe products")
+    MV = op.apply_batch(V)
     W = MV - V @ (V.T @ MV)
     W -= V @ (V.T @ W)   # twice: directions down to 1e-8 of ||M V|| are kept
     U, sv, _ = np.linalg.svd(W, full_matrices=False)
     U = U[:, sv > 1e-8 * np.linalg.norm(MV, 2)]
     if U.shape[1]:       # at n <= 5 the probes already span the space
-        MU = require_finite(op.apply_batch(U), "M's probe products")
+        MU = op.apply_batch(U)
         V, MV = np.hstack([V, U]), np.hstack([MV, MU])
     G = V.T @ MV
     theta = np.linalg.eigvalsh(0.5 * (G + G.T))
@@ -275,7 +285,9 @@ def read_rows(path):
         rows = np.loadtxt(fh, ndmin=2, max_rows=n)
     if rows.shape != (n, n):
         raise ValueError(f"{path}: expected {n} rows of {n} entries, got shape {rows.shape}")
-    return require_finite(rows, f"{path}: matrix entries")
+    if not np.all(np.isfinite(rows)):
+        raise NonFiniteError(f"{path}: matrix entries must be finite")
+    return rows
 
 
 def read_symmat(path):

@@ -269,3 +269,31 @@ def test_verify_non_symmetric_input_fails(tmp_path):
     by_name = {r["name"]: r["status"] for r in report["checks"]}
     assert by_name["input/symmetry_A"] == "fail"
     assert by_name["input/symmetry_M"] == "pass"
+
+
+@pytest.mark.parametrize("command, fields", [("jvp", ["lambda_prime", "X_prime"]),
+                                             ("vjp", ["A_bar", "M_bar"])])
+def test_derivative_subcommand_iterative_solver_matches_dense(tmp_path, monkeypatch,
+                                                              command, fields):
+    # n = 30 > max(4 k, 12): the primal runs LOBPCG, not eig_iterative's dense fallback
+    run(["generate", "--n", 30, "--mass", "random", "--seed", 3, "--out", tmp_path])
+    primals = []
+    inner = cli.eig_iterative
+
+    def counting(*args, **kwargs):
+        primals.append(kwargs["tol"])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "eig_iterative", counting)
+    payloads = []
+    for solver in ("dense", "iterative"):
+        out = tmp_path / solver
+        assert run([command, "--a", tmp_path / "A.mat", "--m", tmp_path / "M.mat", "--k", 3,
+                    "--solver", solver, "--tol-eig", 1e-10, "--out", out]) == 0
+        payloads.append(json.loads((out / f"{command}.json").read_text()))
+    assert primals == [1e-10]
+    dense, it = payloads
+    np.testing.assert_allclose(it["lambdas"], dense["lambdas"], rtol=1e-9)
+    for key in fields:
+        got, want = np.asarray(it[key]), np.asarray(dense[key])
+        np.testing.assert_allclose(got, want, atol=1e-6 * np.max(np.abs(want)))

@@ -5,7 +5,7 @@ from scipy.sparse.linalg import splu
 
 import eigengrad as eg
 from eigengrad import sampling
-from eigengrad.eigsolve import GUARD, group_mask
+from eigengrad.eigsolve import GUARD, _whitening, group_mask
 from eigengrad.errors import (DimensionMismatch, MaxIterExceeded, NonFiniteError,
                               NotPositiveDefinite)
 
@@ -148,6 +148,17 @@ def test_non_finite_closure_raises_non_finite_error(solve, n, operand, bad):
     ops[operand] = eg.SymmetricOperator(n, None, lambda V: np.full_like(V, bad))
     with pytest.raises(NonFiniteError, match="finite"):
         solve(ops["A"], ops["M"], 2)
+
+
+def test_whitening_drops_a_dependent_direction_and_rejects_an_indefinite_gram():
+    B = np.random.default_rng(0).standard_normal((8, 3))
+    B = np.hstack([B, B[:, :1] - 2.0 * B[:, 2:]])    # 4 columns of rank 3
+    G = B.T @ B
+    F = _whitening(G)
+    assert F.shape == (4, 3)
+    np.testing.assert_allclose(F.T @ G @ F, np.eye(3), atol=1e-12)
+    with pytest.raises(NotPositiveDefinite, match="eigenvalue -1.000e-03"):
+        _whitening(np.diag([1.0, -1e-3, 2.0]))
 
 
 @pytest.mark.parametrize("solve", [eg.eig_dense, eg.eig_iterative])

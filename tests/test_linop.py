@@ -158,6 +158,54 @@ def test_spot_checks_apply_one_block_per_probe_set():
         assert calls == blocks
 
 
+def test_operator_dim_must_be_positive():
+    with pytest.raises(ValueError, match="dim must be positive, got 0"):
+        eg.SymmetricOperator(0, lambda v: v)
+
+
+def _nan_from(mat, N):
+    """A block closure over ``mat`` whose N-th product and later hold a NaN,
+    and the list its calls are counted in."""
+    calls = []
+
+    def apply(V):
+        calls.append(V.shape)
+        out = mat @ V
+        if len(calls) >= N:
+            out[0, 0] = np.nan
+        return out
+    return eg.SymmetricOperator(mat.shape[0], None, apply), calls
+
+
+@pytest.mark.parametrize("route, N", [("eig_iterative", 4), ("jvp", 3), ("vjp", 3),
+                                      ("check_symmetry", 2)])
+def test_a_non_finite_product_raises_where_it_is_made(route, N):
+    # past the first products: unchecked, these surfaced as numpy's LinAlgError
+    # (eig_iterative), a ClusterSplit after 1,202 CG products (jvp, vjp) and True
+    A_arr, M_arr = sampling.random_spd_pencil(60, np.random.default_rng(0))
+    A, M = eg.make_dense(A_arr), eg.make_spd(M_arr)
+    eig = eg.eig_iterative(A, M, 4)
+    gen = np.random.default_rng(1)
+    directions = {"jvp": sampling.valid_tangent(eig, M, gen),
+                  "vjp": sampling.valid_cotangent(eig, M, gen)}
+    bad, calls = _nan_from(A_arr, N)
+    with pytest.raises(NonFiniteError, match="dim 60 returned a non-finite product"):
+        if route == "eig_iterative":
+            eg.eig_iterative(bad, M, 4)
+        elif route == "check_symmetry":
+            eg.check_symmetry(bad)
+        else:
+            getattr(eg, route)(bad, M, eig, directions[route], solver="iterative")
+    assert len(calls) == N
+
+
+def test_read_rows_rejects_too_few_rows(tmp_path):
+    path = tmp_path / "short.mat"
+    path.write_text("symmat 3\n1 0 0\n0 1 0\n")
+    with pytest.raises(ValueError, match=r"expected 3 rows of 3 entries, got shape \(2, 3\)"):
+        eg.linop.read_rows(path)
+
+
 def test_symmat_roundtrip(tmp_path, rng):
     B = rng.standard_normal((4, 4))
     A = B + B.T
@@ -252,6 +300,24 @@ def test_low_rank_shape_errors(low_rank):
         L + eg.LowRank(np.ones((6, 2)), np.ones((6, 2)))
     with pytest.raises(ValueError):
         L.__array__(copy=False)
+    # a pairing of another shape is typed too, whatever the other operand is
+    L6, P6 = eg.LowRank(np.ones((6, 2)), np.ones((6, 2))), np.ones((6, 6))
+    for other in (L6, P6, eg.make_dense(P6)):
+        with pytest.raises(DimensionMismatch, match=r"shape \(7, 7\) with shape \(6, 6\)"):
+            L.pair(other)
+    for other in (L6, P6):
+        with pytest.raises(DimensionMismatch):
+            np.vdot(L, other)
+
+
+def test_low_rank_divided_by_a_scalar_stays_factored(low_rank):
+    L, D = low_rank
+    for s in (4.0, np.float64(4.0), np.array(4.0)):
+        for out in (L / s, np.divide(L, s)):
+            assert isinstance(out, eg.LowRank) and out.W is L.W
+            np.testing.assert_array_equal(out.U, L.U / s)
+            close(np.asarray(out), D / 4.0)
+    close(L / np.arange(1.0, 8.0), D / np.arange(1.0, 8.0))   # not a scalar: dense
 
 
 @st.composite

@@ -137,6 +137,16 @@ def test_jvp_series_rejects_invalid():
         eg.jvp_series(fs, M, eig, t)
 
 
+def test_vjp_series_rejects_invalid():
+    A = eg.make_dense(np.diag([2.0, 2.0, 5.0]))
+    M = eg.identity_operator(3)
+    eig = eg.eig_dense(A, M, 2)
+    fs = eg.full_spectrum(A, M)
+    c = sampling.violating_cotangent(eig, M, eig.groups[0])
+    with pytest.raises(ValidityViolated):
+        eg.vjp_series(fs, M, eig, c)
+
+
 def test_vjp_series_k1():
     A = eg.make_dense(np.diag([1.0, 2.0, 3.0]))
     M = eg.identity_operator(3)

@@ -6,7 +6,7 @@ import pytest
 
 import eigengrad as eg
 from eigengrad import sampling
-from eigengrad.errors import NonFiniteError, ValidityViolated
+from eigengrad.errors import DimensionMismatch, NonFiniteError, ValidityViolated
 
 from conftest import make_pencil, membrane, pairing_gap, sparse_ops
 
@@ -82,6 +82,16 @@ def test_vjp_rejects_nonfinite_cotangent(degen225, bad):
     getattr(c, bad)[0] = np.nan
     with pytest.raises(NonFiniteError):
         eg.vjp(A, M, eig, c)
+
+
+@pytest.mark.parametrize("lbar, Xb, what", [
+    (np.ones(3), np.zeros((3, 2)), r"lambda_bar has shape \(3,\)"),
+    (np.ones(2), np.zeros((2, 3)), r"X_bar shape \(2, 3\)"),
+], ids=["lambda_bar", "X_bar"])
+def test_backward_validity_rejects_a_wrong_shape_cotangent(degen225, lbar, Xb, what):
+    _, _, eig = degen225
+    with pytest.raises(DimensionMismatch, match=what):
+        eg.check_backward_validity(eig, eg.CotangentInput(lambda_bar=lbar, X_bar=Xb))
 
 
 def test_eigenvalue_only_fast_path_equals_general(rng):
