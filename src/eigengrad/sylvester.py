@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from ._blas import scipy_one_thread
 from .errors import ClusterSplit, DimensionMismatch, MaxIterExceeded, NotPositiveDefinite
 from .linop import as_dense_array
 
@@ -58,44 +59,48 @@ class Reduction:
     T_b upper triangular. :meth:`to_tri` and :meth:`from_tri` are then numpy
     GEMMs alone, O(n^2) per column: they run on the BLAS pool the operator
     products and the caller's code use, where scipy's LAPACK would be a
-    second pool that each switch waits on.
+    second pool that each switch waits on. The set-up's own LAPACK calls run
+    with scipy's OpenBLAS held at one thread (:mod:`._blas`): they do not
+    wait on numpy's workers still spinning from the caller's products, and
+    leave no scipy worker spinning beside the numpy work that follows.
     """
 
     def __init__(self, A, M):
-        lapack, blas = scipy.linalg.lapack, scipy.linalg.blas
-        # A and M are symmetric: their copies' transposes are the Fortran-ordered
-        # arrays LAPACK overwrites in place
-        L, info = lapack.dpotrf(as_dense_array(M).T, lower=1, overwrite_a=1)
-        if info:
-            raise NotPositiveDefinite(f"M is not positive definite (dpotrf info {info})")
-        C = lapack.dsygst(as_dense_array(A).T, L, lower=1, overwrite_a=1)[0]
-        lwork = int(lapack.dsytrd_lwork(A.dim, lower=1)[0])
-        C, self.d, self.e, tau, _ = lapack.dsytrd(C, lower=1, lwork=lwork, overwrite_a=1)
-        n = self.d.size
-        for j in range(0, n, NB):    # dtrtri overwrites a block that is all of L
-            b, w = slice(j, j + NB), min(NB, n - j)
-            inv = lapack.dtrtri(L[b, b], lower=1, overwrite_c=1)[0]
-            inv[_STRICT_UPPER[:w, :w]] = 0.0    # M's entries
-            L[b, b] = inv
-        self.L, self.wy = L, []
-        # reflector j is column j of V below its row j, with a unit at row j,
-        # where dsytrd left e_j; above that row sit d and A's entries
-        V = C[1:, :-1]
-        for j in range(0, n - 1, NB):
-            b, w = slice(j, j + NB), min(NB, n - 1 - j)
-            top = V[b, b]
-            top[_STRICT_UPPER[:w, :w]] = 0.0
-            np.fill_diagonal(top, 1.0)
-            # T_b = (I + D_b striu(V_b^T V_b))^-1 D_b, D_b = diag(tau_b), valid
-            # where tau is 0 too; dsyrk leaves the lower triangle 0. An inverse
-            # and not dtrsm: OpenBLAS threads dtrsm from 32 columns, and at
-            # small n its workers then wait on numpy's spinning ones
-            S = blas.dsyrk(1.0, V[j:, b], trans=1)
-            S *= tau[b, None]
-            np.fill_diagonal(S, 1.0)
-            T = lapack.dtrtri(S, overwrite_c=1)[0]
-            T *= tau[b]
-            self.wy.append((V[j:, b], T))
+        with scipy_one_thread():
+            lapack, blas = scipy.linalg.lapack, scipy.linalg.blas
+            # A and M are symmetric: their copies' transposes are the Fortran-ordered
+            # arrays LAPACK overwrites in place
+            L, info = lapack.dpotrf(as_dense_array(M).T, lower=1, overwrite_a=1)
+            if info:
+                raise NotPositiveDefinite(f"M is not positive definite (dpotrf info {info})")
+            C = lapack.dsygst(as_dense_array(A).T, L, lower=1, overwrite_a=1)[0]
+            lwork = int(lapack.dsytrd_lwork(A.dim, lower=1)[0])
+            C, self.d, self.e, tau, _ = lapack.dsytrd(C, lower=1, lwork=lwork, overwrite_a=1)
+            n = self.d.size
+            for j in range(0, n, NB):    # dtrtri overwrites a block that is all of L
+                b, w = slice(j, j + NB), min(NB, n - j)
+                inv = lapack.dtrtri(L[b, b], lower=1, overwrite_c=1)[0]
+                inv[_STRICT_UPPER[:w, :w]] = 0.0    # M's entries
+                L[b, b] = inv
+            self.L, self.wy = L, []
+            # reflector j is column j of V below its row j, with a unit at row j,
+            # where dsytrd left e_j; above that row sit d and A's entries
+            V = C[1:, :-1]
+            for j in range(0, n - 1, NB):
+                b, w = slice(j, j + NB), min(NB, n - 1 - j)
+                top = V[b, b]
+                top[_STRICT_UPPER[:w, :w]] = 0.0
+                np.fill_diagonal(top, 1.0)
+                # T_b = (I + D_b striu(V_b^T V_b))^-1 D_b, D_b = diag(tau_b), valid
+                # where tau is 0 too; dsyrk leaves the lower triangle 0. An inverse
+                # and not dtrsm: OpenBLAS threads dtrsm from 32 columns, and at
+                # small n its workers then wait on numpy's spinning ones
+                S = blas.dsyrk(1.0, V[j:, b], trans=1)
+                S *= tau[b, None]
+                np.fill_diagonal(S, 1.0)
+                T = lapack.dtrtri(S, overwrite_c=1)[0]
+                T *= tau[b]
+                self.wy.append((V[j:, b], T))
 
     def to_tri(self, B):
         """Q^T L^-1 B."""

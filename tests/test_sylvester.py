@@ -1,3 +1,8 @@
+import ctypes
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,8 +10,10 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 import eigengrad as eg
-from eigengrad import sampling, sylvester
-from eigengrad.errors import ClusterSplit, DimensionMismatch, MaxIterExceeded
+from eigengrad import _blas, sampling, sylvester
+from eigengrad._blas import scipy_one_thread
+from eigengrad.errors import (ClusterSplit, DimensionMismatch, MaxIterExceeded,
+                              NotPositiveDefinite)
 from eigengrad.sylvester import NB, Reduction, project_rhs, solve_dense, solve_iterative
 
 from conftest import make_pencil, membrane, pseudo_inverse_apply, sparse_ops
@@ -28,14 +35,105 @@ def degen_lin(lambdas, groups):
 
 
 def reference_factors(A, M):
-    """(L, Q, tau) by the reduction's LAPACK calls, Q = diag(1, Q~) formed
-    explicitly by dorgqr from dsytrd's reflectors."""
+    """(L, Q, tau) by the reduction's LAPACK calls, on the one scipy thread
+    the reduction runs them on, Q = diag(1, Q~) formed explicitly by dorgqr
+    from dsytrd's reflectors."""
     lapack = scipy.linalg.lapack
-    L = lapack.dpotrf(M, lower=1)[0]
-    C, _, _, tau, _ = lapack.dsytrd(lapack.dsygst(A, L, lower=1)[0], lower=1)
-    Q = np.eye(len(A))
-    Q[1:, 1:] = lapack.dorgqr(C[1:, :-1], tau)[0]
+    with scipy_one_thread():
+        L = lapack.dpotrf(M, lower=1)[0]
+        C, _, _, tau, _ = lapack.dsytrd(lapack.dsygst(A, L, lower=1)[0], lower=1)
+        Q = np.eye(len(A))
+        Q[1:, 1:] = lapack.dorgqr(C[1:, :-1], tau)[0]
     return np.tril(L), Q, tau
+
+
+def scipy_openblas_getter():
+    """The thread-count getter of the OpenBLAS scipy loaded from its wheel, or
+    None, found apart from eigengrad: the libraries /proc/self/maps lists under
+    scipy's wheel directories, probed for the spellings bench/common.py reads."""
+    if not os.path.exists("/proc/self/maps"):
+        pytest.skip("lists loaded libraries through /proc/self/maps")
+    root = os.path.dirname(scipy.__file__)
+    wheel_dirs = (os.path.join(root + ".libs", ""), os.path.join(root, ".dylibs", ""))
+    with open("/proc/self/maps", encoding="ascii", errors="replace") as fh:
+        paths = {f[5].strip() for f in (line.split(None, 5) for line in fh) if len(f) == 6}
+    for path in sorted(p for p in paths
+                       if "openblas" in os.path.basename(p) and p.startswith(wheel_dirs)):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            get = getattr(lib, name, None)
+            if get is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                return get
+    return None
+
+
+def test_lookup_finds_the_openblas_scipy_vendors():
+    # fails, not skips, where scipy's wheel has an OpenBLAS the lookup misses,
+    # so the one-thread scope cannot silently do nothing there
+    get, found = scipy_openblas_getter(), _blas.scipy_openblas()
+    assert (found is None) == (get is None)
+    if found is not None:
+        assert found[0]() == get()
+
+
+def test_reduction_runs_scipy_lapack_on_one_thread_and_restores_the_count(monkeypatch):
+    get = scipy_openblas_getter()
+    if get is None:
+        pytest.skip("scipy loads no OpenBLAS of its own")
+    setter = _blas.scipy_openblas()[1]
+    seen = []
+    for name in ("dpotrf", "dsytrd"):
+        def wrapped(*args, _call=getattr(scipy.linalg.lapack, name), **kwargs):
+            seen.append(get())
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(scipy.linalg.lapack, name, wrapped)
+    A, M = make_pencil([], 70, 0, mass="random")
+    before = get()
+    try:
+        setter(2)    # a count one thread differs from, on any core count
+        Reduction(A, M)
+        assert seen == [1, 1] and get() == 2
+        with pytest.raises(NotPositiveDefinite):
+            Reduction(A, eg.make_dense(-np.eye(70)))
+        assert seen == [1, 1, 1] and get() == 2
+    finally:
+        setter(before)
+
+
+def test_scopes_in_many_threads_hold_one_thread_and_restore_the_count():
+    count = [3]
+    scope = _blas._OneThread(lambda: (lambda: count[0], lambda c: count.__setitem__(0, c)))
+    inside = []
+
+    def work():
+        for _ in range(300):
+            with scope():
+                inside.append(count[0])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(inside) == 8 * 300 and set(inside) == {1}
+    assert count[0] == 3 and scope.open == 0
+
+
+def test_eig_dense_without_the_scope_gives_the_same_groups_and_eigenvalues(monkeypatch):
+    A, M = make_pencil([1.0, 1.0, 2.0, 3.0, 3.0, 3.0], 300, 5, mass="random")
+    scoped = eg.eig_dense(A, M, 8)
+    monkeypatch.setattr(_blas.scipy_one_thread, "lookup", lambda: None)
+    plain = eg.eig_dense(A, M, 8)
+    assert plain.groups == scoped.groups
+    np.testing.assert_allclose(plain.lambdas, scoped.lambdas, rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("n", [2, 3, NB - 1, NB, NB + 1, 2 * NB + 5])
