@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatch, MaxIterExceeded, NotPositiveDefinite
-from .linop import spot_check_spd
+from .errors import DimensionMismatch, MaxIterExceeded, NotAnOperator, NotPositiveDefinite
+from .linop import SymmetricOperator, spot_check_spd
 from .sylvester import Reduction, linearize
 
 DEFAULT_DEGENERACY_RTOL = 1e-8
@@ -82,7 +82,11 @@ def _finalize(X, lam, which, tol_rel=DEFAULT_DEGENERACY_RTOL):
 
 
 def _check_request(A, M, k, which):
-    """The checks both eigensolvers make on (A, M, k, which) before any work."""
+    """The checks both eigensolvers make on (A, M, k, which) before any work;
+    returns n."""
+    for name, op in (("A", A), ("M", M)):
+        if not isinstance(op, SymmetricOperator):
+            raise NotAnOperator(name, op)
     n = A.dim
     if M.dim != n:
         raise DimensionMismatch(f"A has dim {n} but M has dim {M.dim}")
@@ -90,6 +94,7 @@ def _check_request(A, M, k, which):
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
     if which not in ("smallest", "largest"):
         raise ValueError(f"which must be 'smallest' or 'largest', got {which!r}")
+    return n
 
 
 def eig_dense(A, M, k, which="smallest", degeneracy_rtol=DEFAULT_DEGENERACY_RTOL):
@@ -100,8 +105,7 @@ def eig_dense(A, M, k, which="smallest", degeneracy_rtol=DEFAULT_DEGENERACY_RTOL
     The reduction is kept: it seeds the linearization memoized on the
     result, so every dense derivative reuses it.
     """
-    n = A.dim
-    _check_request(A, M, k, which)
+    n = _check_request(A, M, k, which)
     red = Reduction(A, M)
     sel = (0, k - 1) if which == "smallest" else (n - k, n - 1)
     lam, S = scipy.linalg.eigh_tridiagonal(red.d, red.e, select="i", select_range=sel)
@@ -147,19 +151,25 @@ def eig_iterative(A, M, k, which="smallest", maxiter=500, tol=1e-9, precond=None
     ``tol``, and every 32 steps, A and M are applied to all of X again and
     Rayleigh-Ritz rerun on those products; iteration stops only when that
     explicit residual meets ``tol``. Small problems (n <= max(4k, 12)) are
-    materialized and solved densely. ``precond`` seeds the linearization
-    memoized on the result: its iterative derivative solves for
-    ``which="smallest"`` run PCG with it.
+    materialized and solved densely. On either branch ``precond`` seeds the
+    linearization memoized on the result: its iterative derivative solves
+    for ``which="smallest"`` run PCG with it.
     """
-    n = A.dim
-    _check_request(A, M, k, which)
+    n = _check_request(A, M, k, which)
     if maxiter < 1:
         raise ValueError(f"maxiter must be >= 1, got {maxiter}")
     if not spot_check_spd(M, seed=seed):
         raise NotPositiveDefinite("M failed the positivity spot-check")
-    if n <= max(4 * k, 12):
-        return eig_dense(A, M, k, which)
+    eig = (eig_dense(A, M, k, which) if n <= max(4 * k, 12)
+           else _lobpcg(A, M, k, which, maxiter, tol, precond, seed))
+    if precond is not None:
+        linearize(A, M, eig).precond = precond
+    return eig
 
+
+def _lobpcg(A, M, k, which, maxiter, tol, precond, seed):
+    """:func:`eig_iterative`'s iteration on a checked request, n > max(4 k, 12)."""
+    n = A.dim
     b = min(k + GUARD, n // 4)   # 3 b <= 3 n / 4: the basis S stays well short of n
     want = slice(0, k) if which == "smallest" else slice(b - k, b)
     X = np.random.default_rng(seed).standard_normal((n, b))
@@ -217,7 +227,4 @@ def eig_iterative(A, M, k, which="smallest", maxiter=500, tol=1e-9, precond=None
         for B in (S, AS, MS):   # transposed, so the product is column-major too
             B[:, :q] = (C.T @ B[:, :p].T).T
 
-    eig = _finalize(S[:, want].copy(), theta[want], which)
-    if precond is not None:
-        linearize(A, M, eig).precond = precond
-    return eig
+    return _finalize(S[:, want].copy(), theta[want], which)

@@ -13,6 +13,15 @@ class NonFiniteError(EigengradError, ValueError):
     pass
 
 
+class NotAnOperator(EigengradError, TypeError):
+    """An array, or anything else but a SymmetricOperator, where an operator
+    is expected."""
+
+    def __init__(self, name, obj):
+        super().__init__(f"{name} must be a SymmetricOperator, got {type(obj).__name__}; "
+                         "wrap an array with eg.make_dense (eg.make_spd for a mass matrix)")
+
+
 class DimensionMismatch(EigengradError, ValueError):
     pass
 

@@ -3,8 +3,10 @@
 Because the shift matrix is diagonal the system decouples into k shifted
 linear solves (A - lambda_j M) y_j = b_j. When lambda_j is an eigenvalue the
 operator is singular with nullspace spanned by the eigenvectors of its
-degeneracy group; a solver takes any b_j, solves for its projection off that
-group and gauges y_j M-orthogonal to it (minimum-norm in M).
+degeneracy group; a solver takes any b_j, projects it off that group first
+(:func:`project_rhs`), solves for the projection and gauges y_j M-orthogonal
+to the group (minimum-norm in M). Its targets, MaxIterExceeded and
+ClusterSplit are all measured against the projected column.
 
 Both modes and both routes share one :class:`Linearization` of (A, M) at the
 retrieved eigenpairs. A right-hand block may hold s directions, s k columns:
@@ -27,10 +29,11 @@ import numpy as np
 import scipy.linalg
 
 from ._blas import scipy_one_thread
-from .errors import ClusterSplit, DimensionMismatch, MaxIterExceeded, NotPositiveDefinite
-from .linop import as_dense_array
+from .errors import (ClusterSplit, DimensionMismatch, MaxIterExceeded, NotAnOperator,
+                     NotPositiveDefinite)
+from .linop import SymmetricOperator, as_dense_array
 
-# solves aim at 1e-2 TOL_SOLV |b_j|; ClusterSplit is gated on it
+# solves aim at 1e-2 TOL_SOLV |b_j|, b_j projected; ClusterSplit is gated on it
 TOL_SOLV = 1e-10
 # block size of the Reduction's maps: its diagonal blocks of L and its
 # compact-WY reflector blocks
@@ -137,6 +140,9 @@ class Linearization:
     """
 
     def __init__(self, A, M, eig):
+        for name, op in (("A", A), ("M", M)):
+            if not isinstance(op, SymmetricOperator):
+                raise NotAnOperator(name, op)
         self.A, self.M, self.eig = A, M, eig
         self.MX = M.apply_batch(eig.X)
         self.precond = None
@@ -238,6 +244,7 @@ def solve_dense(lin, B):
     that one refinement step removes, unless it already meets the CG target.
     s directions map in and out as one block and share one banded solve.
     """
+    B = project_rhs(lin, B)
     eig = lin.eig
     (S, lu, piv, p), red = lin.band, lin.reduction
     n, m = B.shape
@@ -279,6 +286,7 @@ def solve_iterative(lin, B, maxiter=None):
     the linearization's ``precond`` makes it PCG for "smallest". ``maxiter``
     bounds the CG steps of each column.
     """
+    B = project_rhs(lin, B)
     eig, (n, m) = lin.eig, B.shape
     maxiter = 20 * n if maxiter is None else maxiter
     if maxiter < 1:

@@ -76,7 +76,8 @@ def vjp(A, M, eig, c, solver="dense", force=False):
     Vbar = np.zeros_like(Xbs)
     if np.any(Xbs):
         lin = linearize(A, M, eig)
-        # the solvers project B themselves; bench/tracing.py times this stage
+        # changes no result beyond roundoff: each solver projects its own B first
+        # and measures on that; kept while bench/tracing.py times this stage here
         B = project_rhs(lin, Xbs)
         Vbar = (solve_dense(lin, B) if solver == "dense" else solve_iterative(lin, B)).Y
     outs = [CotangentOutput(

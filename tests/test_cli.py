@@ -64,6 +64,13 @@ def test_generate_overfull_multiplicities_exit_2(tmp_path):
                 "--out", tmp_path]) == 2
 
 
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_generate_below_two_rows_exit_2(tmp_path, capsys, n):
+    assert run(["generate", "--n", n, "--out", tmp_path]) == 2
+    assert f"n must be >= 2, got {n}" in capsys.readouterr().err
+    assert not (tmp_path / "A.mat").exists()
+
+
 def test_bad_degeneracy_string_exit_2(tmp_path):
     assert run(["generate", "--n", 3, "--degeneracy", "nope",
                 "--out", tmp_path]) == 2

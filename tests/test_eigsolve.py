@@ -106,6 +106,12 @@ def test_build_degeneracy_pair():
     assert eg.build_degeneracy([2.0, 2.0, 5.0], tol_rel=1e-8) == [[0, 1], [2]]
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_build_degeneracy_rejects_a_non_finite_eigenvalue(bad):
+    with pytest.raises(ValueError, match="finite"):
+        eg.build_degeneracy([1.0, bad, 3.0])
+
+
 def test_build_degeneracy_nondegenerate():
     assert eg.build_degeneracy([1.0, 2.0, 3.0]) == [[0], [1], [2]]
 

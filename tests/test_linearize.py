@@ -169,6 +169,26 @@ def test_preconditioner_survives_a_dense_derivative(monkeypatch):
     assert np.max(np.abs(fwd.X_prime - dense.X_prime)) <= 1e-7 * np.max(np.abs(dense.X_prime))
 
 
+def test_small_pencil_fallback_keeps_the_preconditioner():
+    # n = 12 <= max(4 k, 12): eig_iterative solves densely, and its result
+    # still carries P into the iterative derivative solves
+    A, M = make_pencil([2.0, 2.0, 5.0], 12, 3, mass="random")
+    d = np.diagonal(eg.as_dense_array(A))
+    blocks = []
+
+    def P(R):
+        blocks.append(R.shape)
+        return R / d[:, None]
+
+    eig = eg.eig_iterative(A, M, 3, precond=P)
+    assert eg.linearize(A, M, eig).precond is P and not blocks
+    t = sampling.valid_tangent(eig, M, np.random.default_rng(3))
+    fwd = eg.jvp(A, M, eig, t, solver="iterative")
+    assert blocks
+    dense = eg.jvp(A, M, eig, t)
+    assert np.max(np.abs(fwd.X_prime - dense.X_prime)) <= 1e-9 * np.max(np.abs(dense.X_prime))
+
+
 def test_eig_dense_checks_its_groups_once(monkeypatch):
     # the memo's copy of the result reuses the groups check, not reruns it
     calls, group_mask = [], eg.eigsolve.group_mask

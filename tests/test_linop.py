@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 import eigengrad as eg
 from eigengrad import sampling
-from eigengrad.errors import DimensionMismatch, EigengradError, NonFiniteError, NonSquareError
+from eigengrad.errors import (DimensionMismatch, EigengradError, NonFiniteError, NonSquareError,
+                              NotAnOperator)
 
 from conftest import membrane, sparse_ops
 
@@ -199,6 +200,32 @@ def test_a_non_finite_product_raises_where_it_is_made(route, N):
     assert len(calls) == N
 
 
+@pytest.mark.parametrize("call, name", [
+    ("eig_dense", "A"), ("eig_dense", "M"), ("eig_iterative", "A"), ("eig_iterative", "M"),
+    ("jvp", "A"), ("jvp", "M"), ("vjp", "A"), ("vjp", "M"),
+    ("jvp", "Aprime"), ("jvp", "Mprime")])
+def test_an_array_where_an_operator_is_expected_is_a_typed_error(call, name):
+    A_arr, M_arr = sampling.pencil_from_spectrum([2.0, 2.0, 5.0], 16, np.random.default_rng(0))
+    A, M = eg.make_dense(A_arr), eg.make_spd(M_arr)
+    eig = eg.eig_dense(A, M, 3)
+    rng = np.random.default_rng(1)
+    t, c = sampling.valid_tangent(eig, M, rng), sampling.valid_cotangent(eig, M, rng)
+    ops = {"A": A, "M": M}
+    if name in ops:
+        ops[name] = eg.as_dense_array(ops[name])
+    else:
+        setattr(t, name, eg.as_dense_array(getattr(t, name)))
+    run = {"eig_dense": lambda: eg.eig_dense(ops["A"], ops["M"], 3),
+           "eig_iterative": lambda: eg.eig_iterative(ops["A"], ops["M"], 3),
+           "jvp": lambda: eg.jvp(ops["A"], ops["M"], eig, t),
+           "vjp": lambda: eg.vjp(ops["A"], ops["M"], eig, c)}[call]
+    with pytest.raises(NotAnOperator, match=rf"^{name} must be a SymmetricOperator, got ndarray"
+                       ) as exc:
+        run()
+    assert isinstance(exc.value, TypeError) and isinstance(exc.value, EigengradError)
+    assert "eg.make_dense" in str(exc.value) and "eg.make_spd" in str(exc.value)
+
+
 def test_read_rows_rejects_too_few_rows(tmp_path):
     path = tmp_path / "short.mat"
     path.write_text("symmat 3\n1 0 0\n0 1 0\n")
@@ -260,6 +287,7 @@ def test_low_rank_behaves_as_its_dense_matrix(low_rank):
     close(np.asarray(sym), 0.5 * (D + D.T))
     close(np.asarray(L - 3.0 * L.T), D - 3.0 * D.T)
     close(L - P, D - P)     # mixed with an array: dense, through __array__
+    close(L + P, D + P)
 
 
 def test_low_rank_in_place_scaling_leaves_the_factors(low_rank):

@@ -5,8 +5,9 @@ import pytest
 import scipy.linalg
 
 import eigengrad as eg
-from eigengrad import sampling
-from eigengrad.errors import ClusterSplit, DimensionMismatch, NotPositiveDefinite, ValidityViolated
+from eigengrad import oracle, sampling
+from eigengrad.errors import (ClusterSplit, DimensionMismatch, GaugeAlignmentFailed,
+                              NotPositiveDefinite, ValidityViolated)
 
 from conftest import make_pencil, pseudo_inverse_apply
 
@@ -276,3 +277,46 @@ def test_fd_richardson_second_order(rng):
         fd = eg.finite_difference_jvp(A, M, 3, "smallest", t, step=h, base=eig)
         errs.append(np.linalg.norm(fd.X_prime - out.X_prime))
     assert 3.0 <= errs[1] / errs[0] <= 5.0
+
+
+def test_fd_step_that_moves_the_spectrum_is_a_cluster_split():
+    # A' = I shifts every eigenvalue by the step: 2 is above half of max(|2|, 1)
+    A = eg.make_dense(np.diag([1.0, 2.0, 3.0]))
+    t = eg.TangentInput(Aprime=eg.make_dense(np.eye(3)), Mprime=eg.make_dense(np.zeros((3, 3))))
+    with pytest.raises(ClusterSplit, match="changed drastically"):
+        eg.finite_difference_jvp(A, eg.identity_operator(3), 2, "smallest", t, step=2.0)
+
+
+def test_align_rejects_a_vector_far_from_the_reference():
+    e = np.eye(3)
+    np.testing.assert_array_equal(oracle._align(-e[0], e[0]), e[0])
+    with pytest.raises(GaugeAlignmentFailed):
+        oracle._align(e[1], e[0])
+
+
+@pytest.mark.parametrize("group", [[0, 2], [-1]])
+def test_projector_derivative_rejects_an_out_of_range_group(group):
+    A, M = make_pencil([2.0, 2.0, 5.0], 5, 59)
+    eig = eg.eig_dense(A, M, 2)
+    t = sampling.valid_tangent(eig, M, np.random.default_rng(0))
+    out = eg.jvp(A, M, eig, t)
+    with pytest.raises(IndexError, match="out of range for k=2"):
+        eg.analytic_projector_derivative(eig, out, M, t.Mprime, group)
+
+
+def test_pencil_from_spectrum_rejects_a_long_spectrum_and_an_unknown_mass():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="4 entries for n=3"):
+        sampling.pencil_from_spectrum([1.0, 2.0, 3.0, 4.0], 3, rng)
+    with pytest.raises(ValueError, match="mass must be 'identity' or 'random'"):
+        sampling.pencil_from_spectrum([1.0], 3, rng, mass="diagonal")
+
+
+@pytest.mark.parametrize("violating", [sampling.violating_tangent, sampling.violating_cotangent])
+def test_violations_need_a_group_of_two(violating):
+    A, M = make_pencil([2.0, 2.0, 5.0], 5, 59)
+    eig = eg.eig_dense(A, M, 3)
+    assert eig.groups == [[0, 1], [2]]
+    violating(eig, M, eig.groups[0])
+    with pytest.raises(ValueError, match="size >= 2"):
+        violating(eig, M, eig.groups[1])

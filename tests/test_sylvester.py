@@ -127,6 +127,24 @@ def test_scopes_in_many_threads_hold_one_thread_and_restore_the_count():
     assert count[0] == 3 and scope.open == 0
 
 
+@pytest.mark.parametrize("lib", ["none loads", "no getter and setter"])
+def test_lookup_gives_none_without_a_usable_library(monkeypatch, lib):
+    # a vendored path that is not loaded (RTLD_NOLOAD fails), or a library
+    # that exports no thread-count pair: no lookup, and a scope changes nothing
+    monkeypatch.setattr(_blas.glob, "glob", lambda pattern: [pattern.replace("*", "")])
+    if lib == "no getter and setter":
+        monkeypatch.setattr(_blas.ctypes, "CDLL", lambda path, mode=0: object())
+    _blas.scipy_openblas.cache_clear()
+    try:
+        assert _blas.scipy_openblas() is None
+        scope = _blas._OneThread(_blas.scipy_openblas)
+        with scope():
+            assert scope.open == 1
+        assert scope.open == 0
+    finally:
+        _blas.scipy_openblas.cache_clear()
+
+
 def test_eig_dense_without_the_scope_gives_the_same_groups_and_eigenvalues(monkeypatch):
     A, M = make_pencil([1.0, 1.0, 2.0, 3.0, 3.0, 3.0], 300, 5, mass="random")
     scoped = eg.eig_dense(A, M, 8)
@@ -195,6 +213,21 @@ def test_unprojected_rhs_solves_its_projection(solve):
     direct, ref = solve(lin, B), solve(lin, P)
     np.testing.assert_allclose(direct.Y, ref.Y, rtol=0, atol=1e-12 * np.max(np.abs(ref.Y)))
     assert np.all(direct.residuals <= 1e-12 * np.linalg.norm(B, axis=0))
+
+
+@pytest.mark.parametrize("eps", [1e-5, 1e-8])
+@pytest.mark.parametrize("solve", [solve_dense, solve_iterative])
+def test_unprojected_rhs_is_solved_to_the_accuracy_of_its_projection(solve, eps):
+    # B = M X + eps P, P off each column's group: the group part is 1/eps times
+    # what the solve answers for, so a target, MaxIterExceeded test or
+    # ClusterSplit gate scaled by the unprojected |b_j| is 1/eps too loose
+    A, M = (eg.make_dense(a) for a in sampling.random_spd_pencil(60, np.random.default_rng(0)))
+    eig = eg.eig_iterative(A, M, 4, tol=1e-10)
+    lin = eg.linearize(A, M, eig)
+    B = lin.MX + eps * project_rhs(lin, np.random.default_rng(1).standard_normal((60, 4)))
+    direct, ref = solve(lin, B), solve(lin, project_rhs(lin, B))
+    err = np.linalg.norm(direct.Y - ref.Y, axis=0) / np.linalg.norm(ref.Y, axis=0)
+    assert np.all(err <= 1e-12), err
 
 
 @pytest.mark.parametrize("solve", [solve_dense, solve_iterative])
