@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatch, MaxIterExceeded, NotAnOperator, NotPositiveDefinite
-from .linop import SymmetricOperator, spot_check_spd
+from .errors import DimensionMismatch, MaxIterExceeded, NotPositiveDefinite
+from .linop import check_operators, spot_check_spd
 from .sylvester import Reduction, linearize
 
 DEFAULT_DEGENERACY_RTOL = 1e-8
@@ -84,9 +84,7 @@ def _finalize(X, lam, which, tol_rel=DEFAULT_DEGENERACY_RTOL):
 def _check_request(A, M, k, which):
     """The checks both eigensolvers make on (A, M, k, which) before any work;
     returns n."""
-    for name, op in (("A", A), ("M", M)):
-        if not isinstance(op, SymmetricOperator):
-            raise NotAnOperator(name, op)
+    check_operators(A=A, M=M)
     n = A.dim
     if M.dim != n:
         raise DimensionMismatch(f"A has dim {n} but M has dim {M.dim}")

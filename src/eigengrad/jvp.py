@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotAnOperator, ValidityViolated
-from .linop import SymmetricOperator
+from .errors import ValidityViolated
+from .linop import check_operators
 from .sylvester import check_solver, linearize, project_rhs, solve_dense, solve_iterative
 
 TOL_COND = 1e-7
@@ -39,9 +39,7 @@ class TangentOutput:
 def _coupling(eig, t):
     """M'X, V = A'X - M'X Lambda and the k x k coupling F = X^T V."""
     X = eig.X
-    for name, op in (("Aprime", t.Aprime), ("Mprime", t.Mprime)):
-        if not isinstance(op, SymmetricOperator):
-            raise NotAnOperator(name, op)
+    check_operators(Aprime=t.Aprime, Mprime=t.Mprime)
     MpX = t.Mprime.apply_batch(X)
     V = t.Aprime.apply_batch(X) - MpX * eig.lambdas
     return MpX, V, X.T @ V

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteError, NonSquareError
+from .errors import DimensionMismatch, NonFiniteError, NonSquareError, NotAnOperator
 
 SYMMETRY_TRIALS = 10
 
@@ -224,6 +224,14 @@ def identity_operator(n):
     return make_spd(np.eye(n))
 
 
+def check_operators(**ops):
+    """NotAnOperator for the first of ``ops``, by keyword name, that is not a
+    SymmetricOperator: a raw array, say."""
+    for name, op in ops.items():
+        if not isinstance(op, SymmetricOperator):
+            raise NotAnOperator(name, op)
+
+
 def as_dense_array(op):
     """Materialize an operator as a new dense array.
 
@@ -237,6 +245,7 @@ def as_dense_array(op):
 def check_symmetry(op):
     """Spot-check <u, Av> == <v, Au> (to 1e-12) on SYMMETRY_TRIALS seeded probe
     pairs, applied as one u-block and one v-block; False if any pair violates."""
+    check_operators(op=op)
     P = np.random.default_rng(0).standard_normal((SYMMETRY_TRIALS, 2, op.dim))
     U, V = P[:, 0].T, P[:, 1].T
     AU, AV = op.apply_batch(U), op.apply_batch(V)

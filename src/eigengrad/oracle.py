@@ -19,7 +19,7 @@ from .errors import (ClusterSplit, DimensionMismatch, GaugeAlignmentFailed,
 from .eigsolve import DEFAULT_DEGENERACY_RTOL, eig_dense
 from .jvp import TangentOutput, check_forward_validity
 from .vjp import CotangentOutput, check_backward_validity
-from .linop import as_dense_array, make_dense, make_spd
+from .linop import as_dense_array, check_operators, make_dense, make_spd
 
 ORACLE_SIZE_CAP = 200
 
@@ -39,6 +39,7 @@ def full_spectrum(A, M):
     with dtrsm instead, which OpenBLAS threads from 32 columns: at n = 50
     each call woke a worker thread that went on spinning beside the caller.
     """
+    check_operators(A=A, M=M)
     Ad = as_dense_array(A)
     Md = as_dense_array(M)
     n = Ad.shape[0]
@@ -143,6 +144,7 @@ class FdTangent:
 
 def finite_difference_jvp(A, M, k, which, t, step=1e-5, base=None):
     """Second-order central differences of eig_dense along (A', M')."""
+    check_operators(A=A, M=M, Aprime=t.Aprime, Mprime=t.Mprime)
     A0 = as_dense_array(A)
     M0 = as_dense_array(M)
     Ap = as_dense_array(t.Aprime)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .jvp import TangentInput
 from .vjp import CotangentInput
-from .linop import make_dense
+from .linop import check_operators, make_dense
 
 
 def random_orthogonal(n, rng):
@@ -77,6 +77,7 @@ def valid_tangent(eig, M, rng):
     difference) keeps the zero-gauge X' consistent with the differentiated
     M-orthonormality of the whole retrieved block.
     """
+    check_operators(M=M)
     n = eig.X.shape[0]
     Ap = random_symmetric(n, rng)
     Mp = random_symmetric(n, rng)
@@ -106,6 +107,7 @@ def valid_cotangent(eig, M, rng):
     The antisymmetric in-group part N of X^T X_bar is cancelled by
     X_bar <- X_bar - 1/2 M X N.
     """
+    check_operators(M=M)
     n = eig.X.shape[0]
     lbar = rng.standard_normal(eig.k)
     Xb = rng.standard_normal((n, eig.k))

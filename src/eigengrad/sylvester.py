@@ -28,10 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from ._blas import scipy_one_thread
-from .errors import (ClusterSplit, DimensionMismatch, MaxIterExceeded, NotAnOperator,
-                     NotPositiveDefinite)
-from .linop import SymmetricOperator, as_dense_array
+from ._blas import reduction_lapack
+from .errors import ClusterSplit, DimensionMismatch, MaxIterExceeded, NotPositiveDefinite
+from .linop import as_dense_array, check_operators
 
 # solves aim at 1e-2 TOL_SOLV |b_j|, b_j projected; ClusterSplit is gated on it
 TOL_SOLV = 1e-10
@@ -63,26 +62,27 @@ class Reduction:
     GEMMs alone, O(n^2) per column: they run on the BLAS pool the operator
     products and the caller's code use, where scipy's LAPACK would be a
     second pool that each switch waits on. The set-up's own LAPACK calls run
-    with scipy's OpenBLAS held at one thread (:mod:`._blas`): they do not
-    wait on numpy's workers still spinning from the caller's products, and
-    leave no scipy worker spinning beside the numpy work that follows.
+    where :func:`._blas.reduction_lapack` routes them, recorded in
+    ``lapack``: from n = ``NUMPY_LAPACK_MIN_N`` on, numpy's OpenBLAS LAPACK,
+    on all the threads of the pool the caller's products keep awake; below
+    it, or without that library, scipy's held at one thread, which neither
+    waits on numpy's spinning workers nor leaves its own spinning.
     """
 
     def __init__(self, A, M):
-        with scipy_one_thread():
-            lapack, blas = scipy.linalg.lapack, scipy.linalg.blas
+        with reduction_lapack(A.dim) as lapack:
+            self.lapack = lapack
             # A and M are symmetric: their copies' transposes are the Fortran-ordered
             # arrays LAPACK overwrites in place
-            L, info = lapack.dpotrf(as_dense_array(M).T, lower=1, overwrite_a=1)
+            L, info = lapack.dpotrf(as_dense_array(M).T)
             if info:
                 raise NotPositiveDefinite(f"M is not positive definite (dpotrf info {info})")
-            C = lapack.dsygst(as_dense_array(A).T, L, lower=1, overwrite_a=1)[0]
-            lwork = int(lapack.dsytrd_lwork(A.dim, lower=1)[0])
-            C, self.d, self.e, tau, _ = lapack.dsytrd(C, lower=1, lwork=lwork, overwrite_a=1)
+            C = lapack.dsygst(as_dense_array(A).T, L)
+            C, self.d, self.e, tau = lapack.dsytrd(C)
             n = self.d.size
-            for j in range(0, n, NB):    # dtrtri overwrites a block that is all of L
+            for j in range(0, n, NB):
                 b, w = slice(j, j + NB), min(NB, n - j)
-                inv = lapack.dtrtri(L[b, b], lower=1, overwrite_c=1)[0]
+                inv = lapack.dtrtri(L[b, b], lower=1)
                 inv[_STRICT_UPPER[:w, :w]] = 0.0    # M's entries
                 L[b, b] = inv
             self.L, self.wy = L, []
@@ -98,10 +98,10 @@ class Reduction:
                 # where tau is 0 too; dsyrk leaves the lower triangle 0. An inverse
                 # and not dtrsm: OpenBLAS threads dtrsm from 32 columns, and at
                 # small n its workers then wait on numpy's spinning ones
-                S = blas.dsyrk(1.0, V[j:, b], trans=1)
+                S = lapack.dsyrk(V[j:, b])
                 S *= tau[b, None]
                 np.fill_diagonal(S, 1.0)
-                T = lapack.dtrtri(S, overwrite_c=1)[0]
+                T = lapack.dtrtri(S, lower=0)
                 T *= tau[b]
                 self.wy.append((V[j:, b], T))
 
@@ -140,9 +140,7 @@ class Linearization:
     """
 
     def __init__(self, A, M, eig):
-        for name, op in (("A", A), ("M", M)):
-            if not isinstance(op, SymmetricOperator):
-                raise NotAnOperator(name, op)
+        check_operators(A=A, M=M)
         self.A, self.M, self.eig = A, M, eig
         self.MX = M.apply_batch(eig.X)
         self.precond = None

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteError, ValidityViolated
 from .jvp import in_group_defect
-from .linop import LowRank
+from .linop import LowRank, check_operators
 from .sylvester import check_solver, linearize, project_rhs, solve_dense, solve_iterative
 
 
@@ -62,6 +62,7 @@ def vjp(A, M, eig, c, solver="dense", force=False):
     single-pair adjoint and the pairing identity with forward mode.
     """
     check_solver(solver)
+    check_operators(A=A, M=M)    # also where no solve reaches Linearization's check
     parts = []
     for ci in [c] if isinstance(c, CotangentInput) else c:
         ok, defect = check_backward_validity(eig, ci)

@@ -10,7 +10,8 @@ import scipy.linalg
 from scipy.sparse.linalg import splu
 
 import eigengrad as eg
-from eigengrad import sampling
+from eigengrad import _blas, sampling
+from eigengrad._blas import NUMPY_LAPACK_MIN_N
 from eigengrad.errors import ClusterSplit
 from eigengrad.sylvester import project_rhs
 
@@ -205,13 +206,16 @@ def test_eig_dense_checks_its_groups_once(monkeypatch):
 
 
 def counting_lapack(monkeypatch):
-    """Count the O(n^3) LAPACK factorizations, as the modules look them up."""
+    """Count the O(n^3) LAPACK factorizations, as the modules look them up:
+    scipy's, and numpy's binding that large reductions call."""
     calls = {}
-    for name in ("dpotrf", "dsygst", "dsytrd", "dgetrf"):
-        def counted(*args, _name=name, _fn=getattr(scipy.linalg.lapack, name), **kwargs):
-            calls[_name] = calls.get(_name, 0) + 1
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(scipy.linalg.lapack, name, counted)
+    for lib, names in ((scipy.linalg.lapack, ("dpotrf", "dsygst", "dsytrd", "dgetrf")),
+                       (_blas.numpy_lapack(), ("dpotrf", "dsygst", "dsytrd"))):
+        for name in names if lib is not None else ():
+            def counted(*args, _name=name, _fn=getattr(lib, name), **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(lib, name, counted)
     return calls
 
 
@@ -225,6 +229,20 @@ def test_dense_derivatives_reuse_the_primal_reduction(monkeypatch):
     eg.jvp(A, M, eig, sampling.valid_tangent(eig, M, rng))
     eg.vjp(A, M, eig, sampling.valid_cotangent(eig, M, rng))
     assert calls == {}
+
+
+def test_large_primal_reduces_once_on_numpy_lapack(monkeypatch):
+    # from NUMPY_LAPACK_MIN_N on the reduction calls numpy's binding, which
+    # counting_lapack counts too; once, and its derivatives reuse it
+    calls = counting_lapack(monkeypatch)
+    A, M = make_pencil([1.0, 1.0, 3.0], NUMPY_LAPACK_MIN_N, 8, mass="random")
+    eig = eg.eig_dense(A, M, 4)
+    rng = np.random.default_rng(8)
+    eg.jvp(A, M, eig, sampling.valid_tangent(eig, M, rng))
+    eg.vjp(A, M, eig, sampling.valid_cotangent(eig, M, rng))
+    assert calls == {"dpotrf": 1, "dsygst": 1, "dsytrd": 1}
+    route = "scipy" if _blas.numpy_lapack() is None else "numpy"
+    assert eig._linearization.reduction.lapack.name == route
 
 
 def test_iterative_primal_reduces_on_first_dense_solve(monkeypatch):

@@ -203,22 +203,36 @@ def test_a_non_finite_product_raises_where_it_is_made(route, N):
 @pytest.mark.parametrize("call, name", [
     ("eig_dense", "A"), ("eig_dense", "M"), ("eig_iterative", "A"), ("eig_iterative", "M"),
     ("jvp", "A"), ("jvp", "M"), ("vjp", "A"), ("vjp", "M"),
-    ("jvp", "Aprime"), ("jvp", "Mprime")])
+    ("jvp", "Aprime"), ("jvp", "Mprime"),
+    # X_bar = 0 solves nothing, so no Linearization is built to check A and M
+    ("eigenvalue-only vjp", "A"), ("eigenvalue-only vjp", "M"),
+    ("full_spectrum", "A"), ("full_spectrum", "M"),
+    ("finite_difference_jvp", "A"), ("finite_difference_jvp", "M"),
+    ("finite_difference_jvp", "Aprime"), ("finite_difference_jvp", "Mprime"),
+    ("check_symmetry", "op"), ("valid_tangent", "M"), ("valid_cotangent", "M")])
 def test_an_array_where_an_operator_is_expected_is_a_typed_error(call, name):
     A_arr, M_arr = sampling.pencil_from_spectrum([2.0, 2.0, 5.0], 16, np.random.default_rng(0))
     A, M = eg.make_dense(A_arr), eg.make_spd(M_arr)
     eig = eg.eig_dense(A, M, 3)
     rng = np.random.default_rng(1)
     t, c = sampling.valid_tangent(eig, M, rng), sampling.valid_cotangent(eig, M, rng)
-    ops = {"A": A, "M": M}
+    ops = {"A": A, "M": M, "op": A}
     if name in ops:
         ops[name] = eg.as_dense_array(ops[name])
     else:
         setattr(t, name, eg.as_dense_array(getattr(t, name)))
+    values_only = eg.CotangentInput(lambda_bar=np.ones(3), X_bar=np.zeros((16, 3)))
     run = {"eig_dense": lambda: eg.eig_dense(ops["A"], ops["M"], 3),
            "eig_iterative": lambda: eg.eig_iterative(ops["A"], ops["M"], 3),
            "jvp": lambda: eg.jvp(ops["A"], ops["M"], eig, t),
-           "vjp": lambda: eg.vjp(ops["A"], ops["M"], eig, c)}[call]
+           "vjp": lambda: eg.vjp(ops["A"], ops["M"], eig, c),
+           "eigenvalue-only vjp": lambda: eg.vjp(ops["A"], ops["M"], eig, values_only),
+           "full_spectrum": lambda: eg.full_spectrum(ops["A"], ops["M"]),
+           "finite_difference_jvp": lambda: eg.finite_difference_jvp(
+               ops["A"], ops["M"], 3, "smallest", t),
+           "check_symmetry": lambda: eg.check_symmetry(ops["op"]),
+           "valid_tangent": lambda: sampling.valid_tangent(eig, ops["M"], rng),
+           "valid_cotangent": lambda: sampling.valid_cotangent(eig, ops["M"], rng)}[call]
     with pytest.raises(NotAnOperator, match=rf"^{name} must be a SymmetricOperator, got ndarray"
                        ) as exc:
         run()

@@ -11,7 +11,7 @@ import scipy.sparse.linalg
 
 import eigengrad as eg
 from eigengrad import _blas, sampling, sylvester
-from eigengrad._blas import scipy_one_thread
+from eigengrad._blas import NUMPY_LAPACK_MIN_N, reduction_lapack
 from eigengrad.errors import (ClusterSplit, DimensionMismatch, MaxIterExceeded,
                               NotPositiveDefinite)
 from eigengrad.sylvester import NB, Reduction, project_rhs, solve_dense, solve_iterative
@@ -34,32 +34,37 @@ def degen_lin(lambdas, groups):
     return linearization([2.0, 2.0, 5.0], lambdas, np.eye(3)[:, :2], groups)
 
 
-def reference_factors(A, M):
-    """(L, Q, tau) by the reduction's LAPACK calls, on the one scipy thread
-    the reduction runs them on, Q = diag(1, Q~) formed explicitly by dorgqr
-    from dsytrd's reflectors."""
-    lapack = scipy.linalg.lapack
-    with scipy_one_thread():
-        L = lapack.dpotrf(M, lower=1)[0]
-        C, _, _, tau, _ = lapack.dsytrd(lapack.dsygst(A, L, lower=1)[0], lower=1)
-        Q = np.eye(len(A))
-        Q[1:, 1:] = lapack.dorgqr(C[1:, :-1], tau)[0]
+def reference_factors(A, M, lapack):
+    """(L, Q, tau) by the reduction's LAPACK calls on ``lapack``, the library
+    its reduction ran on, routed as the reduction routes them (scipy's held
+    at one thread); Q = diag(1, Q~) formed explicitly by dorgqr from dsytrd's
+    reflectors."""
+    with reduction_lapack(len(A)) as routed:
+        assert routed is lapack
+        L = lapack.dpotrf(np.array(M, order="F"))[0]
+        C, _, _, tau = lapack.dsytrd(lapack.dsygst(np.array(A, order="F"), L))
+    Q = np.eye(len(A))
+    Q[1:, 1:] = scipy.linalg.lapack.dorgqr(C[1:, :-1], tau)[0]
     return np.tril(L), Q, tau
 
 
-def scipy_openblas_getter():
-    """The thread-count getter of the OpenBLAS scipy loaded from its wheel, or
-    None, found apart from eigengrad: the libraries /proc/self/maps lists under
-    scipy's wheel directories, probed for the spellings bench/common.py reads."""
+def loaded_openblas(package):
+    """The OpenBLAS libraries /proc/self/maps lists under ``package``'s wheel
+    directories, found apart from eigengrad, as ctypes handles."""
     if not os.path.exists("/proc/self/maps"):
         pytest.skip("lists loaded libraries through /proc/self/maps")
-    root = os.path.dirname(scipy.__file__)
+    root = os.path.dirname(package.__file__)
     wheel_dirs = (os.path.join(root + ".libs", ""), os.path.join(root, ".dylibs", ""))
     with open("/proc/self/maps", encoding="ascii", errors="replace") as fh:
         paths = {f[5].strip() for f in (line.split(None, 5) for line in fh) if len(f) == 6}
-    for path in sorted(p for p in paths
-                       if "openblas" in os.path.basename(p) and p.startswith(wheel_dirs)):
-        lib = ctypes.CDLL(path)
+    return [ctypes.CDLL(path) for path in sorted(paths)
+            if "openblas" in os.path.basename(path) and path.startswith(wheel_dirs)]
+
+
+def openblas_getter(package):
+    """The thread-count getter of the OpenBLAS ``package`` loaded from its
+    wheel, or None, probed for the spellings bench/common.py reads."""
+    for lib in loaded_openblas(package):
         for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
                      "openblas_get_num_threads64_", "openblas_get_num_threads"):
             get = getattr(lib, name, None)
@@ -69,17 +74,24 @@ def scipy_openblas_getter():
     return None
 
 
+def numpy_lapack_or_skip():
+    found = _blas.numpy_lapack()
+    if found is None:
+        pytest.skip("numpy loads no OpenBLAS of its own with an ILP64 LAPACK")
+    return found
+
+
 def test_lookup_finds_the_openblas_scipy_vendors():
     # fails, not skips, where scipy's wheel has an OpenBLAS the lookup misses,
     # so the one-thread scope cannot silently do nothing there
-    get, found = scipy_openblas_getter(), _blas.scipy_openblas()
+    get, found = openblas_getter(scipy), _blas.scipy_openblas()
     assert (found is None) == (get is None)
     if found is not None:
         assert found[0]() == get()
 
 
 def test_reduction_runs_scipy_lapack_on_one_thread_and_restores_the_count(monkeypatch):
-    get = scipy_openblas_getter()
+    get = openblas_getter(scipy)
     if get is None:
         pytest.skip("scipy loads no OpenBLAS of its own")
     setter = _blas.scipy_openblas()[1]
@@ -145,6 +157,41 @@ def test_lookup_gives_none_without_a_usable_library(monkeypatch, lib):
         _blas.scipy_openblas.cache_clear()
 
 
+def test_numpy_lapack_works_on_a_copy_where_it_cannot_work_in_place():
+    # a C-ordered or read-only array, as an operator's closure may return:
+    # the binding, like scipy's wrappers, factors a Fortran-ordered copy
+    lapack = numpy_lapack_or_skip()
+    _, M = make_pencil([], 6, 0, mass="random")
+    M = eg.as_dense_array(M)
+    M[0, 5] += 1.0    # an upper triangle the factor must not read
+    ref = scipy.linalg.lapack.dpotrf(M, lower=1)[0]
+    frozen = np.asfortranarray(M)
+    frozen.flags.writeable = False
+    for a in (np.ascontiguousarray(M), frozen):
+        before = a.copy()
+        L, info = lapack.dpotrf(a)
+        assert info == 0 and L.flags.f_contiguous and L is not a
+        np.testing.assert_array_equal(a, before)
+        np.testing.assert_allclose(np.tril(L), np.tril(ref), rtol=1e-14, atol=1e-14)
+
+
+def test_numpy_lapack_without_ilp64_symbols_falls_back_to_scipy(monkeypatch):
+    # an LP64 build exports plain dpotrf_: no binding, and a large reduction
+    # runs on scipy's LAPACK, held at one thread
+    class LP64:
+        dpotrf_ = dsygst_ = dsytrd_ = dtrtri_ = dsyrk_ = object()
+
+    monkeypatch.setattr(_blas.glob, "glob", lambda pattern: [pattern.replace("*", "")])
+    monkeypatch.setattr(_blas.ctypes, "CDLL", lambda path, mode=0: LP64())
+    _blas.numpy_lapack.cache_clear()
+    try:
+        assert _blas.numpy_lapack() is None
+        with reduction_lapack(NUMPY_LAPACK_MIN_N) as lapack:
+            assert lapack is _blas.SCIPY_LAPACK and _blas.scipy_one_thread.open == 1
+    finally:
+        _blas.numpy_lapack.cache_clear()
+
+
 def test_eig_dense_without_the_scope_gives_the_same_groups_and_eigenvalues(monkeypatch):
     A, M = make_pencil([1.0, 1.0, 2.0, 3.0, 3.0, 3.0], 300, 5, mass="random")
     scoped = eg.eig_dense(A, M, 8)
@@ -154,7 +201,52 @@ def test_eig_dense_without_the_scope_gives_the_same_groups_and_eigenvalues(monke
     np.testing.assert_allclose(plain.lambdas, scoped.lambdas, rtol=1e-13, atol=0)
 
 
-@pytest.mark.parametrize("n", [2, 3, NB - 1, NB, NB + 1, 2 * NB + 5])
+def test_lookup_finds_the_lapack_numpy_vendors():
+    # fails, not skips, where numpy's wheel has an OpenBLAS with an ILP64
+    # LAPACK that the lookup misses, so large reductions cannot silently fall
+    # back to scipy's
+    expected = next((getattr(lib, spelling.format("dsytrd"))
+                     for lib in loaded_openblas(np) for spelling in ("scipy_{}_64_", "{}_64_")
+                     if all(hasattr(lib, spelling.format(name))
+                            for name in _blas.NumpyLapack.ROUTINES)), None)
+    found = _blas.numpy_lapack()
+    assert (found is None) == (expected is None)
+    if found is not None:
+        address = ctypes.cast(found._sytrd, ctypes.c_void_p).value
+        assert address == ctypes.cast(expected, ctypes.c_void_p).value
+
+
+def test_large_eig_dense_on_numpy_lapack_matches_the_scipy_fallback(monkeypatch):
+    numpy_lapack_or_skip()
+    A, M = make_pencil([1.0, 1.0, 2.0, 3.0, 3.0, 3.0], NUMPY_LAPACK_MIN_N, 5, mass="random")
+    fast = eg.eig_dense(A, M, 8)
+    monkeypatch.setattr(_blas, "numpy_lapack", lambda: None)
+    fallback = eg.eig_dense(A, M, 8)
+    assert fast._linearization.reduction.lapack.name == "numpy"
+    assert fallback._linearization.reduction.lapack.name == "scipy"
+    assert fallback.groups == fast.groups == [[0, 1], [2], [3, 4, 5], [6], [7]]
+    np.testing.assert_allclose(fallback.lambdas, fast.lambdas, rtol=1e-13, atol=0)
+
+
+def test_large_reduction_leaves_numpy_threads_alone_and_raises_on_indefinite_m(monkeypatch):
+    lapack, get = numpy_lapack_or_skip(), openblas_getter(np)
+    n, seen = NUMPY_LAPACK_MIN_N, []
+    for name in ("dpotrf", "dsytrd"):
+        def wrapped(*args, _call=getattr(lapack, name)):
+            seen.append(get())
+            return _call(*args)
+        monkeypatch.setattr(lapack, name, wrapped)
+    A, M = make_pencil([], n, 0, mass="random")
+    before = get()
+    assert Reduction(A, M).lapack is lapack
+    assert seen == [before, before] and get() == before
+    with pytest.raises(NotPositiveDefinite, match="dpotrf info 1"):
+        Reduction(A, eg.make_dense(-np.eye(n)))
+    assert seen == [before] * 3 and get() == before
+
+
+@pytest.mark.parametrize("n", [2, 3, NB - 1, NB, NB + 1, 2 * NB + 5,
+                               400, 2 * NUMPY_LAPACK_MIN_N + 5])
 @pytest.mark.parametrize("pencil", ["diagonal", "cond-1e8"])
 def test_blocked_maps_match_triangular_solves_and_explicit_q(pencil, n):
     rng = np.random.default_rng(n)
@@ -165,7 +257,7 @@ def test_blocked_maps_match_triangular_solves_and_explicit_q(pencil, n):
         M = (Qm * np.logspace(0.0, 8.0, n)) @ Qm.T
         A, M = sampling.random_symmetric(n, rng), 0.5 * (M + M.T)
     red = Reduction(eg.make_dense(A), eg.make_spd(M))
-    L, Q, tau = reference_factors(A, M)
+    L, Q, tau = reference_factors(A, M, red.lapack)
     if pencil == "diagonal":
         assert not np.any(tau)
     # forward error bounds of a triangular solve with L and of M's Cholesky
