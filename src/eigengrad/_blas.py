@@ -32,10 +32,13 @@ SPELLINGS = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads"
 # the ILP64 LAPACK and BLAS symbols of numpy's wheel OpenBLAS: scipy-openblas64
 # (numpy 2) and openblas64_ (numpy 1.2x); an LP64 build matches neither
 LAPACK_SPELLINGS = ("scipy_{}_64_", "{}_64_")
-# from this order on a reduction runs on numpy's pool. Measured on 2 cores,
-# the routes cross between n = 300 and 384, and below, numpy's threaded
-# LAPACK stalled a reduction at n = 80-100 for 23-45 ms, where scipy's one
-# thread takes about 1 ms
+# from this order on a reduction runs on numpy's pool. Chosen on a 2-core
+# machine, where the routes crossed between n = 300 and 384 and, below,
+# numpy's threaded LAPACK stalled a reduction at n = 80-100 for 23-45 ms
+# against scipy's one thread's 1 ms. numpy's route uses all of its pool's
+# threads, so with more cores both the crossover and the stall may move:
+# neither has been measured there, and the cutoff should be re-measured
+# before it is trusted on such a machine
 NUMPY_LAPACK_MIN_N = 384
 
 

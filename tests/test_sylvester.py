@@ -177,19 +177,30 @@ def test_numpy_lapack_works_on_a_copy_where_it_cannot_work_in_place():
 
 def test_numpy_lapack_without_ilp64_symbols_falls_back_to_scipy(monkeypatch):
     # an LP64 build exports plain dpotrf_: no binding, and a large reduction
-    # runs on scipy's LAPACK, held at one thread
+    # runs on scipy's LAPACK, held at one thread. Only numpy's libraries are
+    # faked, so scipy's lookup, and the scope later tests rely on, stay real
     class LP64:
         dpotrf_ = dsygst_ = dsytrd_ = dtrtri_ = dsyrk_ = object()
 
-    monkeypatch.setattr(_blas.glob, "glob", lambda pattern: [pattern.replace("*", "")])
-    monkeypatch.setattr(_blas.ctypes, "CDLL", lambda path, mode=0: LP64())
+    _blas.scipy_openblas.cache_clear()
+    threads = _blas.scipy_openblas()
+    vendored = _blas._vendored
+    monkeypatch.setattr(_blas, "_vendored",
+                        lambda package: [LP64()] if package is np else vendored(package))
     _blas.numpy_lapack.cache_clear()
     try:
         assert _blas.numpy_lapack() is None
         with reduction_lapack(NUMPY_LAPACK_MIN_N) as lapack:
             assert lapack is _blas.SCIPY_LAPACK and _blas.scipy_one_thread.open == 1
+            assert _blas.scipy_openblas() is threads
+            assert threads is None or threads[0]() == 1
     finally:
         _blas.numpy_lapack.cache_clear()
+        _blas.scipy_openblas.cache_clear()
+
+    def addresses(pair):
+        return pair and [ctypes.cast(fn, ctypes.c_void_p).value for fn in pair]
+    assert addresses(_blas.scipy_openblas()) == addresses(threads)
 
 
 def test_eig_dense_without_the_scope_gives_the_same_groups_and_eigenvalues(monkeypatch):
