@@ -10,6 +10,9 @@ numpy's OpenBLAS also exports the full LAPACK, ILP64. :func:`numpy_lapack`
 binds the few routines the reduction calls there, on the pool whose workers
 the caller's numpy products keep awake, and :data:`SCIPY_LAPACK` gives
 scipy's wrappers the same signatures; :func:`reduction_lapack` picks one.
+
+scipy is imported on the first dense call, through :func:`scipy_linalg`, and
+not at import: the matrix-free route needs numpy alone.
 """
 
 from __future__ import annotations
@@ -22,8 +25,6 @@ import os
 import threading
 
 import numpy as np
-import scipy
-import scipy.linalg  # noqa: F401  (loads scipy's OpenBLAS)
 
 # OpenBLAS's thread-count functions as its wheel builds spell them: prefixed
 # (scipy-openblas), ILP64-suffixed and plain
@@ -57,11 +58,21 @@ def _vendored(package):
     return libs
 
 
+def scipy_linalg():
+    """scipy.linalg, imported on the first call, which loads scipy's OpenBLAS."""
+    # deferred: the import costs about 0.2 s and 27 MB (scipy 1.17.1), which the
+    # matrix-free route, numpy alone, should not pay
+    import scipy.linalg
+    return scipy.linalg
+
+
 @functools.cache
 def scipy_openblas():
-    """(get, set) thread-count functions of the OpenBLAS scipy's wheel vendors
-    and has loaded, or None: scipy has no OpenBLAS of its own (it shares
+    """(get, set) thread-count functions of the OpenBLAS scipy's wheel vendors,
+    loaded first, or None: scipy has no OpenBLAS of its own (it shares
     numpy's or the system's BLAS), or it exports no getter and setter."""
+    scipy_linalg()    # before the lookup, which binds only a library already loaded
+    import scipy
     for lib in _vendored(scipy):
         for spelling in SPELLINGS:
             get = getattr(lib, spelling.format("get"), None)
@@ -192,25 +203,25 @@ class _ScipyLapack:
 
     @staticmethod
     def dpotrf(a):
-        return scipy.linalg.lapack.dpotrf(a, lower=1, overwrite_a=1)
+        return scipy_linalg().lapack.dpotrf(a, lower=1, overwrite_a=1)
 
     @staticmethod
     def dsygst(a, L):
-        return scipy.linalg.lapack.dsygst(a, L, lower=1, overwrite_a=1)[0]
+        return scipy_linalg().lapack.dsygst(a, L, lower=1, overwrite_a=1)[0]
 
     @staticmethod
     def dsytrd(a):
-        lapack = scipy.linalg.lapack
+        lapack = scipy_linalg().lapack
         lwork = int(lapack.dsytrd_lwork(a.shape[0], lower=1)[0])
         return lapack.dsytrd(a, lower=1, lwork=lwork, overwrite_a=1)[:4]
 
     @staticmethod
     def dtrtri(a, lower):
-        return scipy.linalg.lapack.dtrtri(a, lower=lower, overwrite_c=1)[0]
+        return scipy_linalg().lapack.dtrtri(a, lower=lower, overwrite_c=1)[0]
 
     @staticmethod
     def dsyrk(a):
-        return scipy.linalg.blas.dsyrk(1.0, a, trans=1)
+        return scipy_linalg().blas.dsyrk(1.0, a, trans=1)
 
 
 SCIPY_LAPACK = _ScipyLapack()
@@ -227,8 +238,10 @@ class _OneThread:
 
     @contextlib.contextmanager
     def __call__(self):
+        # outside the lock: the first lookup imports scipy, which no other
+        # scope should wait on
+        threads = self.lookup()
         with self.lock:
-            threads = self.lookup()
             if threads is not None and not self.open:
                 self.saved = threads[0]()
                 threads[1](1)

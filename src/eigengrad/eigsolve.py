@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
+from ._blas import scipy_linalg
 from .errors import DimensionMismatch, MaxIterExceeded, NotPositiveDefinite
 from .linop import check_operators, spot_check_spd
 from .sylvester import Reduction, linearize
@@ -75,10 +75,11 @@ def _fix_gauge(X):
     return X * np.where(peak < 0, -1.0, 1.0)
 
 
-def _finalize(X, lam, which, tol_rel=DEFAULT_DEGENERACY_RTOL):
-    """The result for X, which both solvers deliver M-orthonormal."""
+def _finalize(X, lam, which):
+    """The result for X, which both solvers deliver M-orthonormal, grouped
+    within DEFAULT_DEGENERACY_RTOL."""
     return EigenResult(X=_fix_gauge(X), lambdas=np.asarray(lam, float),
-                       groups=build_degeneracy(lam, tol_rel=tol_rel), which=which)
+                       groups=build_degeneracy(lam), which=which)
 
 
 def _check_request(A, M, k, which):
@@ -95,7 +96,7 @@ def _check_request(A, M, k, which):
     return n
 
 
-def eig_dense(A, M, k, which="smallest", degeneracy_rtol=DEFAULT_DEGENERACY_RTOL):
+def eig_dense(A, M, k, which="smallest"):
     """Dense path: k extremal eigenpairs through the pencil's tridiagonal
     :class:`~eigengrad.sylvester.Reduction` (dpotrf, dsygst, dsytrd), the
     eigenvectors of T by bisection and inverse iteration, then x = L^-T Q s.
@@ -106,8 +107,8 @@ def eig_dense(A, M, k, which="smallest", degeneracy_rtol=DEFAULT_DEGENERACY_RTOL
     n = _check_request(A, M, k, which)
     red = Reduction(A, M)
     sel = (0, k - 1) if which == "smallest" else (n - k, n - 1)
-    lam, S = scipy.linalg.eigh_tridiagonal(red.d, red.e, select="i", select_range=sel)
-    eig = _finalize(red.from_tri(S), lam, which, degeneracy_rtol)
+    lam, S = scipy_linalg().eigh_tridiagonal(red.d, red.e, select="i", select_range=sel)
+    eig = _finalize(red.from_tri(S), lam, which)
     linearize(A, M, eig).reduction = red
     return eig
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (ClusterSplit, DimensionMismatch, GaugeAlignmentFailed,
                      NotPositiveDefinite, ValidityViolated)
@@ -39,6 +38,10 @@ def full_spectrum(A, M):
     with dtrsm instead, which OpenBLAS threads from 32 columns: at n = 50
     each call woke a worker thread that went on spinning beside the caller.
     """
+    # imported here and not through _blas, so the reference shares no code
+    # with the route it checks; deferred, as the package imports numpy alone
+    import scipy.linalg
+
     check_operators(A=A, M=M)
     Ad = as_dense_array(A)
     Md = as_dense_array(M)

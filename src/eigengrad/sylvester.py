@@ -26,9 +26,8 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from ._blas import reduction_lapack
+from ._blas import reduction_lapack, scipy_linalg
 from .errors import ClusterSplit, DimensionMismatch, MaxIterExceeded, NotPositiveDefinite
 from .linop import as_dense_array, check_operators
 
@@ -135,8 +134,9 @@ class Linearization:
 
     Holds M X, the pencil's :attr:`reduction`, which ``eig_dense`` seeds (or
     the first dense solve makes), and :attr:`band`'s LU, with which each dense
-    derivative costs O(n^2 k), and ``precond``, ``eig_iterative``'s, for the
-    iterative solves. Both routes share it. Refers to A and M, never copies.
+    derivative costs O(n^2 k), and ``precond``, ``eig_iterative``'s, and the
+    primal's residual :attr:`G`, for the iterative solves. Both routes share
+    it. Refers to A and M, never copies.
     """
 
     def __init__(self, A, M, eig):
@@ -144,6 +144,13 @@ class Linearization:
         self.A, self.M, self.eig = A, M, eig
         self.MX = M.apply_batch(eig.X)
         self.precond = None
+
+    @functools.cached_property
+    def G(self):
+        """P_L A X = A X - M X (X^T A X), the primal's residual off span(M X)."""
+        G = self.A.apply_batch(self.eig.X)
+        G -= self.MX @ (self.eig.X.T @ G)
+        return G
 
     @functools.cached_property
     def reduction(self):
@@ -157,18 +164,18 @@ class Linearization:
         Keeping the multipliers in the unknowns at p_g, which E^T w = 0 fixes,
         makes it T - lambda_j I with columns p_g made unit: tridiagonal. It is
         singular exactly when lambda_j has eigenvectors outside the group."""
-        eig, red = self.eig, self.reduction
+        eig, red, linalg = self.eig, self.reduction, scipy_linalg()
         S, n = red.to_tri(self.MX), red.d.size
         p = []
         for grp in eig.groups:
-            pg = scipy.linalg.qr(S[:, grp].T, mode="r", pivoting=True)[1][:len(grp)]
+            pg = linalg.qr(S[:, grp].T, mode="r", pivoting=True)[1][:len(grp)]
             p += [j * n + pg for j in grp]
         p = np.concatenate(p)
         ab = np.zeros((4, eig.k * n))    # (1, 1)-band storage, row 0 for the LU's fill
         ab[1, 1:] = ab[3, :-1] = np.tile(np.append(red.e, 0.0), eig.k)[:-1]   # 0 between blocks
         ab[2] = (red.d - eig.lambdas[:, None]).ravel()
         ab[1:, p] = [[0.0], [1.0], [0.0]]
-        lu, piv, info = scipy.linalg.lapack.dgbtrf(ab, 1, 1)
+        lu, piv, info = linalg.lapack.dgbtrf(ab, 1, 1)
         if info:
             raise ClusterSplit(
                 f"column {(info - 1) // n}: shifted system is singular; its eigenvalue "
@@ -244,7 +251,7 @@ def solve_dense(lin, B):
     """
     B = project_rhs(lin, B)
     eig = lin.eig
-    (S, lu, piv, p), red = lin.band, lin.reduction
+    (S, lu, piv, p), red, dgbtrs = lin.band, lin.reduction, scipy_linalg().lapack.dgbtrs
     n, m = B.shape
     D, lam = _tiled(eig, m)
 
@@ -253,7 +260,7 @@ def solve_dense(lin, B):
 
     def solve(R):
         # direction i's k columns, stacked, are right-hand side i of the LU
-        Z = scipy.linalg.lapack.dgbtrs(lu, 1, 1, R.T.reshape(-1, eig.k * n).T, piv)[0]
+        Z = dgbtrs(lu, 1, 1, R.T.reshape(-1, eig.k * n).T, piv)[0]
         Z[p] = 0.0    # the border's multipliers
         return deflate(Z.T.reshape(m, n).T)
 
@@ -276,7 +283,7 @@ def solve_iterative(lin, B, maxiter=None):
 
     With y_j = z_j + X c_j, z_j M-orthogonal to X, CG solves
     P_L (A - lambda_j M) P_S z = P_L (b_j - G (inv o C)) for z (P_L = I - M X X^T,
-    P_S = P_L^T, C = X^T B, G = P_L A X the primal's residual off span(M X),
+    P_S = P_L^T, C = X^T B, G = P_L A X the linearization's primal residual,
     inv_ij = 1/(lambda_i - lambda_j) outside column j's group and 0 in it), and
     c = inv o (C - G^T Z) gives the rest: the block system's Schur coupling up
     to O(|G|^2 / gap), so one pass serves an inexact primal too. The operator
@@ -289,7 +296,7 @@ def solve_iterative(lin, B, maxiter=None):
     maxiter = 20 * n if maxiter is None else maxiter
     if maxiter < 1:
         raise ValueError(f"maxiter must be >= 1, got {maxiter}")
-    A, M, X, MX = lin.A, lin.M, eig.X, lin.MX
+    A, M, X, MX, G = lin.A, lin.M, eig.X, lin.MX, lin.G
     D, lam = _tiled(eig, m)
     inv = np.where(D == 1, 0.0, 1.0 / np.where(D == 1, 1.0, eig.lambdas[:, None] - lam))
     sign, precond = (1.0, lin.precond) if eig.which == "smallest" else (-1.0, None)
@@ -304,8 +311,6 @@ def solve_iterative(lin, B, maxiter=None):
         Z = R if precond is None else np.asarray(precond(R), dtype=float)
         return Z - X @ (MX.T @ Z)
 
-    G = A.apply_batch(X)
-    G -= MX @ (X.T @ G)
     C = X.T @ B
     # projected last: G (inv o C) has roundoff along M X that inv can make large
     R = B - G @ (inv * C)

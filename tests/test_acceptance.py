@@ -232,7 +232,8 @@ def test_criterion_8_degenerate_collapse_continuity():
     for d in deltas:
         A = pencil(d)
         # force non-degenerate treatment of the split pair
-        eig = eg.eig_dense(A, M, 3, degeneracy_rtol=0.0)
+        eig = eg.eig_dense(A, M, 3)
+        eig = eg.EigenResult(X=eig.X, lambdas=eig.lambdas, groups=[[0], [1], [2]])
         out = eg.jvp(A, M, eig, t)
         errs.append(np.max(np.abs(projector_derivative(eig, out) - P0)))
         out_bad = eg.jvp(A, M, eig, t_bad)

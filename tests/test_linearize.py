@@ -259,6 +259,26 @@ def test_iterative_primal_reduces_on_first_dense_solve(monkeypatch):
     np.testing.assert_allclose(first.X_prime, ref.X_prime, atol=1e-7)
 
 
+def test_iterative_solves_apply_A_to_X_once():
+    # the primal's residual P_L A X is the linearization's, made on the first
+    # iterative solve and reused by the rest
+    A, M = make_pencil([1.0, 1.0, 3.0], 40, 9, mass="random")
+    applied = []
+
+    def counted(V):
+        applied.append(V.copy())
+        return A.apply_batch(V)
+
+    A_counted = eg.SymmetricOperator(40, None, counted)
+    eig = eg.eig_iterative(A_counted, M, 3)
+    rng = np.random.default_rng(9)
+    applied.clear()
+    eg.vjp(A_counted, M, eig, sampling.valid_cotangent(eig, M, rng), solver="iterative")
+    for _ in range(2):
+        eg.jvp(A_counted, M, eig, sampling.valid_tangent(eig, M, rng), solver="iterative")
+    assert sum(V.shape == eig.X.shape and np.array_equal(V, eig.X) for V in applied) == 1
+
+
 @pytest.mark.parametrize("solver", SOLVERS)
 @pytest.mark.parametrize("mass", ["identity", "random"])
 def test_pairing_on_one_linearization(solver, mass):

@@ -206,11 +206,12 @@ def test_series_raise_cluster_split_on_a_cut_group():
             with pytest.raises(ClusterSplit) as excinfo:
                 series(fs, M, eig, arg)
             assert excinfo.value.defect <= 1e-8
-    # degeneracy_rtol = 0 retrieves both eigenvalues of a 1e-9 pair in separate
-    # groups: no eigenspace is cut, so the series keep the 1/gap terms as jvp does
+    # both eigenvalues of a 1e-9 pair retrieved in separate groups: no
+    # eigenspace is cut, so the series keep the 1/gap terms as jvp does
     A = eg.make_dense(np.diag([1.0, 1.0 + 1e-9, 2.0, 3.0, 4.0]))
-    eig = eg.eig_dense(A, M, 3, degeneracy_rtol=0.0)
-    assert eig.groups == [[0], [1], [2]]
+    eig = eg.eig_dense(A, M, 3)
+    assert eig.groups == [[0, 1], [2]]
+    eig = eg.EigenResult(X=eig.X, lambdas=eig.lambdas, groups=[[0], [1], [2]])
     fs = eg.full_spectrum(A, M)
     t = sampling.valid_tangent(eig, M, np.random.default_rng(0))
     c = sampling.valid_cotangent(eig, M, np.random.default_rng(1))
