@@ -5,7 +5,8 @@ from scipy.sparse.linalg import splu
 
 import eigengrad as eg
 from eigengrad import sampling
-from eigengrad.eigsolve import GUARD, _whitening, group_mask
+from eigengrad.eigsolve import (CHEB_DEGREE, GUARD, LANCZOS_STEPS, _whitening,
+                                group_mask)
 from eigengrad.errors import (DimensionMismatch, MaxIterExceeded, NonFiniteError,
                               NotPositiveDefinite)
 
@@ -302,17 +303,49 @@ def test_eig_iterative_maxiter_payload_pairs_lambdas_with_X():
     np.testing.assert_allclose(best.lambdas, rayleigh, rtol=1e-10)
 
 
-def test_eig_iterative_applies_each_operator_once_per_direction():
-    n, k, maxiter = 200, 4, 10
+def _counted_primal(maxiter, **kwargs):
+    """Apply counts of a maxiter-bounded eig_iterative on an n = 200 pencil, and b."""
+    n, k = 200, 4
     A_arr, M_arr = sampling.pencil_from_spectrum([], n, np.random.default_rng(4),
                                                  mass="random")
     counts = {"A": 0, "M": 0}
     with pytest.raises(MaxIterExceeded):
         eg.eig_iterative(_counting(A_arr, counts, "A"), _counting(M_arr, counts, "M"),
-                         k, maxiter=maxiter, tol=1e-14)
-    b = min(k + GUARD, n // 4)   # the block width, guard columns included
+                         k, maxiter=maxiter, tol=1e-14, **kwargs)
+    return counts, min(k + GUARD, n // 4)   # the block width, guard columns included
+
+
+def test_eig_iterative_applies_each_operator_once_per_direction():
+    # an explicit preconditioner, the identity here, replaces the default
+    maxiter = 10
+    counts, b = _counted_primal(maxiter, precond=lambda R: R)
     assert counts["A"] <= (maxiter + 3) * b
     assert counts["M"] <= (maxiter + 3) * b + 10   # + spot_check_spd's two probe blocks
+
+
+def test_default_preconditioner_costs_its_lanczos_and_chebyshev_applies():
+    # LANCZOS_STEPS single-vector applies once, then CHEB_DEGREE - 1 per
+    # preconditioned column; M's count is the unpreconditioned bound
+    maxiter = 10
+    counts, b = _counted_primal(maxiter)
+    assert counts["A"] <= (LANCZOS_STEPS + (maxiter + 3) * b
+                           + (CHEB_DEGREE - 1) * maxiter * b)
+    assert counts["A"] > (maxiter + 3) * b
+    assert counts["M"] <= (maxiter + 3) * b + 10
+
+
+def test_indefinite_or_largest_gets_no_default_preconditioner():
+    n, k = 200, 4
+    rng = np.random.default_rng(5)
+    Q = sampling.random_orthogonal(n, rng)
+    A = eg.make_dense((Q * rng.uniform(-5.0, 5.0, n)) @ Q.T)
+    M = eg.make_spd(np.eye(n))
+    eig = eg.eig_iterative(A, M, k)
+    assert eg.linearize(A, M, eig).precond is None
+    A_arr, M_arr = sampling.pencil_from_spectrum([], n, rng, mass="random")
+    A, M = eg.make_dense(A_arr), eg.make_spd(M_arr)
+    assert eg.linearize(A, M, eg.eig_iterative(A, M, k)).precond is not None
+    assert eg.linearize(A, M, eg.eig_iterative(A, M, k, "largest")).precond is None
 
 
 def test_eig_iterative_preconditioned_membrane():

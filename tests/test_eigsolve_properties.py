@@ -1,11 +1,13 @@
 """Property tests: eig_iterative agrees with eig_dense on pencils with repeated
-eigenvalues, a random mass matrix and either end of the spectrum."""
+eigenvalues, a random mass matrix and either end of the spectrum, and its
+default preconditioner is SPD for every symmetric A."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import eigengrad as eg
 from eigengrad import sampling
+from eigengrad.eigsolve import CHEB_DEGREE, CHEB_RATIO, _chebyshev, _lanczos_bounds
 
 
 @st.composite
@@ -51,3 +53,30 @@ def test_eig_iterative_matches_dense_groups(problem):
         assert np.max(np.abs(proj_it - proj_de)) <= 1e-6
     # the last Rayleigh-Ritz step whitens in M, degenerate groups included
     assert np.max(np.abs(it.X.T @ M_arr @ it.X - np.eye(k))) <= 1e-13
+
+
+@st.composite
+def indefinite(draw):
+    """A symmetric array of order 2-20 with eigenvalues of both signs, the
+    largest at least 1 and none beyond 10 in magnitude."""
+    spectrum = ([draw(st.floats(-10.0, -0.1)), draw(st.floats(1.0, 10.0))]
+                + draw(st.lists(st.floats(-10.0, 10.0), max_size=18)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    Q = sampling.random_orthogonal(len(spectrum), rng)
+    return (Q * spectrum) @ Q.T, max(spectrum)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(indefinite())
+def test_chebyshev_preconditioner_is_spd_for_any_symmetric_operator(problem):
+    # odd degree: 1 - x q(x) = T_d(y) / T_d(sigma) keeps q > 0 on the real
+    # line, whether the interval's top comes from Lanczos or is too low
+    A_arr, lam_max = problem
+    A, n = eg.make_dense(A_arr), A_arr.shape[0]
+    assert CHEB_DEGREE % 2 == 1
+    for beta in (_lanczos_bounds(A, 0)[1], lam_max / 2):
+        precond = _chebyshev(A, beta / CHEB_RATIO, beta)
+        Q = np.column_stack([precond(e[:, None])[:, 0] for e in np.eye(n)])
+        scale = np.max(np.abs(Q))
+        assert np.max(np.abs(Q - Q.T)) <= 1e-12 * scale
+        assert np.linalg.eigvalsh(0.5 * (Q + Q.T)).min() > 0

@@ -153,6 +153,26 @@ def test_eig_iterative_preconditioner_carries_into_jvp(monkeypatch):
     np.testing.assert_array_equal(fwd.lambda_prime, ref.lambda_prime)
 
 
+def test_default_preconditioner_carries_into_jvp(monkeypatch):
+    # the n = 961 membrane with no precond: eig_iterative's Chebyshev default
+    # seeds the linearization, so the jvp's solve is PCG with it, and the same
+    # pairs without it (a copy, which holds no linearization) run plain CG
+    K, Mm = membrane(31)
+    A, M = sparse_ops(K, Mm)
+    eig = eg.eig_iterative(A, M, 6)
+    assert eg.linearize(A, M, eig).precond is not None
+    plain = copy.copy(eig)
+    plain._linearization = None
+    t = membrane_tangent(K, M, eig, 8)
+    iterations = recorded_iterations(monkeypatch)
+    fwd = eg.jvp(A, M, eig, t, solver="iterative")
+    ref = eg.jvp(A, M, plain, t, solver="iterative")
+    assert iterations[0].max() < iterations[1].min()
+    scale = np.max(np.abs(ref.X_prime))
+    assert np.max(np.abs(fwd.X_prime - ref.X_prime)) <= 1e-8 * scale
+    np.testing.assert_array_equal(fwd.lambda_prime, ref.lambda_prime)
+
+
 def test_preconditioner_survives_a_dense_derivative(monkeypatch):
     # the n = 961 membrane: a dense jvp between eig_iterative and an iterative
     # jvp leaves the preconditioner in place, so that solve is still PCG
