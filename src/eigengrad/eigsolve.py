@@ -9,12 +9,13 @@ a partition of the columns, are the one record of that structure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
 from ._blas import scipy_linalg
 from .errors import DimensionMismatch, MaxIterExceeded, NotPositiveDefinite
-from .linop import check_operators, spot_check_spd
+from .linop import SymmetricOperator, check_operators
 from .sylvester import Reduction, linearize
 
 DEFAULT_DEGENERACY_RTOL = 1e-8
@@ -63,10 +64,13 @@ def build_degeneracy(lambdas, tol_rel=DEFAULT_DEGENERACY_RTOL):
 
     Pairs with |l_i - l_j| <= tol_rel * max|l| are merged, and the grouping
     is the transitive closure, so the groups partition the indices.
+    ValueError unless the eigenvalues are finite and 0 <= tol_rel < inf.
     """
     lam = np.asarray(lambdas, dtype=float)
     if not np.all(np.isfinite(lam)):
         raise ValueError("eigenvalues must be finite")
+    if not 0 <= tol_rel < np.inf:
+        raise ValueError(f"need 0 <= tol_rel < inf, got tol_rel={tol_rel}")
     thresh = tol_rel * (np.max(np.abs(lam)) if lam.size else 0.0)
 
     # in ascending order, the closure is broken exactly by gaps above thresh
@@ -91,12 +95,12 @@ def _finalize(X, lam, which):
 
 def _check_request(A, M, k, which):
     """The checks both eigensolvers make on (A, M, k, which) before any work;
-    returns n."""
+    returns n. k must be an integer (a bool is not), numpy's included."""
     check_operators(A=A, M=M)
     n = A.dim
     if M.dim != n:
         raise DimensionMismatch(f"A has dim {n} but M has dim {M.dim}")
-    if not 1 <= k < n:
+    if isinstance(k, bool) or not isinstance(k, Integral) or not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
     if which not in ("smallest", "largest"):
         raise ValueError(f"which must be 'smallest' or 'largest', got {which!r}")
@@ -161,7 +165,7 @@ def _lanczos_bounds(A, seed):
 
 
 def _chebyshev(A, lo, hi):
-    """q(A) as a block map, 0 < lo < hi: CHEB_DEGREE steps of Chebyshev
+    """q(A) as an operator, 0 < lo < hi: CHEB_DEGREE steps of Chebyshev
     iteration for A z = r from z = 0 on [lo, hi] (Saad 2003, Algorithm 12.1),
     so 1 - x q(x) = T_d(y(x)) / T_d(y(0)), y(x) = (hi + lo - 2 x) / (hi - lo).
     Costs CHEB_DEGREE - 1 A applies per column."""
@@ -169,7 +173,7 @@ def _chebyshev(A, lo, hi):
     sigma = theta / delta
 
     def precond(R):
-        R = np.array(R, dtype=float, order="C")
+        R = np.array(R, order="C")
         D = R / theta
         Z, rho = D.copy(), 1 / sigma
         for _ in range(CHEB_DEGREE - 1):
@@ -179,7 +183,7 @@ def _chebyshev(A, lo, hi):
             D += (2 * rho / delta) * R
             Z += D
         return Z
-    return precond
+    return SymmetricOperator(A.dim, None, precond)
 
 
 def eig_iterative(A, M, k, which="smallest", maxiter=500, tol=1e-9, precond=None, seed=0):
@@ -198,8 +202,19 @@ def eig_iterative(A, M, k, which="smallest", maxiter=500, tol=1e-9, precond=None
     new direction in W. When the carried residuals of the wanted columns meet
     ``tol``, and every 32 steps, A and M are applied to all of X again and
     Rayleigh-Ritz rerun on those products; iteration stops only when that
-    explicit residual meets ``tol``. Small problems (n <= max(4k, 12)) are
-    materialized and solved densely. On either branch ``precond`` seeds the
+    explicit residual meets ``tol``, 0 < tol < inf. Small problems
+    (n <= max(4k, 12)) are materialized and solved densely.
+
+    Before either branch, at most LANCZOS_STEPS single-column M applies from a
+    random vector of ``seed`` (:func:`_lanczos_bounds`, as for A's bounds
+    below) probe M: NotPositiveDefinite unless the smallest Ritz value is
+    above 1e-12 of the bound on the largest. Ritz values interlace, so an SPD
+    M of condition up to 1e8 passes; a negative eigenvalue separated from the
+    rest of M's spectrum fails, and one buried inside it can pass.
+
+    ``precond``, a map of n x m blocks, is applied through a
+    :class:`~eigengrad.linop.SymmetricOperator`, so a product of the wrong
+    shape raises DimensionMismatch. On either branch it seeds the
     linearization memoized on the result: its iterative derivative solves
     for ``which="smallest"`` run PCG with it.
 
@@ -218,8 +233,14 @@ def eig_iterative(A, M, k, which="smallest", maxiter=500, tol=1e-9, precond=None
     n = _check_request(A, M, k, which)
     if maxiter < 1:
         raise ValueError(f"maxiter must be >= 1, got {maxiter}")
-    if not spot_check_spd(M, seed=seed):
-        raise NotPositiveDefinite("M failed the positivity spot-check")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"need 0 < tol < inf, got tol={tol}")
+    low, high = _lanczos_bounds(M, seed)
+    if low <= 1e-12 * high:
+        raise NotPositiveDefinite(f"M failed the positivity probe: Lanczos Ritz values "
+                                  f"from {low:.3e}, bound {high:.3e}")
+    if precond is not None:
+        precond = SymmetricOperator(n, None, precond)
     if n <= max(4 * k, 12):
         eig = eig_dense(A, M, k, which)
     else:
@@ -269,7 +290,7 @@ def _lobpcg(A, M, k, which, maxiter, tol, precond, seed):
         it += 1
 
         R = R[:, ~done]
-        W = precond(R) if precond is not None else R
+        W = precond.apply_batch(R) if precond is not None else R
         Q, MQ = S[:, :q], MS[:, :q]
         W = W - Q @ (MQ.T @ W)
         MW = M.apply_batch(W)

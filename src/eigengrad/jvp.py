@@ -61,12 +61,23 @@ def in_group_defect(eig, C, S):
     return defect <= TOL_COND * max(1.0, float(np.max(np.abs(S), initial=0.0))), defect
 
 
+def as_directions(d, kind):
+    """[d] for one ``kind`` instance, the items of a list or tuple of them;
+    TypeError for anything else."""
+    if isinstance(d, kind):
+        return [d]
+    if isinstance(d, (list, tuple)) and all(isinstance(x, kind) for x in d):
+        return list(d)
+    raise TypeError(f"expected a {kind.__name__} or a list or tuple of them, "
+                    f"got {type(d).__name__}")
+
+
 def jvp(A, M, eig, t, solver="dense", force=False):
     """First-order response (Lambda', X') along t = (A', M'); requires forward
-    validity, which ``force`` skips. A sequence ``t`` gives a list: every
+    validity, which ``force`` skips. A list or tuple ``t`` gives a list: every
     direction is checked, then all are solved as one block (an empty one
-    gives [] and applies nothing). Runs on the linearization memoized on
-    ``eig`` (see :func:`linearize`).
+    gives [] and applies nothing); anything else is a TypeError. Runs on the
+    linearization memoized on ``eig`` (see :func:`linearize`).
 
     Pipeline: build V = A'X - M'X Lambda and F = X^T V once; check validity
     on F and take Lambda' = diag F; project V's degenerate-group component
@@ -75,7 +86,7 @@ def jvp(A, M, eig, t, solver="dense", force=False):
     """
     check_solver(solver)
     X, parts = eig.X, []
-    for ti in [t] if isinstance(t, TangentInput) else t:
+    for ti in as_directions(t, TangentInput):
         MpX, V, F = _coupling(eig, ti)
         ok, defect = check_forward_validity(eig, ti, F=F)
         if not ok and not force:

@@ -216,7 +216,8 @@ def make_dense(entries):
 
 def make_spd(entries):
     """:func:`make_dense` for a mass matrix, whose positive definiteness the
-    caller attests; :func:`spot_check_spd` probes it."""
+    caller attests; ``eig_dense``'s Cholesky factorization and
+    ``eig_iterative``'s Lanczos probe check it."""
     return make_dense(entries)
 
 
@@ -256,28 +257,6 @@ def check_symmetry(op):
                      np.ones(SYMMETRY_TRIALS)], axis=0)
     gap = np.abs(np.einsum("ij,ij->j", U, AV) - np.einsum("ij,ij->j", V, AU))
     return not np.any(gap > 1e-12 * nu * nv * opnorm)
-
-
-def spot_check_spd(op, seed=0):
-    """Probabilistic positivity check: Rayleigh-Ritz of M on the two-block
-    Krylov space [V, M V] of five random probes V, applied as two blocks.
-
-    True when the smallest Ritz value exceeds 1e-12 of the largest. The second
-    block, the part of M V off V, points at a direction where M is negative
-    even when each probe's <v, M v> is positive.
-    """
-    V = np.linalg.qr(np.random.default_rng(seed).standard_normal((5, op.dim)).T)[0]
-    MV = op.apply_batch(V)
-    W = MV - V @ (V.T @ MV)
-    W -= V @ (V.T @ W)   # twice: directions down to 1e-8 of ||M V|| are kept
-    U, sv, _ = np.linalg.svd(W, full_matrices=False)
-    U = U[:, sv > 1e-8 * np.linalg.norm(MV, 2)]
-    if U.shape[1]:       # at n <= 5 the probes already span the space
-        MU = op.apply_batch(U)
-        V, MV = np.hstack([V, U]), np.hstack([MV, MU])
-    G = V.T @ MV
-    theta = np.linalg.eigvalsh(0.5 * (G + G.T))
-    return bool(theta[0] > 1e-12 * theta[-1])
 
 
 def read_rows(path):

@@ -134,7 +134,8 @@ class Linearization:
 
     Holds M X, the pencil's :attr:`reduction`, which ``eig_dense`` seeds (or
     the first dense solve makes), and :attr:`band`'s LU, with which each dense
-    derivative costs O(n^2 k), and ``precond``, ``eig_iterative``'s, and the
+    derivative costs O(n^2 k), and ``precond``, ``eig_iterative``'s as a
+    :class:`~eigengrad.linop.SymmetricOperator` (or None), and the
     primal's residual :attr:`G`, for the iterative solves. Both routes share
     it. Refers to A and M, never copies.
     """
@@ -308,7 +309,7 @@ def solve_iterative(lin, B, maxiter=None):
         return Q
 
     def prec(R):    # P_S precond, applied to R in the range of P_L
-        Z = R if precond is None else np.asarray(precond(R), dtype=float)
+        Z = R if precond is None else precond.apply_batch(R)
         return Z - X @ (MX.T @ Z)
 
     C = X.T @ B

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteError, ValidityViolated
-from .jvp import in_group_defect
+from .jvp import as_directions, in_group_defect
 from .linop import LowRank, check_operators
 from .sylvester import check_solver, linearize, project_rhs, solve_dense, solve_iterative
 
@@ -47,10 +47,10 @@ def check_backward_validity(eig, c):
 
 def vjp(A, M, eig, c, solver="dense", force=False):
     """Adjoint map (Lambda_bar, X_bar) -> (A_bar, M_bar); requires backward
-    validity, which ``force`` skips. A sequence ``c`` gives a list: every
+    validity, which ``force`` skips. A list or tuple ``c`` gives a list: every
     cotangent is checked, then all are solved as one block (an empty one
-    gives [] and applies nothing). Runs on the linearization memoized on
-    ``eig`` (see :func:`linearize`).
+    gives [] and applies nothing); anything else is a TypeError. Runs on the
+    linearization memoized on ``eig`` (see :func:`linearize`).
 
     Solves the shifted systems (A - lambda_j M) ybar_j = xbar_j projected off
     the degenerate group, which the solvers gauge M-orthogonal to it (Vbar =
@@ -64,7 +64,7 @@ def vjp(A, M, eig, c, solver="dense", force=False):
     check_solver(solver)
     check_operators(A=A, M=M)    # also where no solve reaches Linearization's check
     parts = []
-    for ci in [c] if isinstance(c, CotangentInput) else c:
+    for ci in as_directions(c, CotangentInput):
         ok, defect = check_backward_validity(eig, ci)
         if not ok and not force:
             raise ValidityViolated(defect)

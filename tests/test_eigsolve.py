@@ -242,8 +242,9 @@ def test_eig_iterative_rejects_unknown_which():
 
 
 def test_eig_iterative_negative_mass_direction():
-    # one negative diagonal entry passes the positivity spot-check, and the
-    # residual of A = I concentrates on it, so a Gram matrix turns indefinite
+    # M = I but for one negative diagonal entry has two distinct eigenvalues,
+    # so two Lanczos steps of the positivity probe span an invariant subspace
+    # and find the negative one exactly
     Md = np.eye(60)
     Md[5, 5] = -1e-3
     with pytest.raises(NotPositiveDefinite):
@@ -256,13 +257,71 @@ def test_eig_iterative_negative_mass_direction():
 def test_eig_iterative_rejects_one_negative_mass_entry(generator, seed, j, k):
     # M = I except M_jj = -1e-3: each random probe's <v, M v> is positive and,
     # on these generic A, no Gram matrix in the loop turns indefinite; the
-    # spot-check's second block, the part of M V off V, finds e_j
+    # positivity probe's second Lanczos vector, the part of M v off v, finds e_j
     args = ([], 60) if generator is sampling.pencil_from_spectrum else (60,)
     A_arr, _ = generator(*args, np.random.default_rng(seed))
     Md = np.eye(60)
     Md[j, j] = -1e-3
     with pytest.raises(NotPositiveDefinite):
         eg.eig_iterative(eg.make_dense(A_arr), eg.make_spd(Md), k)
+
+
+@pytest.mark.parametrize("n", [60, 200])
+@pytest.mark.parametrize("seed", range(3))
+def test_eig_iterative_rejects_a_mass_matrix_with_one_negative_eigenvalue(n, seed):
+    # M = Q diag(w) Q^T, w ~ U[1, 2] but for w_0 = -1e-3: no axis is special,
+    # and the iteration returns positive Ritz values when M is not probed
+    rng = np.random.default_rng(seed)
+    A_arr, _ = sampling.random_spd_pencil(n, rng)
+    Q = sampling.random_orthogonal(n, rng)
+    w = rng.uniform(1.0, 2.0, n)
+    w[0] = -1e-3
+    with pytest.raises(NotPositiveDefinite, match="positivity probe"):
+        eg.eig_iterative(eg.make_dense(A_arr), eg.make_spd((Q * w) @ Q.T), 3, seed=seed)
+
+
+def _untouched(n):
+    """An operator of dim n that fails the test when it is applied."""
+    def apply(V):
+        pytest.fail("an operator was applied before the arguments were checked")
+    return eg.SymmetricOperator(n, None, apply)
+
+
+@pytest.mark.parametrize("k", [2.0, True, "2", None, np.float64(2.0), 0, np.int64(40)],
+                         ids=["float", "bool", "str", "None", "np.float64", "zero", "n"])
+@pytest.mark.parametrize("solve", [eg.eig_dense, eg.eig_iterative])
+def test_k_must_be_an_integer_in_range(solve, k):
+    with pytest.raises(ValueError, match="need 1 <= k < n"):
+        solve(_untouched(40), _untouched(40), k)
+
+
+@pytest.mark.parametrize("solve", [eg.eig_dense, eg.eig_iterative])
+def test_k_may_be_a_numpy_integer(solve):
+    A, M = make_pencil([], 30, 3, mass="random")
+    res = solve(A, M, np.int64(3))
+    np.testing.assert_allclose(res.lambdas, eg.eig_dense(A, M, 3).lambdas, rtol=1e-8)
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, np.inf])
+def test_eig_iterative_rejects_a_tol_outside_zero_to_inf(tol):
+    with pytest.raises(ValueError, match="need 0 < tol < inf"):
+        eg.eig_iterative(_untouched(40), _untouched(40), 3, tol=tol)
+
+
+@pytest.mark.parametrize("tol_rel", [np.nan, -1.0, np.inf])
+def test_build_degeneracy_rejects_a_tol_rel_outside_zero_to_inf(tol_rel):
+    with pytest.raises(ValueError, match="need 0 <= tol_rel < inf"):
+        eg.build_degeneracy([1.0, 1.0, 2.0], tol_rel=tol_rel)
+    assert eg.build_degeneracy([1.0, 1.0, 2.0], tol_rel=0.0) == [[0, 1], [2]]
+
+
+@pytest.mark.parametrize("precond, got", [(lambda R: R[:, :1], r"\(40, 1\)"),
+                                          (lambda R: R.T, r"\(5, 40\)")],
+                         ids=["one-column", "transposed"])
+def test_wrong_shape_preconditioner_is_a_dimension_mismatch(precond, got):
+    A, M = make_pencil([], 40, 3, mass="random")
+    with pytest.raises(DimensionMismatch, match=rf"returned shape {got}"):
+        eg.eig_iterative(A, M, 3, precond=precond)
 
 
 def test_eig_iterative_reaches_tight_tol():
@@ -320,7 +379,9 @@ def test_eig_iterative_applies_each_operator_once_per_direction():
     maxiter = 10
     counts, b = _counted_primal(maxiter, precond=lambda R: R)
     assert counts["A"] <= (maxiter + 3) * b
-    assert counts["M"] <= (maxiter + 3) * b + 10   # + spot_check_spd's two probe blocks
+    # the positivity probe adds at most LANCZOS_STEPS single columns, within
+    # this bound: the iteration stops short of (maxiter + 3) b
+    assert counts["M"] <= (maxiter + 3) * b + 10
 
 
 def test_default_preconditioner_costs_its_lanczos_and_chebyshev_applies():

@@ -1,6 +1,9 @@
 """Property tests: eig_iterative agrees with eig_dense on pencils with repeated
-eigenvalues, a random mass matrix and either end of the spectrum, and its
-default preconditioner is SPD for every symmetric A."""
+eigenvalues, a random mass matrix and either end of the spectrum, its
+default preconditioner is SPD for every symmetric A, and its positivity
+probe passes every well-conditioned SPD M."""
+
+import contextlib
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -8,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import eigengrad as eg
 from eigengrad import sampling
 from eigengrad.eigsolve import CHEB_DEGREE, CHEB_RATIO, _chebyshev, _lanczos_bounds
+from eigengrad.errors import MaxIterExceeded
 
 
 @st.composite
@@ -76,7 +80,35 @@ def test_chebyshev_preconditioner_is_spd_for_any_symmetric_operator(problem):
     assert CHEB_DEGREE % 2 == 1
     for beta in (_lanczos_bounds(A, 0)[1], lam_max / 2):
         precond = _chebyshev(A, beta / CHEB_RATIO, beta)
-        Q = np.column_stack([precond(e[:, None])[:, 0] for e in np.eye(n)])
+        Q = precond.apply_batch(np.eye(n))
         scale = np.max(np.abs(Q))
         assert np.max(np.abs(Q - Q.T)) <= 1e-12 * scale
         assert np.linalg.eigvalsh(0.5 * (Q + Q.T)).min() > 0
+
+
+@st.composite
+def spd_masses(draw):
+    """(M, its smallest and largest eigenvalue, seed): a symmetric positive
+    definite array of order 2-60 with condition number at most 1e8, at a
+    random scale."""
+    n = draw(st.integers(2, 60))
+    exponents = draw(st.lists(st.floats(0.0, 8.0), min_size=n, max_size=n))
+    w = 10.0 ** (draw(st.floats(-6.0, 6.0)) + np.array(exponents))
+    seed = draw(st.integers(0, 2**16))
+    Q = sampling.random_orthogonal(n, np.random.default_rng(seed))
+    return (Q * w) @ Q.T, w.min(), w.max(), seed
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(spd_masses())
+def test_positivity_probe_never_rejects_a_well_conditioned_spd_mass(problem):
+    # eig_iterative's rule on M's Lanczos bounds: Ritz values interlace, so the
+    # smallest is at least lambda_min >= 1e-8 lambda_max, and the bound on the
+    # largest is at most 2 lambda_max
+    M_arr, w_min, w_max, seed = problem
+    low, high = _lanczos_bounds(eg.make_spd(M_arr), seed)
+    assert low >= w_min - 1e-13 * w_max
+    assert low > 1e-12 * high
+    A = eg.make_dense(np.diag(np.arange(1.0, M_arr.shape[0] + 1)))
+    with contextlib.suppress(MaxIterExceeded):    # one step: only the probe is tested
+        eg.eig_iterative(A, eg.make_spd(M_arr), 1, maxiter=1, seed=seed)

@@ -202,7 +202,9 @@ def test_small_pencil_fallback_keeps_the_preconditioner():
         return R / d[:, None]
 
     eig = eg.eig_iterative(A, M, 3, precond=P)
-    assert eg.linearize(A, M, eig).precond is P and not blocks
+    # kept as the operator eig_iterative wraps P in, which checks its products
+    precond = eg.linearize(A, M, eig).precond
+    assert isinstance(precond, eg.SymmetricOperator) and precond.dim == 12 and not blocks
     t = sampling.valid_tangent(eig, M, np.random.default_rng(3))
     fwd = eg.jvp(A, M, eig, t, solver="iterative")
     assert blocks

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import eigengrad as eg
 from eigengrad import sampling
 from eigengrad.errors import (DimensionMismatch, EigengradError, NonFiniteError, NonSquareError,
-                              NotAnOperator)
+                              NotAnOperator, NotPositiveDefinite)
 
 from conftest import membrane, sparse_ops
 
@@ -83,8 +83,9 @@ def test_apply_linearity(rng):
 def test_spd_wrapper_delegates(rng):
     M = eg.make_spd(np.diag([1.0, 4.0]))
     np.testing.assert_allclose(M.apply_batch([[1.0], [1.0]]), [[1.0], [4.0]])
-    assert eg.linop.spot_check_spd(M)
-    assert not eg.linop.spot_check_spd(eg.make_dense(-np.eye(3)))
+    np.testing.assert_allclose(eg.eig_iterative(eg.make_dense(np.eye(2)), M, 1).lambdas, [0.25])
+    with pytest.raises(NotPositiveDefinite, match="positivity probe"):
+        eg.eig_iterative(eg.make_dense(np.eye(3)), eg.make_dense(-np.eye(3)), 1)
 
 
 def test_apply_batch_takes_blocks_only():
@@ -148,15 +149,22 @@ def test_spot_checks_apply_one_block_per_probe_set():
         calls = []
         assert eg.check_symmetry(_counting(mat, calls)) == symmetric
         assert calls == [(2, 10), (2, 10)]
-    # five orthonormal probes V, then the part of M V off them; at n <= 5 the
-    # probes span the whole space and the second block is empty
+    # eig_iterative probes M with one Lanczos step per single column, at most
+    # LANCZOS_STEPS, fewer where the Krylov space is invariant; n <= 12 here,
+    # so an SPD M is then materialized in one block for the dense fallback and
+    # applied to X once for the linearization that fallback seeds
     d = np.arange(1.0, 13.0)
-    cases = ((np.diag(d), True, [(12, 5), (12, 5)]), (-np.diag(d), False, [(12, 5), (12, 5)]),
-             (np.diag([1.0, 4.0]), True, [(2, 2)]), (-np.eye(3), False, [(3, 3)]))
-    for mat, spd, blocks in cases:
-        calls = []
-        assert eg.linop.spot_check_spd(_counting(mat, calls)) == spd
-        assert calls == blocks
+    cases = ((np.diag(d), True, 12), (-np.diag(d), False, 12),
+             (np.diag([1.0, 4.0]), True, 2), (-np.eye(3), False, 1))
+    for mat, spd, steps in cases:
+        calls, n = [], mat.shape[0]
+        A = eg.make_dense(np.eye(n))
+        if spd:
+            eg.eig_iterative(A, _counting(mat, calls), 1)
+        else:
+            with pytest.raises(NotPositiveDefinite):
+                eg.eig_iterative(A, _counting(mat, calls), 1)
+        assert calls == [(n, 1)] * steps + [(n, n), (n, 1)] * spd
 
 
 def test_operator_dim_must_be_positive():

@@ -108,6 +108,26 @@ def test_non_finite_direction_fails_the_stack(degenerate):
         eg.vjp(A, M, eig, [sampling.valid_cotangent(eig, M, rng), bad])
 
 
+@pytest.mark.parametrize("bad", ["abc", None, 3.0, {"A": 1}, np.zeros(2)],
+                         ids=["str", "None", "float", "dict", "ndarray"])
+def test_anything_but_a_direction_or_a_list_of_them_is_a_type_error(degenerate, bad):
+    # raised before any apply: the operators here fail the test when applied
+    _, M, eig, rng = degenerate
+    n = eig.X.shape[0]
+
+    def untouched(V):
+        pytest.fail("an operator was applied before the directions were checked")
+
+    op = eg.SymmetricOperator(n, None, untouched)
+    t, c = eg.TangentInput(Aprime=op, Mprime=op), sampling.valid_cotangent(eig, M, rng)
+    for derive, good in ((eg.jvp, t), (eg.vjp, c)):
+        for arg in (bad, [good, bad], (bad,)):
+            with pytest.raises(TypeError, match="or a list or tuple of them"):
+                derive(op, op, eig, arg)
+    with pytest.raises(TypeError, match="expected a TangentInput"):
+        eg.jvp(op, op, eig, c)
+
+
 def test_all_zero_x_bar_stack_builds_nothing(monkeypatch):
     # an iterative primal leaves the dense reduction to the first dense solve
     A, M = make_pencil([], 40, 6, mass="random")
