@@ -8,6 +8,7 @@ a partition of the columns, are the one record of that structure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from numbers import Integral
 
@@ -22,12 +23,14 @@ DEFAULT_DEGENERACY_RTOL = 1e-8
 # eig_iterative iterates on this many columns beyond the k it returns
 GUARD = 2
 # a "smallest" LOBPCG solve without a preconditioner gets q(A): LANCZOS_STEPS
-# Lanczos steps bound A's spectrum by beta, and q(A) r is CHEB_DEGREE steps of
-# Chebyshev iteration for A z = r on [beta / CHEB_RATIO, beta]. The degree is
-# odd, so q > 0 on the whole real line and q(A) is SPD for every symmetric A
+# Lanczos steps bound A's spectrum by [theta_min, beta], and q(A) r is d steps
+# of Chebyshev iteration for A z = r on that interval, d the smallest odd
+# degree whose contraction 1 / T_d(sigma) is at most CHEB_CONTRACTION, and at
+# most CHEB_MAX_DEGREE. Odd, so q > 0 on the whole real line and q(A) is SPD
+# for every symmetric A
 LANCZOS_STEPS = 12
-CHEB_DEGREE = 5
-CHEB_RATIO = 30
+CHEB_CONTRACTION = 0.3
+CHEB_MAX_DEGREE = 15
 
 
 @dataclass
@@ -165,18 +168,24 @@ def _lanczos_bounds(A, seed):
 
 
 def _chebyshev(A, lo, hi):
-    """q(A) as an operator, 0 < lo < hi: CHEB_DEGREE steps of Chebyshev
-    iteration for A z = r from z = 0 on [lo, hi] (Saad 2003, Algorithm 12.1),
-    so 1 - x q(x) = T_d(y(x)) / T_d(y(0)), y(x) = (hi + lo - 2 x) / (hi - lo).
-    Costs CHEB_DEGREE - 1 A applies per column."""
+    """q(A) as an operator, 0 < lo <= hi: d steps of Chebyshev iteration for
+    A z = r from z = 0 on [lo, hi] (Saad 2003, Algorithm 12.1), so
+    1 - x q(x) = T_d(y(x)) / T_d(sigma), y(x) = (hi + lo - 2 x) / (hi - lo),
+    sigma = y(0). d is the smallest odd degree with 1 / T_d(sigma) at most
+    CHEB_CONTRACTION, capped at CHEB_MAX_DEGREE; a collapsed interval,
+    lo = hi, gets d = 1, q(A) = 1 / lo. Costs d - 1 A applies per column."""
     theta, delta = (hi + lo) / 2, (hi - lo) / 2
-    sigma = theta / delta
+    sigma = theta / delta if delta > 0 else math.inf
+    # T_d(sigma) = cosh(d arccosh sigma) for sigma >= 1
+    need = (math.acosh(1 / CHEB_CONTRACTION) / math.acosh(sigma) if sigma > 1
+            else math.inf)
+    degree = next((d for d in range(1, CHEB_MAX_DEGREE, 2) if d >= need), CHEB_MAX_DEGREE)
 
     def precond(R):
         R = np.array(R, order="C")
         D = R / theta
         Z, rho = D.copy(), 1 / sigma
-        for _ in range(CHEB_DEGREE - 1):
+        for _ in range(degree - 1):
             R -= A.apply_batch(D)
             rho_prev, rho = rho, 1 / (2 * sigma - rho)
             D *= rho * rho_prev
@@ -220,13 +229,16 @@ def eig_iterative(A, M, k, which="smallest", maxiter=500, tol=1e-9, precond=None
 
     Without one, a ``"smallest"`` LOBPCG solve builds a default: LANCZOS_STEPS
     single-column A applies bound A's spectrum, and if the smallest Ritz value
-    is positive, ``precond`` is the Chebyshev polynomial q(A) on
-    [beta / CHEB_RATIO, beta] (beta: the largest Ritz value plus the last
-    residual norm), which costs CHEB_DEGREE - 1 A applies per column and is
-    SPD for any symmetric A. It seeds the linearization as a caller's does.
-    On the 63 x 63 membrane (k = 6) it cuts the steps from about 180 to about
-    40 and the M-applied columns from about 1,420 to about 350, for about
-    1,580 A-applied columns instead of 1,420. ``"largest"``, the dense branch
+    theta_min is positive, ``precond`` is the Chebyshev polynomial q(A) on
+    [theta_min, beta] (beta: the largest Ritz value plus the last residual
+    norm) of the smallest odd degree d whose contraction 1 / T_d(sigma),
+    sigma = (beta + theta_min) / (beta - theta_min), is at most
+    CHEB_CONTRACTION, and at most CHEB_MAX_DEGREE. It costs d - 1 A applies
+    per column and is SPD for any symmetric A. It seeds the linearization as
+    a caller's does. On the 63 x 63 membrane (k = 6; d = 9-13) it cuts the
+    steps from about 180 to about 22 and the M-applied columns from about
+    1,420 to about 190, for about 1,730 A-applied columns instead of 1,420;
+    verify's n = 50 pencils get d = 5-7. ``"largest"``, the dense branch
     and an A the Lanczos steps show indefinite get no default; passing any
     ``precond``, ``lambda R: R`` included, runs the iteration without it.
     """
@@ -247,7 +259,7 @@ def eig_iterative(A, M, k, which="smallest", maxiter=500, tol=1e-9, precond=None
         if precond is None and which == "smallest":
             low, beta = _lanczos_bounds(A, seed)
             if low > 0:    # else A is not positive definite: no default
-                precond = _chebyshev(A, beta / CHEB_RATIO, beta)
+                precond = _chebyshev(A, low, beta)
         eig = _lobpcg(A, M, k, which, maxiter, tol, precond, seed)
     if precond is not None:
         linearize(A, M, eig).precond = precond

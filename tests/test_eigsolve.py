@@ -5,7 +5,7 @@ from scipy.sparse.linalg import splu
 
 import eigengrad as eg
 from eigengrad import sampling
-from eigengrad.eigsolve import (CHEB_DEGREE, GUARD, LANCZOS_STEPS, _whitening,
+from eigengrad.eigsolve import (CHEB_MAX_DEGREE, GUARD, LANCZOS_STEPS, _whitening,
                                 group_mask)
 from eigengrad.errors import (DimensionMismatch, MaxIterExceeded, NonFiniteError,
                               NotPositiveDefinite)
@@ -385,14 +385,67 @@ def test_eig_iterative_applies_each_operator_once_per_direction():
 
 
 def test_default_preconditioner_costs_its_lanczos_and_chebyshev_applies():
-    # LANCZOS_STEPS single-vector applies once, then CHEB_DEGREE - 1 per
-    # preconditioned column; M's count is the unpreconditioned bound
+    # LANCZOS_STEPS single-vector applies once, then at most
+    # CHEB_MAX_DEGREE - 1 per preconditioned column, whatever degree the
+    # bounds give; M's count is the unpreconditioned bound
     maxiter = 10
     counts, b = _counted_primal(maxiter)
     assert counts["A"] <= (LANCZOS_STEPS + (maxiter + 3) * b
-                           + (CHEB_DEGREE - 1) * maxiter * b)
+                           + (CHEB_MAX_DEGREE - 1) * maxiter * b)
     assert counts["A"] > (maxiter + 3) * b
     assert counts["M"] <= (maxiter + 3) * b + 10
+
+
+def _default_precond_cost(A_arr, M_arr, k):
+    """(A applies per column of the default preconditioner eig_iterative
+    builds, calls of M in that solve)."""
+    counts = {"A": 0, "M": 0}
+
+    def apply_m(V):
+        counts["M"] += 1
+        return M_arr @ V
+    A = _counting(A_arr, counts, "A")
+    M = eg.SymmetricOperator(A.dim, None, apply_m)
+    eig = eg.eig_iterative(A, M, k)
+    m_calls, counts["A"] = counts["M"], 0
+    eg.linearize(A, M, eig).precond.apply_batch(np.ones((A.dim, 1)))
+    return counts["A"], m_calls
+
+
+def test_default_preconditioner_degree_follows_the_lanczos_condition():
+    # verify's iter50 pencils: 12 Lanczos steps bound A's condition by 14-34,
+    # so degree 5-7 meets the contraction target
+    for s in range(10):
+        A_arr, M_arr = sampling.random_spd_pencil(50, np.random.default_rng(s))
+        applies, _ = _default_precond_cost(A_arr, M_arr, 3)
+        assert 4 <= applies <= 6
+    # the 63 x 63 membrane's bounds read a condition near 100: a higher
+    # degree, and fewer LOBPCG steps. Each step calls M once, besides the
+    # probe's LANCZOS_STEPS, the start block and the explicit Rayleigh-Ritz
+    # reruns; the fixed degree 5 on [beta / 30, beta] called it 59 times here
+    # (about 44 steps), this default 37 (about 22)
+    applies, m_calls = _default_precond_cost(*membrane(63), 6)
+    assert 8 <= applies <= CHEB_MAX_DEGREE - 1
+    assert m_calls <= 45
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("diagonal", [[2.0], [1.0, 3.0]])
+def test_default_preconditioner_on_a_collapsed_interval(diagonal):
+    # A = 2 I makes the Lanczos space invariant after one step, so theta_min =
+    # beta; a two-valued A after two. q(A) stays finite, the eigenpairs right
+    n, k = 40, 3
+    A_arr = np.diag(np.resize(diagonal, n))
+    _, M_arr = sampling.random_spd_pencil(n, np.random.default_rng(6))
+    A, M = eg.make_dense(A_arr), eg.make_spd(M_arr)
+    it = eg.eig_iterative(A, M, k)
+    assert eg.linearize(A, M, it).precond is not None
+    np.testing.assert_allclose(it.lambdas, eg.eig_dense(A, M, k).lambdas, rtol=1e-10)
+    AX, MX = A_arr @ it.X, M_arr @ it.X
+    assert np.all(np.linalg.norm(AX - MX * it.lambdas, axis=0)
+                  <= 1e-9 * (np.linalg.norm(AX, axis=0)
+                             + it.lambdas * np.linalg.norm(MX, axis=0)))
+    np.testing.assert_allclose(it.X.T @ MX, np.eye(k), atol=1e-12)
 
 
 def test_indefinite_or_largest_gets_no_default_preconditioner():

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import eigengrad as eg
 from eigengrad import sampling
-from eigengrad.eigsolve import CHEB_DEGREE, CHEB_RATIO, _chebyshev, _lanczos_bounds
+from eigengrad.eigsolve import CHEB_MAX_DEGREE, _chebyshev, _lanczos_bounds
 from eigengrad.errors import MaxIterExceeded
 
 
@@ -74,16 +74,43 @@ def indefinite(draw):
 @given(indefinite())
 def test_chebyshev_preconditioner_is_spd_for_any_symmetric_operator(problem):
     # odd degree: 1 - x q(x) = T_d(y) / T_d(sigma) keeps q > 0 on the real
-    # line, whether the interval's top comes from Lanczos or is too low
+    # line, whether the interval comes from Lanczos, its top is too low, it
+    # is near-singular (the degree cap binds) or it has collapsed (degree 1).
+    # q is read at A's eigenvalues through diag(w), whose products do not mix
+    # columns; the rotated q(A)'s own eigenvalues are checked below the cap
+    # only, as q spans up to 1e18 where the cap binds, past what they resolve
     A_arr, lam_max = problem
-    A, n = eg.make_dense(A_arr), A_arr.shape[0]
-    assert CHEB_DEGREE % 2 == 1
-    for beta in (_lanczos_bounds(A, 0)[1], lam_max / 2):
-        precond = _chebyshev(A, beta / CHEB_RATIO, beta)
-        Q = precond.apply_batch(np.eye(n))
+    n = A_arr.shape[0]
+    w, V = np.linalg.eigh(A_arr)
+    counts = {"A": 0}
+
+    def apply_diag(X):
+        counts["A"] += X.shape[1]
+        return w[:, None] * X
+    assert CHEB_MAX_DEGREE % 2 == 1
+    low, beta = _lanczos_bounds(eg.make_dense(A_arr), 0)
+    intervals = [(beta / 30, beta), (lam_max / 60, lam_max / 2), (1e-9 * beta, beta),
+                 (beta, beta)]
+    if low > 0:
+        intervals.append((low, beta))
+    for lo, hi in intervals:
+        counts["A"] = 0
+        q = _chebyshev(eg.SymmetricOperator(n, None, apply_diag), lo, hi).apply_batch(
+            np.ones((n, 1)))[:, 0]
+        degree = counts["A"] + 1
+        assert degree % 2 == 1 and degree <= CHEB_MAX_DEGREE
+        if lo == hi:
+            assert degree == 1
+        elif lo == 1e-9 * beta:
+            assert degree == CHEB_MAX_DEGREE
+        assert np.all(np.isfinite(q)) and np.all(q > 0)
+        # on A itself: symmetric, and V q(w) V^T
+        Q = _chebyshev(eg.make_dense(A_arr), lo, hi).apply_batch(np.eye(n))
         scale = np.max(np.abs(Q))
         assert np.max(np.abs(Q - Q.T)) <= 1e-12 * scale
-        assert np.linalg.eigvalsh(0.5 * (Q + Q.T)).min() > 0
+        assert np.max(np.abs(Q - (V * q) @ V.T)) <= 1e-9 * scale
+        if degree < CHEB_MAX_DEGREE:
+            assert np.linalg.eigvalsh(0.5 * (Q + Q.T)).min() > 0
 
 
 @st.composite
