@@ -20,6 +20,9 @@ args = parser.parse_args()
 
 A, M = sampling.pencil_from_spectrum([1.0, 1.0, 2.0], 400, np.random.default_rng(0),
                                      mass="random")
-route = eg.eig_dense(eg.make_dense(A), eg.make_spd(M), 3)._linearization.reduction.lapack.name
+A, M = eg.make_dense(A), eg.make_spd(M)
+# eig_dense seeds the linearization memoized on its result with its own
+# reduction, so this reads that one and runs no second
+route = eg.linearize(A, M, eg.eig_dense(A, M, 3)).reduction.lapack.name
 print(f"an n = 400 reduction ran on {route}'s LAPACK")
 sys.exit(args.expect is not None and route != args.expect)

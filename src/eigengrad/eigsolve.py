@@ -15,7 +15,7 @@ from numbers import Integral
 import numpy as np
 
 from ._blas import scipy_linalg
-from .errors import DimensionMismatch, MaxIterExceeded, NotPositiveDefinite
+from .errors import DimensionMismatch, MaxIterExceeded, NonFiniteError, NotPositiveDefinite
 from .linop import SymmetricOperator, check_operators
 from .sylvester import Reduction, linearize
 
@@ -35,7 +35,11 @@ CHEB_MAX_DEGREE = 15
 
 @dataclass
 class EigenResult:
-    """k eigenpairs plus degeneracy structure of the retrieved spectrum."""
+    """k eigenpairs plus degeneracy structure of the retrieved spectrum.
+
+    DimensionMismatch unless X is 2-D with one column per eigenvalue,
+    NonFiniteError unless X and lambdas are finite, ValueError unless
+    ``groups`` partition the columns."""
 
     X: np.ndarray           # n x k, M-orthonormal
     lambdas: np.ndarray     # ascending
@@ -48,6 +52,11 @@ class EigenResult:
 
     def __post_init__(self):
         self.k = len(self.lambdas)
+        if np.ndim(self.X) != 2 or np.shape(self.X)[1] != self.k:
+            raise DimensionMismatch(f"X has shape {np.shape(self.X)}, expected n x {self.k} "
+                                    f"for {self.k} eigenvalues")
+        if not (np.isfinite(self.X).all() and np.isfinite(self.lambdas).all()):
+            raise NonFiniteError("eigenpairs X and lambdas must be finite")
         self.D = group_mask(self.groups, self.k)
 
 
@@ -221,9 +230,10 @@ def eig_iterative(A, M, k, which="smallest", maxiter=500, tol=1e-9, precond=None
     M of condition up to 1e8 passes; a negative eigenvalue separated from the
     rest of M's spectrum fails, and one buried inside it can pass.
 
-    ``precond``, a map of n x m blocks, is applied through a
-    :class:`~eigengrad.linop.SymmetricOperator`, so a product of the wrong
-    shape raises DimensionMismatch. On either branch it seeds the
+    ``precond`` is a :class:`~eigengrad.linop.SymmetricOperator`, taken as
+    is (DimensionMismatch before any apply unless its ``dim`` is n), or a map
+    of n x m blocks, applied through one, so a product of the wrong shape
+    raises DimensionMismatch. On either branch it seeds the
     linearization memoized on the result: its iterative derivative solves
     for ``which="smallest"`` run PCG with it.
 
@@ -247,12 +257,15 @@ def eig_iterative(A, M, k, which="smallest", maxiter=500, tol=1e-9, precond=None
         raise ValueError(f"maxiter must be >= 1, got {maxiter}")
     if not 0 < tol < np.inf:
         raise ValueError(f"need 0 < tol < inf, got tol={tol}")
+    if isinstance(precond, SymmetricOperator):
+        if precond.dim != n:
+            raise DimensionMismatch(f"precond has dim {precond.dim}, A has dim {n}")
+    elif precond is not None:
+        precond = SymmetricOperator(n, None, precond)
     low, high = _lanczos_bounds(M, seed)
     if low <= 1e-12 * high:
         raise NotPositiveDefinite(f"M failed the positivity probe: Lanczos Ritz values "
                                   f"from {low:.3e}, bound {high:.3e}")
-    if precond is not None:
-        precond = SymmetricOperator(n, None, precond)
     if n <= max(4 * k, 12):
         eig = eig_dense(A, M, k, which)
     else:

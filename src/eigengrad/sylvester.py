@@ -5,19 +5,21 @@ linear solves (A - lambda_j M) y_j = b_j. When lambda_j is an eigenvalue the
 operator is singular with nullspace spanned by the eigenvectors of its
 degeneracy group; a solver takes any b_j, projects it off that group first
 (:func:`project_rhs`), solves for the projection and gauges y_j M-orthogonal
-to the group (minimum-norm in M). Its targets, MaxIterExceeded and
-ClusterSplit are all measured against the projected column.
+to the group (minimum-norm in M).
 
 Both modes and both routes share one :class:`Linearization` of (A, M) at the
-retrieved eigenpairs. A right-hand block may hold s directions, s k columns:
-column c belongs to eigencolumn c mod k. The dense route works in the
-tridiagonal basis of the pencil's :class:`Reduction` (made by ``eig_dense``,
-or by the first dense solve): each column costs two O(n^2) maps, blocked
-numpy GEMMs, and one O(n) banded solve. The iterative route runs one pass of
-CG on the operator deflated of all k retrieved pairs, all columns in
-lockstep, preconditioned with the primal's preconditioner if any; the
-primal's residual enters its right-hand side, so the one pass serves inexact
-pairs too."""
+retrieved eigenpairs. A right-hand block holds s >= 1 directions, n x s k:
+column c belongs to eigencolumn c mod k. Both routes enter through one check
+of that shape (DimensionMismatch otherwise), which projects, and return
+through one certificate: the residual off each column's group, against the
+projected |b_j|, gates MaxIterExceeded and ClusterSplit. The dense route
+works in the tridiagonal basis of the pencil's :class:`Reduction` (made by
+``eig_dense``, or by the first dense solve): each column costs two O(n^2)
+maps, blocked numpy GEMMs, and one O(n) banded solve. The iterative route
+runs one pass of CG on the operator deflated of all k retrieved pairs, all
+columns in lockstep, preconditioned with the primal's preconditioner if any;
+the primal's residual enters its right-hand side, so the one pass serves
+inexact pairs too."""
 
 from __future__ import annotations
 
@@ -207,39 +209,45 @@ def check_solver(solver):
         raise ValueError(f"solver must be 'dense' or 'iterative', got {solver!r}")
 
 
-def _tiled(eig, m):
-    """(D, lambdas) for a block of m = s k columns, column c of eigencolumn c mod k."""
-    if m % eig.k:
-        raise DimensionMismatch(f"a right-hand block needs a multiple of k = {eig.k} columns, "
-                                f"got {m}")
-    return np.tile(eig.D, m // eig.k), np.tile(eig.lambdas, m // eig.k)
+def _entry(lin, B):
+    """(B projected off each column's group, D, lambdas), D and lambdas tiled
+    to B's s k columns: column c belongs to eigencolumn c mod k. Both solvers
+    start here. DimensionMismatch unless B is n x s k with s >= 1."""
+    B, eig, n = np.asarray(B, dtype=float), lin.eig, lin.A.dim
+    if B.ndim != 2 or B.shape[0] != n or B.shape[1] < 1 or B.shape[1] % eig.k:
+        raise DimensionMismatch(f"a right-hand block needs n = {n} rows and a positive "
+                                f"multiple of k = {eig.k} columns, got shape {B.shape}")
+    D, lam = np.tile(eig.D, B.shape[1] // eig.k), np.tile(eig.lambdas, B.shape[1] // eig.k)
+    return B - lin.MX @ (D * (eig.X.T @ B)), D, lam
 
 
 def project_rhs(lin, B):
     """Remove the degenerate-group component: b_j <- b_j - M X_g (X_g^T b_j)."""
-    B = np.asarray(B, dtype=float)
-    return B - lin.MX @ (_tiled(lin.eig, B.shape[1])[0] * (lin.eig.X.T @ B))
+    return _entry(lin, B)[0]
 
 
-def _residual(lin, B, Y, lam):
-    """b_j - (A - lambda_j M) y_j projected off column j's group: the part of
-    B a solve answers for, so both routes measure the same thing."""
-    return project_rhs(lin, B - (lin.A.apply_batch(Y) - lin.M.apply_batch(Y) * lam))
-
-
-def _check_split(residuals, B):
-    """Raise ClusterSplit where a solve left a residual above sqrt(TOL_SOLV) |b_j|.
-
-    A solve leaves about eps times the condition number; more means the shift
-    is singular beyond the group: lambda_j has eigenvectors not retrieved.
-    """
-    bnorm = np.maximum(np.linalg.norm(B, axis=0), 1e-300)
-    defect = np.nan_to_num(residuals / bnorm, nan=np.inf)
+def _exit(lin, B, D, lam, Y, iterations, maxed=False, maxiter=None):
+    """The SylvesterSolution Y of :func:`_entry`'s (B, D, lam), certified on
+    its residuals b_j - (A - lambda_j M) y_j off column j's group. Raises
+    MaxIterExceeded (the solution as payload) where a column ``maxed`` at
+    ``maxiter`` CG steps is above 10 TOL_SOLV |b_j|, then ClusterSplit where
+    any is above sqrt(TOL_SOLV) |b_j|: a solve leaves about eps times the
+    condition number; more means lambda_j has eigenvectors not retrieved."""
+    R = B - (lin.A.apply_batch(Y) - lin.M.apply_batch(Y) * lam)
+    residuals = np.linalg.norm(R - lin.MX @ (D * (lin.eig.X.T @ R)), axis=0)
+    sol = SylvesterSolution(Y=Y, residuals=residuals, iterations=iterations)
+    bnorm = np.linalg.norm(B, axis=0)
+    bad = np.flatnonzero(maxed & (residuals > TOL_SOLV * bnorm * 10))
+    if bad.size:
+        raise MaxIterExceeded(f"column {bad[0]}: CG reached maxiter={maxiter} at "
+                              f"residual {residuals[bad[0]]:.3e}", payload=sol)
+    defect = np.nan_to_num(residuals / np.maximum(bnorm, 1e-300), nan=np.inf)
     j = int(np.argmax(defect))
     if defect[j] > np.sqrt(TOL_SOLV):
         raise ClusterSplit(
             f"column {j}: shifted system is singular (relative residual {defect[j]:.3e}); "
             "its eigenvalue has eigenvectors outside the retrieved set", defect=defect[j])
+    return sol
 
 
 def solve_dense(lin, B):
@@ -250,18 +258,16 @@ def solve_dense(lin, B):
     that one refinement step removes, unless it already meets the CG target.
     s directions map in and out as one block and share one banded solve.
     """
-    B = project_rhs(lin, B)
-    eig = lin.eig
+    B, D, lam = _entry(lin, B)
+    k, (n, m) = lin.eig.k, B.shape
     (S, lu, piv, p), red, dgbtrs = lin.band, lin.reduction, scipy_linalg().lapack.dgbtrs
-    n, m = B.shape
-    D, lam = _tiled(eig, m)
 
     def deflate(R):    # off each column's group S_g
         return R - S @ (D * (S.T @ R))
 
     def solve(R):
         # direction i's k columns, stacked, are right-hand side i of the LU
-        Z = dgbtrs(lu, 1, 1, R.T.reshape(-1, eig.k * n).T, piv)[0]
+        Z = dgbtrs(lu, 1, 1, R.T.reshape(-1, k * n).T, piv)[0]
         Z[p] = 0.0    # the border's multipliers
         return deflate(Z.T.reshape(m, n).T)
 
@@ -273,10 +279,7 @@ def solve_dense(lin, B):
     R = deflate(R)
     if np.any(np.linalg.norm(R, axis=0) > 1e-2 * TOL_SOLV * np.linalg.norm(R0, axis=0)):
         W += solve(R)
-    Y = red.from_tri(W)
-    residuals = np.linalg.norm(_residual(lin, B, Y, lam), axis=0)
-    _check_split(residuals, B)
-    return SylvesterSolution(Y=Y, residuals=residuals, iterations=np.zeros(m, dtype=int))
+    return _exit(lin, B, D, lam, red.from_tri(W), np.zeros(m, dtype=int))
 
 
 def solve_iterative(lin, B, maxiter=None):
@@ -292,13 +295,12 @@ def solve_iterative(lin, B, maxiter=None):
     the linearization's ``precond`` makes it PCG for "smallest". ``maxiter``
     bounds the CG steps of each column.
     """
-    B = project_rhs(lin, B)
-    eig, (n, m) = lin.eig, B.shape
+    B, D, lam = _entry(lin, B)
+    eig, n = lin.eig, B.shape[0]
     maxiter = 20 * n if maxiter is None else maxiter
     if maxiter < 1:
         raise ValueError(f"maxiter must be >= 1, got {maxiter}")
     A, M, X, MX, G = lin.A, lin.M, eig.X, lin.MX, lin.G
-    D, lam = _tiled(eig, m)
     inv = np.where(D == 1, 0.0, 1.0 / np.where(D == 1, 1.0, eig.lambdas[:, None] - lam))
     sign, precond = (1.0, lin.precond) if eig.which == "smallest" else (-1.0, None)
     bnorm = np.linalg.norm(B, axis=0)
@@ -318,14 +320,7 @@ def solve_iterative(lin, B, maxiter=None):
     R -= MX @ (X.T @ R)
     Z, iterations, maxed = _cg(op, prec, sign, R, 1e-2 * TOL_SOLV * bnorm, maxiter, bnorm)
     Y = Z + X @ (inv * (C - G.T @ Z))
-    residuals = np.linalg.norm(_residual(lin, B, Y, lam), axis=0)
-    sol = SylvesterSolution(Y=Y, residuals=residuals, iterations=iterations)
-    bad = np.flatnonzero(maxed & (residuals > TOL_SOLV * bnorm * 10))
-    if bad.size:
-        raise MaxIterExceeded(f"column {bad[0]}: CG reached maxiter={maxiter} at "
-                              f"residual {residuals[bad[0]]:.3e}", payload=sol)
-    _check_split(residuals, B)
-    return sol
+    return _exit(lin, B, D, lam, Y, iterations, maxed, maxiter)
 
 
 def _cg(op, prec, sign, R, target, maxiter, bnorm):

@@ -324,6 +324,29 @@ def test_wrong_shape_preconditioner_is_a_dimension_mismatch(precond, got):
         eg.eig_iterative(A, M, 3, precond=precond)
 
 
+def test_preconditioner_operator_of_the_wrong_dim_fails_before_any_apply():
+    with pytest.raises(DimensionMismatch, match="precond has dim 39"):
+        eg.eig_iterative(_untouched(40), _untouched(40), 3, precond=_untouched(39))
+
+
+def test_preconditioner_operator_and_its_closure_agree():
+    # an operator is taken as is; its entries' @ is wrapped in one, and both
+    # runs make the same products in the same order
+    A_arr, M_arr = sampling.random_spd_pencil(60, np.random.default_rng(3))
+    A, M = eg.make_dense(A_arr), eg.make_spd(M_arr)
+    P = eg.make_spd(np.diag(1.0 / np.diag(A_arr)))
+    as_op = eg.eig_iterative(A, M, 3, precond=P)
+    as_map = eg.eig_iterative(A, M, 3, precond=P.entries.__matmul__)
+    np.testing.assert_array_equal(as_op.lambdas, as_map.lambdas)
+    np.testing.assert_array_equal(as_op.X, as_map.X)
+    assert eg.linearize(A, M, as_op).precond is P
+    V = np.random.default_rng(0).standard_normal((60, 4))
+    np.testing.assert_array_equal(eg.linearize(A, M, as_map).precond.apply_batch(V),
+                                  P.apply_batch(V))
+    # an operator need not be callable: it is applied through apply_batch
+    eg.eig_iterative(A, M, 3, precond=eg.make_spd(np.eye(60)))
+
+
 def test_eig_iterative_reaches_tight_tol():
     # converged columns get no new directions (soft locking); without it 7 of
     # these 40 pencils raise MaxIterExceeded at 3e-15
@@ -341,6 +364,19 @@ def test_eigen_result_rejects_mask_not_matching_groups():
     res = eg.EigenResult(X=X, lambdas=lam, groups=[[0, 1]])
     assert res.groups == [[0, 1]] and res.k == 2
     np.testing.assert_array_equal(res.D, np.ones((2, 2), dtype=int))
+
+
+def test_eigen_result_rejects_a_mismatched_or_non_finite_pair():
+    X, lam = np.eye(4)[:, :3], np.array([1.0, 2.0])
+    for bad in (X, X[:, 0], X[:, :2].ravel()):    # three columns, or 1-D
+        with pytest.raises(DimensionMismatch, match="for 2 eigenvalues"):
+            eg.EigenResult(X=bad, lambdas=lam, groups=[[0], [1]])
+    with pytest.raises(NonFiniteError):
+        eg.EigenResult(X=X[:, :2], lambdas=np.array([1.0, np.nan]), groups=[[0], [1]])
+    X = X[:, :2].copy()
+    X[0, 1] = np.inf
+    with pytest.raises(NonFiniteError):
+        eg.EigenResult(X=X, lambdas=lam, groups=[[0], [1]])
 
 
 def _counting(mat, counts, key):

@@ -554,7 +554,10 @@ def test_iterative_maxiter_below_one_is_a_value_error(maxiter):
 
 
 def test_block_width_must_be_a_multiple_of_k():
+    # n = 3, k = 2: a width off the multiple, a 1-D block, too few rows and
+    # no columns at all fail alike
     lin = degen_lin([2.0, 2.0], [[0, 1]])
     for solve in (project_rhs, solve_dense, solve_iterative):
-        with pytest.raises(DimensionMismatch, match="multiple of k"):
-            solve(lin, np.ones((3, 3)))
+        for B in (np.ones((3, 3)), np.ones(3), np.ones((2, 2)), np.ones((3, 0))):
+            with pytest.raises(DimensionMismatch, match="multiple of k"):
+                solve(lin, B)
