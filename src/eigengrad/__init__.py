@@ -2,7 +2,8 @@
 
 Forward (JVP) and reverse (VJP) modes of the map (A, M) -> (Lambda, X) for
 A X = M X Lambda with X^T M X = I, correct in the presence of repeated
-eigenvalues, with matrix-free solvers and dense verification oracles.
+eigenvalues, with matrix-free solvers. The dense verification oracles live
+in :mod:`eigengrad.oracle`, which this package does not import.
 """
 
 from . import errors, sampling
@@ -15,9 +16,6 @@ from .sylvester import (Linearization, SylvesterSolution, linearize,
 from .jvp import TangentInput, TangentOutput, check_forward_validity, jvp
 from .vjp import (CotangentInput, CotangentOutput, check_backward_validity,
                   vjp)
-from .oracle import (FullSpectrum, FdTangent, analytic_projector_derivative,
-                     finite_difference_jvp, full_spectrum, jvp_series,
-                     vjp_series)
 
 __version__ = "0.1.0"
 
@@ -32,7 +30,4 @@ __all__ = [
     "TangentInput", "TangentOutput", "check_forward_validity", "jvp",
     "CotangentInput", "CotangentOutput", "check_backward_validity",
     "vjp",
-    "FullSpectrum", "FdTangent", "full_spectrum",
-    "jvp_series", "vjp_series", "finite_difference_jvp",
-    "analytic_projector_derivative",
 ]

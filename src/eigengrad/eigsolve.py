@@ -245,12 +245,9 @@ def eig_iterative(A, M, k, which="smallest", maxiter=500, tol=1e-9, precond=None
     sigma = (beta + theta_min) / (beta - theta_min), is at most
     CHEB_CONTRACTION, and at most CHEB_MAX_DEGREE. It costs d - 1 A applies
     per column and is SPD for any symmetric A. It seeds the linearization as
-    a caller's does. On the 63 x 63 membrane (k = 6; d = 9-13) it cuts the
-    steps from about 180 to about 22 and the M-applied columns from about
-    1,420 to about 190, for about 1,730 A-applied columns instead of 1,420;
-    verify's n = 50 pencils get d = 5-7. ``"largest"``, the dense branch
-    and an A the Lanczos steps show indefinite get no default; passing any
-    ``precond``, ``lambda R: R`` included, runs the iteration without it.
+    a caller's does. ``"largest"``, the dense branch and an A the Lanczos
+    steps show indefinite get no default; passing any ``precond``,
+    ``lambda R: R`` included, runs the iteration without it.
     """
     n = _check_request(A, M, k, which)
     if maxiter < 1:

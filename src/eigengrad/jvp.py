@@ -72,12 +72,12 @@ def as_directions(d, kind):
                     f"got {type(d).__name__}")
 
 
-def jvp(A, M, eig, t, solver="dense", force=False):
-    """First-order response (Lambda', X') along t = (A', M'); requires forward
-    validity, which ``force`` skips. A list or tuple ``t`` gives a list: every
-    direction is checked, then all are solved as one block (an empty one
-    gives [] and applies nothing); anything else is a TypeError. Runs on the
-    linearization memoized on ``eig`` (see :func:`linearize`).
+def jvp(A, M, eig, t, solver="dense"):
+    """First-order response (Lambda', X') along t = (A', M'); it exists only
+    where forward validity holds, else ValidityViolated with the defect. A
+    list or tuple ``t`` gives a list: every direction is checked, then all are
+    solved as one block (an empty one gives []); anything else is a TypeError.
+    Runs on the linearization memoized on ``eig`` (see :func:`linearize`).
 
     Pipeline: build V = A'X - M'X Lambda and F = X^T V once; check validity
     on F and take Lambda' = diag F; project V's degenerate-group component
@@ -85,11 +85,12 @@ def jvp(A, M, eig, t, solver="dense", force=False):
     M-orthogonal to each group; assemble X' = -1/2 X [I o (X^T M' X)] - Y'.
     """
     check_solver(solver)
+    check_operators(A=A, M=M)    # also where no solve reaches Linearization's check
     X, parts = eig.X, []
     for ti in as_directions(t, TangentInput):
         MpX, V, F = _coupling(eig, ti)
         ok, defect = check_forward_validity(eig, ti, F=F)
-        if not ok and not force:
+        if not ok:
             raise ValidityViolated(defect)
         parts.append((MpX, V, F, defect))
     if not parts:

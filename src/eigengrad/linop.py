@@ -222,7 +222,9 @@ def make_spd(entries):
 
 
 def identity_operator(n):
-    return make_spd(np.eye(n))
+    """M = I as a block closure that stores nothing, so a matrix-free standard
+    pencil runs at any n. An apply returns a copy: callers write into it."""
+    return SymmetricOperator(n, None, lambda V: V.copy())
 
 
 def check_operators(**ops):

@@ -45,12 +45,12 @@ def check_backward_validity(eig, c):
     return in_group_defect(eig, S - S.T, S)
 
 
-def vjp(A, M, eig, c, solver="dense", force=False):
-    """Adjoint map (Lambda_bar, X_bar) -> (A_bar, M_bar); requires backward
-    validity, which ``force`` skips. A list or tuple ``c`` gives a list: every
-    cotangent is checked, then all are solved as one block (an empty one
-    gives [] and applies nothing); anything else is a TypeError. Runs on the
-    linearization memoized on ``eig`` (see :func:`linearize`).
+def vjp(A, M, eig, c, solver="dense"):
+    """Adjoint map (Lambda_bar, X_bar) -> (A_bar, M_bar); it exists only where
+    backward validity holds, else ValidityViolated with the defect. A list or
+    tuple ``c`` gives a list: every cotangent is checked, then all are solved
+    as one block (an empty one gives []); anything else is a TypeError.
+    Runs on the linearization memoized on ``eig`` (see :func:`linearize`).
 
     Solves the shifted systems (A - lambda_j M) ybar_j = xbar_j projected off
     the degenerate group, which the solvers gauge M-orthogonal to it (Vbar =
@@ -66,7 +66,7 @@ def vjp(A, M, eig, c, solver="dense", force=False):
     parts = []
     for ci in as_directions(c, CotangentInput):
         ok, defect = check_backward_validity(eig, ci)
-        if not ok and not force:
+        if not ok:
             raise ValidityViolated(defect)
         parts.append((np.asarray(ci.lambda_bar, float), np.asarray(ci.X_bar, float), defect))
     if not parts:

@@ -1,6 +1,6 @@
 """The matrix-free route runs on numpy alone; scipy loads on the first dense
-call. Each test runs in a fresh interpreter, since this one has scipy
-loaded already."""
+call; the oracles load only on request. Each test runs in a fresh
+interpreter, since this one has scipy and the oracles loaded already."""
 
 import os
 import subprocess
@@ -76,4 +76,20 @@ def test_scipy_thread_lookup_as_first_scipy_use(first):
     """, FIRST_USE[first], """
         import scipy.linalg    # loads scipy's OpenBLAS, where the lookup did not
         assert threads is not None or not _blas._vendored(scipy)
+    """)
+
+
+def test_package_root_leaves_the_oracles_unloaded():
+    run_fresh("""
+        import sys
+        import eigengrad as eg
+        assert "eigengrad.oracle" not in sys.modules, "oracle loaded"
+        assert len(eg.__all__) == 29
+
+        import eigengrad.oracle
+        for name in ("FullSpectrum", "FdTangent", "full_spectrum", "jvp_series",
+                     "vjp_series", "finite_difference_jvp",
+                     "analytic_projector_derivative"):
+            assert name not in eg.__all__ and not hasattr(eg, name), name
+            assert getattr(eigengrad.oracle, name).__module__ == "eigengrad.oracle"
     """)

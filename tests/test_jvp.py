@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import eigengrad as eg
-from eigengrad import sampling
+from eigengrad import oracle, sampling
 from eigengrad.errors import DimensionMismatch, NonFiniteError, ValidityViolated
 
 from conftest import make_pencil
@@ -121,12 +121,9 @@ def test_eigenvector_jvp_group_diagonal_stationary(degen225):
 
 def test_eigenvector_jvp_rejects_invalid(degen225):
     A, M, eig = degen225
-    with pytest.raises(ValidityViolated):
+    with pytest.raises(ValidityViolated) as err:
         eg.jvp(A, M, eig, tangent(coupling(3, 0, 1)))
-    # force escape hatch returns the projected answer plus the defect
-    out = eg.jvp(A, M, eig, tangent(coupling(3, 0, 1)), force=True)
-    assert out.validity_defect > 0.5
-    assert np.all(np.isfinite(out.X_prime))
+    assert err.value.defect > 0.5
 
 
 def test_jvp_primal_residual_identity():
@@ -144,7 +141,7 @@ def test_jvp_matches_finite_differences(seed):
     rng = np.random.default_rng(seed)
     t = sampling.valid_tangent(eig, M, rng)
     out = eg.jvp(A, M, eig, t)
-    fd = eg.finite_difference_jvp(A, M, 3, "smallest", t, step=1e-5, base=eig)
+    fd = oracle.finite_difference_jvp(A, M, 3, "smallest", t, step=1e-5, base=eig)
     np.testing.assert_allclose(out.lambda_prime, fd.lambda_prime,
                                rtol=1e-6, atol=1e-8)
     np.testing.assert_allclose(out.X_prime, fd.X_prime, rtol=0,
@@ -205,22 +202,28 @@ def test_degenerate_gauge_zero_in_group(rng):
 def test_nondegenerate_agrees_with_series(rng):
     A, M = make_pencil([], 6, 41, mass="random")
     eig = eg.eig_dense(A, M, 3)
-    fs = eg.full_spectrum(A, M)
+    fs = oracle.full_spectrum(A, M)
     t = sampling.valid_tangent(eig, M, rng)
     out = eg.jvp(A, M, eig, t)
-    ser = eg.jvp_series(fs, M, eig, t)
+    ser = oracle.jvp_series(fs, M, eig, t)
     np.testing.assert_allclose(out.lambda_prime, ser.lambda_prime, atol=1e-10)
     np.testing.assert_allclose(out.X_prime, ser.X_prime, atol=1e-9)
 
 
-def test_forced_violating_tangent_returns_on_both_solvers():
-    # the tangent's V lies in the group's span, so its projected columns are
-    # at roundoff; both solves take them as they are and agree
+def test_violating_tangent_block_solves_alike_on_both_routes():
+    # the tangent's V = A'X - M'X Lambda lies in the group's span, so its
+    # projected columns are at roundoff; both shifted solves take them as
+    # they are and agree, while jvp refuses the tangent on either route
     A, M = make_pencil([2, 2, 5], 12, 3, mass="random")
     eig = eg.eig_dense(A, M, 3)
     t = sampling.violating_tangent(eig, M, [0, 1])
-    dense = eg.jvp(A, M, eig, t, force=True)
-    iterative = eg.jvp(A, M, eig, t, solver="iterative", force=True)
-    np.testing.assert_allclose(dense.X_prime, iterative.X_prime, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(dense.lambda_prime, iterative.lambda_prime, rtol=0, atol=1e-12)
-    assert dense.validity_defect == iterative.validity_defect > 0.1
+    V = t.Aprime.apply_batch(eig.X) - t.Mprime.apply_batch(eig.X) * eig.lambdas
+    lin = eg.linearize(A, M, eig)
+    dense, iterative = eg.solve_dense(lin, V).Y, eg.solve_iterative(lin, V).Y
+    np.testing.assert_allclose(dense, iterative, rtol=0, atol=1e-12)
+    defects = []
+    for solver in ("dense", "iterative"):
+        with pytest.raises(ValidityViolated) as err:
+            eg.jvp(A, M, eig, t, solver=solver)
+        defects.append(err.value.defect)
+    assert defects[0] == defects[1] > 0.1

@@ -10,7 +10,7 @@ import scipy.linalg
 from scipy.sparse.linalg import splu
 
 import eigengrad as eg
-from eigengrad import _blas, sampling
+from eigengrad import _blas, oracle, sampling
 from eigengrad._blas import NUMPY_LAPACK_MIN_N
 from eigengrad.errors import ClusterSplit
 from eigengrad.sylvester import project_rhs
@@ -320,7 +320,7 @@ def test_cached_dense_solve_matches_spectral_series():
     A, M = make_pencil([2.0, 2.0, 5.0, 5.0, 5.0], 11, 4, mass="random")
     eig = eg.eig_dense(A, M, 5)
     lin = eg.linearize(A, M, eig)
-    fs = eg.full_spectrum(A, M)
+    fs = oracle.full_spectrum(A, M)
     rng = np.random.default_rng(4)
     for _ in range(2):
         B = project_rhs(lin, rng.standard_normal((11, 5)))
@@ -380,7 +380,7 @@ def test_dense_solve_refines_a_group_with_spread():
     eig = eg.eig_dense(A, M, 3)
     assert eig.groups == [[0, 1], [2]]
     lin = eg.linearize(A, M, eig)
-    fs = eg.full_spectrum(A, M)
+    fs = oracle.full_spectrum(A, M)
     B = project_rhs(lin, np.random.default_rng(11).standard_normal((10, 3)))
     sol = eg.solve_dense(lin, B)
     for j in range(3):
@@ -402,5 +402,5 @@ def test_near_degenerate_pair_outside_group_tolerance():
     scale = np.max(np.abs(dense.X_prime))
     assert scale > 1e5
     assert np.max(np.abs(dense.X_prime - iterative.X_prime)) < 1e-6 * scale
-    fd = eg.finite_difference_jvp(A, M, 3, "smallest", t, step=1e-9, base=eig)
+    fd = oracle.finite_difference_jvp(A, M, 3, "smallest", t, step=1e-9, base=eig)
     assert np.max(np.abs(dense.X_prime - fd.X_prime)) < 1e-3 * scale

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import eigengrad as eg
-from eigengrad import sampling
+from eigengrad import oracle, sampling
 from eigengrad.errors import (DimensionMismatch, EigengradError, NonFiniteError, NonSquareError,
                               NotAnOperator, NotPositiveDefinite)
 
-from conftest import membrane, sparse_ops
+from conftest import make_pencil, membrane, sparse_ops
 
 
 def test_make_dense_diagonal():
@@ -86,6 +86,28 @@ def test_spd_wrapper_delegates(rng):
     np.testing.assert_allclose(eg.eig_iterative(eg.make_dense(np.eye(2)), M, 1).lambdas, [0.25])
     with pytest.raises(NotPositiveDefinite, match="positivity probe"):
         eg.eig_iterative(eg.make_dense(np.eye(3)), eg.make_dense(-np.eye(3)), 1)
+
+
+def test_identity_operator_stores_nothing_and_applies_a_copy(rng):
+    tracemalloc.start()
+    eye = eg.identity_operator(10**6)
+    built = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert built < 10**4
+    V = rng.standard_normal((10**6, 2))
+    out = eye.apply_batch(V)
+    np.testing.assert_array_equal(out, V)
+    assert not np.shares_memory(out, V)
+
+
+@pytest.mark.parametrize("n", [20, 400])    # both sides of NUMPY_LAPACK_MIN_N
+def test_identity_operator_gives_the_dense_identity_eigenpairs_bitwise(n):
+    A, _ = make_pencil([1.0, 2.0, 2.0, 3.0], n, 5)
+    closure, dense = (eg.eig_dense(A, M, 4) for M in (eg.identity_operator(n),
+                                                      eg.make_spd(np.eye(n))))
+    np.testing.assert_array_equal(closure.X, dense.X)
+    np.testing.assert_array_equal(closure.lambdas, dense.lambdas)
+    assert closure.groups == dense.groups == [[0], [1, 2], [3]]
 
 
 def test_apply_batch_takes_blocks_only():
@@ -235,8 +257,8 @@ def test_an_array_where_an_operator_is_expected_is_a_typed_error(call, name):
            "jvp": lambda: eg.jvp(ops["A"], ops["M"], eig, t),
            "vjp": lambda: eg.vjp(ops["A"], ops["M"], eig, c),
            "eigenvalue-only vjp": lambda: eg.vjp(ops["A"], ops["M"], eig, values_only),
-           "full_spectrum": lambda: eg.full_spectrum(ops["A"], ops["M"]),
-           "finite_difference_jvp": lambda: eg.finite_difference_jvp(
+           "full_spectrum": lambda: oracle.full_spectrum(ops["A"], ops["M"]),
+           "finite_difference_jvp": lambda: oracle.finite_difference_jvp(
                ops["A"], ops["M"], 3, "smallest", t),
            "check_symmetry": lambda: eg.check_symmetry(ops["op"]),
            "valid_tangent": lambda: sampling.valid_tangent(eig, ops["M"], rng),

@@ -3,6 +3,7 @@ them all, and solve them as one right-hand block; each output equals its
 single call."""
 
 import importlib
+import itertools
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import eigengrad as eg
 from eigengrad import sampling
-from eigengrad.errors import NonFiniteError, ValidityViolated
+from eigengrad.errors import NonFiniteError, NotAnOperator, ValidityViolated
 
 from conftest import make_pencil
 from test_derivative_properties import instance, problems
@@ -66,32 +67,18 @@ def test_violating_direction_fails_the_stack_before_any_solve(degenerate, monkey
     A, M, eig, rng = degenerate
     solves = []
     for mode in ("jvp", "vjp"):
-        monkeypatch.setattr(importlib.import_module(f"eigengrad.{mode}"), "solve_dense",
-                            lambda *args: solves.append(args))
+        for route in ("solve_dense", "solve_iterative"):
+            monkeypatch.setattr(importlib.import_module(f"eigengrad.{mode}"), route,
+                                lambda *args: solves.append(args))
     ts = [sampling.valid_tangent(eig, M, rng),
           sampling.violating_tangent(eig, M, eig.groups[0])]
     cs = [sampling.valid_cotangent(eig, M, rng),
           sampling.violating_cotangent(eig, M, eig.groups[0])]
-    with pytest.raises(ValidityViolated):
-        eg.jvp(A, M, eig, ts)
-    with pytest.raises(ValidityViolated):
-        eg.vjp(A, M, eig, cs)
+    for derive, ds in ((eg.jvp, ts), (eg.vjp, cs)):
+        for d, solver in itertools.product((ds, ds[1]), ("dense", "iterative")):
+            with pytest.raises(ValidityViolated):
+                derive(A, M, eig, d, solver=solver)
     assert solves == []
-
-
-def test_force_applies_to_the_whole_stack():
-    A, M = eg.make_dense(np.diag([2.0, 2.0, 5.0, 6.0, 7.0])), eg.identity_operator(5)
-    eig, rng = eg.eig_dense(A, M, 3), np.random.default_rng(3)
-    ts = [sampling.valid_tangent(eig, M, rng),
-          sampling.violating_tangent(eig, M, eig.groups[0])]
-    cs = [sampling.violating_cotangent(eig, M, eig.groups[0]),
-          sampling.valid_cotangent(eig, M, rng)]
-    fwds = eg.jvp(A, M, eig, ts, force=True)
-    bwds = eg.vjp(A, M, eig, cs, force=True)
-    assert fwds[0].validity_defect < 1e-10 < 0.5 < fwds[1].validity_defect
-    assert bwds[1].validity_defect < 1e-10 < 0.5 < bwds[0].validity_defect
-    assert all(np.all(np.isfinite(f.X_prime)) for f in fwds)
-    assert all(np.all(np.isfinite(b.A_bar)) for b in bwds)
 
 
 def test_non_finite_direction_fails_the_stack(degenerate):
@@ -154,3 +141,10 @@ def test_empty_sequence_gives_an_empty_list(degenerate, solver):
     assert eg.jvp(Ac, Mc, eig, [], solver=solver) == []
     assert eg.vjp(Ac, Mc, eig, (), solver=solver) == []
     assert applied == [] and eig._linearization is lin
+
+
+@pytest.mark.parametrize("mode", ["jvp", "vjp"])
+def test_raw_arrays_are_rejected_even_for_an_empty_sequence(degenerate, mode):
+    eig = degenerate[2]
+    with pytest.raises(NotAnOperator):
+        getattr(eg, mode)(np.eye(12), np.eye(12), eig, [])

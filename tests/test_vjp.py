@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import eigengrad as eg
-from eigengrad import sampling
+from eigengrad import oracle, sampling
 from eigengrad.errors import DimensionMismatch, NonFiniteError, ValidityViolated
 
 from conftest import make_pencil, membrane, pairing_gap, sparse_ops
@@ -68,11 +68,9 @@ def test_vjp_zero_cotangent():
 def test_vjp_rejects_invalid_cotangent(degen225):
     A, M, eig = degen225
     c = sampling.violating_cotangent(eig, M, eig.groups[0])
-    with pytest.raises(ValidityViolated):
+    with pytest.raises(ValidityViolated) as err:
         eg.vjp(A, M, eig, c)
-    out = eg.vjp(A, M, eig, c, force=True)
-    assert out.validity_defect > 0.5
-    assert np.all(np.isfinite(out.A_bar))
+    assert err.value.defect > 0.5
 
 
 @pytest.mark.parametrize("bad", ["lambda_bar", "X_bar"])
@@ -139,9 +137,9 @@ def test_degenerate_path_reduces_to_nondegenerate(rng):
     eig = eg.eig_dense(A, M, 3)
     assert np.array_equal(eig.D, np.eye(3, dtype=int))
     c = sampling.valid_cotangent(eig, M, rng)
-    fs = eg.full_spectrum(A, M)
+    fs = oracle.full_spectrum(A, M)
     out = eg.vjp(A, M, eig, c)
-    ser = eg.vjp_series(fs, M, eig, c)
+    ser = oracle.vjp_series(fs, M, eig, c)
     np.testing.assert_allclose(out.A_bar, ser.A_bar, atol=1e-9)
     np.testing.assert_allclose(out.M_bar, ser.M_bar, atol=1e-9)
 
