@@ -33,13 +33,17 @@ SPELLINGS = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads"
 # the ILP64 LAPACK and BLAS symbols of numpy's wheel OpenBLAS: scipy-openblas64
 # (numpy 2) and openblas64_ (numpy 1.2x); an LP64 build matches neither
 LAPACK_SPELLINGS = ("scipy_{}_64_", "{}_64_")
-# from this order on a reduction runs on numpy's pool. Chosen on a 2-core
-# machine, where the routes crossed between n = 300 and 384 and, below,
-# numpy's threaded LAPACK stalled a reduction at n = 80-100 for 23-45 ms
-# against scipy's one thread's 1 ms. numpy's route uses all of its pool's
-# threads, so with more cores both the crossover and the stall may move:
-# neither has been measured there, and the cutoff should be re-measured
-# before it is trusted on such a machine
+# from this order on a reduction runs on numpy's pool. Measured on a 2-core
+# machine (numpy 2.4.6, scipy 1.17.1), eig_dense + vjp right after a numpy
+# product, medians: scipy's one thread was 5-10% faster at n = 80-200, and
+# the routes were level within run-to-run spread at n = 300-384. At n = 80,
+# numpy's threaded LAPACK also stalled in 2 of 7 fresh processes, for the
+# whole process: 23 ms a call against scipy's 1.6 ms. Single slow calls of
+# eig_dense (3-13 ms at n = 6-100, a numpy product before every third call)
+# came on both routes alike. numpy's route uses all of its pool's threads,
+# so with more cores both the crossover and the stall may move: neither has
+# been measured there, and the cutoff should be re-measured before it is
+# trusted on such a machine
 NUMPY_LAPACK_MIN_N = 384
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from ._blas import scipy_linalg
 from .errors import DimensionMismatch, MaxIterExceeded, NonFiniteError, NotPositiveDefinite
 from .linop import SymmetricOperator, check_operators
-from .sylvester import Reduction, linearize
+from .sylvester import Reduction, check_maxiter, linearize
 
 DEFAULT_DEGENERACY_RTOL = 1e-8
 # eig_iterative iterates on this many columns beyond the k it returns
@@ -125,7 +125,8 @@ def eig_dense(A, M, k, which="smallest"):
     eigenvectors of T by bisection and inverse iteration, then x = L^-T Q s.
 
     The reduction is kept: it seeds the linearization memoized on the
-    result, so every dense derivative reuses it.
+    result, so every dense derivative reuses it. It holds n^2 + 128 n
+    doubles while the result lives; setting it up peaks at 2 n^2.
     """
     n = _check_request(A, M, k, which)
     red = Reduction(A, M)
@@ -220,8 +221,9 @@ def eig_iterative(A, M, k, which="smallest", maxiter=500, tol=1e-9, precond=None
     new direction in W. When the carried residuals of the wanted columns meet
     ``tol``, and every 32 steps, A and M are applied to all of X again and
     Rayleigh-Ritz rerun on those products; iteration stops only when that
-    explicit residual meets ``tol``, 0 < tol < inf. Small problems
-    (n <= max(4k, 12)) are materialized and solved densely.
+    explicit residual meets ``tol``, 0 < tol < inf, or raises MaxIterExceeded
+    after ``maxiter`` steps, an integer >= 1 (ValueError otherwise). Small
+    problems (n <= max(4k, 12)) are materialized and solved densely.
 
     Before either branch, at most LANCZOS_STEPS single-column M applies from a
     random vector of ``seed`` (:func:`_lanczos_bounds`, as for A's bounds
@@ -250,8 +252,7 @@ def eig_iterative(A, M, k, which="smallest", maxiter=500, tol=1e-9, precond=None
     ``lambda R: R`` included, runs the iteration without it.
     """
     n = _check_request(A, M, k, which)
-    if maxiter < 1:
-        raise ValueError(f"maxiter must be >= 1, got {maxiter}")
+    check_maxiter(maxiter)
     if not 0 < tol < np.inf:
         raise ValueError(f"need 0 < tol < inf, got tol={tol}")
     if isinstance(precond, SymmetricOperator):

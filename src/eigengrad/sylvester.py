@@ -26,6 +26,7 @@ from __future__ import annotations
 import copy
 import functools
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -35,8 +36,8 @@ from .linop import as_dense_array, check_operators
 
 # solves aim at 1e-2 TOL_SOLV |b_j|, b_j projected; ClusterSplit is gated on it
 TOL_SOLV = 1e-10
-# block size of the Reduction's maps: its diagonal blocks of L and its
-# compact-WY reflector blocks
+# block size of the Reduction's maps: L's diagonal blocks, the grid of the
+# panels packed into C's upper triangle, and the compact-WY reflector blocks
 NB = 64
 _STRICT_UPPER = ~np.tri(NB, dtype=bool)
 
@@ -54,20 +55,25 @@ class Reduction:
     eigenpairs are (lambda, L^-T Q s) for T's (lambda, s), and M-orthogonal
     x, y map to orthogonal Q^T L^T x, y.
 
-    Holds 2n^2 doubles, LAPACK's output arrays set up in place: ``L`` with
-    its NB x NB diagonal blocks replaced by their inverses, and Q = diag(1, Q~)
-    in compact-WY form (Schreiber & Van Loan 1989): ``wy`` lists (V_b, T_b)
-    with Q~ = prod_b (I - V_b T_b V_b^T) over blocks of NB of dsytrd's
-    reflectors, V_b unit lower trapezoidal, a view of the reduced matrix, and
-    T_b upper triangular. :meth:`to_tri` and :meth:`from_tri` are then numpy
-    GEMMs alone, O(n^2) per column: they run on the BLAS pool the operator
-    products and the caller's code use, where scipy's LAPACK would be a
-    second pool that each switch waits on. The set-up's own LAPACK calls run
-    where :func:`._blas.reduction_lapack` routes them, recorded in
-    ``lapack``: from n = ``NUMPY_LAPACK_MIN_N`` on, numpy's OpenBLAS LAPACK,
-    on all the threads of the pool the caller's products keep awake; below
-    it, or without that library, scipy's held at one thread, which neither
-    waits on numpy's spinning workers nor leaves its own spinning.
+    Holds n^2 + 2 NB n doubles, LAPACK's output arrays set up in place: one
+    n x n array ``C``, the reduced matrix dsytrd left in its lower triangle,
+    with L's off-diagonal panels, transposed, in the strictly upper
+    off-diagonal NB x NB blocks LAPACK leaves unused (C[:j, b] = L[b, :j]^T
+    for block b = j:j+NB); ``Linv``, the inverses of L's NB x NB diagonal
+    blocks; and Q = diag(1, Q~) in compact-WY form (Schreiber & Van Loan
+    1989): ``wy`` lists (V_b, T_b) with Q~ = prod_b (I - V_b T_b V_b^T) over
+    blocks of NB of dsytrd's reflectors, V_b unit lower trapezoidal, a view of
+    C, and T_b upper triangular. The set-up holds L apart from C until the
+    panels are copied, so it peaks near 2n^2. :meth:`to_tri` and
+    :meth:`from_tri` are then numpy GEMMs alone, O(n^2) per column: they run
+    on the BLAS pool the operator products and the caller's code use, where
+    scipy's LAPACK would be a second pool that each switch waits on. The
+    set-up's own LAPACK calls run where :func:`._blas.reduction_lapack`
+    routes them, recorded in ``lapack``: from n = ``NUMPY_LAPACK_MIN_N`` on,
+    numpy's OpenBLAS LAPACK, on all the threads of the pool the caller's
+    products keep awake; below it, or without that library, scipy's held at
+    one thread, which neither waits on numpy's spinning workers nor leaves its
+    own spinning.
     """
 
     def __init__(self, A, M):
@@ -81,14 +87,17 @@ class Reduction:
             C = lapack.dsygst(as_dense_array(A).T, L)
             C, self.d, self.e, tau = lapack.dsytrd(C)
             n = self.d.size
+            self.C, self.Linv, self.wy = C, [], []
             for j in range(0, n, NB):
                 b, w = slice(j, j + NB), min(NB, n - j)
-                inv = lapack.dtrtri(L[b, b], lower=1)
+                # of a copy, which numpy's dtrtri inverts in place: a view would pin L
+                inv = lapack.dtrtri(np.array(L[b, b], order="F"), lower=1)
                 inv[_STRICT_UPPER[:w, :w]] = 0.0    # M's entries
-                L[b, b] = inv
-            self.L, self.wy = L, []
+                self.Linv.append(inv)
+                C[:j, b] = L[b, :j].T    # over A's entries
+            del L    # before the T_b: the set-up peaks at 2n^2 + NB n
             # reflector j is column j of V below its row j, with a unit at row j,
-            # where dsytrd left e_j; above that row sit d and A's entries
+            # where dsytrd left e_j; above that row sit d, A's entries and L's panels
             V = C[1:, :-1]
             for j in range(0, n - 1, NB):
                 b, w = slice(j, j + NB), min(NB, n - 1 - j)
@@ -108,11 +117,11 @@ class Reduction:
 
     def to_tri(self, B):
         """Q^T L^-1 B."""
-        L, n = self.L, self.d.size
+        C, Linv, n = self.C, self.Linv, self.d.size
         Z = np.empty(B.shape)
         for j in range(0, n, NB):    # block forward substitution
             b = slice(j, j + NB)
-            Z[b] = L[b, b] @ (B[b] - L[b, :j] @ Z[:j])
+            Z[b] = Linv[j // NB] @ (B[b] - C[:j, b].T @ Z[:j])
         for V, T in self.wy:
             Zb = Z[-V.shape[0]:]
             Zb -= V @ (T.T @ (V.T @ Zb))
@@ -120,14 +129,14 @@ class Reduction:
 
     def from_tri(self, W):
         """L^-T Q W."""
-        L, n = self.L, self.d.size
+        C, Linv, n = self.C, self.Linv, self.d.size
         Z = np.array(W, dtype=float)
         for V, T in reversed(self.wy):
             Zb = Z[-V.shape[0]:]
             Zb -= V @ (T @ (V.T @ Zb))
         for j in reversed(range(0, n, NB)):    # block back substitution
             b, rest = slice(j, j + NB), slice(j + NB, None)
-            Z[b] = L[b, b].T @ (Z[b] - L[rest, b].T @ Z[rest])
+            Z[b] = Linv[j // NB].T @ (Z[b] - C[b, rest] @ Z[rest])
         return Z
 
 
@@ -207,6 +216,13 @@ def check_solver(solver):
     """ValueError unless ``solver`` names a route: "dense" or "iterative"."""
     if solver not in ("dense", "iterative"):
         raise ValueError(f"solver must be 'dense' or 'iterative', got {solver!r}")
+
+
+def check_maxiter(maxiter):
+    """ValueError unless ``maxiter`` is an integer >= 1 (a bool is not),
+    numpy's included."""
+    if isinstance(maxiter, bool) or not isinstance(maxiter, Integral) or maxiter < 1:
+        raise ValueError(f"maxiter must be an integer >= 1, got {maxiter!r}")
 
 
 def _entry(lin, B):
@@ -292,14 +308,15 @@ def solve_iterative(lin, B, maxiter=None):
     c = inv o (C - G^T Z) gives the rest: the block system's Schur coupling up
     to O(|G|^2 / gap), so one pass serves an inexact primal too. The operator
     is definite when no eigenvalue on the retrieved side of lambda_j is missing;
-    the linearization's ``precond`` makes it PCG for "smallest". ``maxiter``
+    the linearization's ``precond`` makes it PCG for "smallest". ``maxiter``,
+    an integer >= 1 (default 20 n; ValueError before any apply otherwise),
     bounds the CG steps of each column.
     """
+    if maxiter is not None:
+        check_maxiter(maxiter)
     B, D, lam = _entry(lin, B)
     eig, n = lin.eig, B.shape[0]
     maxiter = 20 * n if maxiter is None else maxiter
-    if maxiter < 1:
-        raise ValueError(f"maxiter must be >= 1, got {maxiter}")
     A, M, X, MX, G = lin.A, lin.M, eig.X, lin.MX, lin.G
     inv = np.where(D == 1, 0.0, 1.0 / np.where(D == 1, 1.0, eig.lambdas[:, None] - lam))
     sign, precond = (1.0, lin.precond) if eig.which == "smallest" else (-1.0, None)

@@ -511,3 +511,37 @@ def test_eig_iterative_preconditioned_membrane():
         assert res.groups == [[0], [1, 2], [3]]
         runs[name] = counts["A"]
     assert runs["precond"] <= runs["plain"] / 2
+
+
+@pytest.mark.parametrize("maxiter", [2.5, True])
+def test_maxiter_that_is_not_an_integer_is_rejected_before_any_apply(maxiter):
+    # 2.5 would lift the cap of 2, and True would run as 1
+    A_arr, M_arr = sampling.random_spd_pencil(60, np.random.default_rng(0))
+    counts = {"A": 0, "M": 0}
+    A, M = _counting(A_arr, counts, "A"), _counting(M_arr, counts, "M")
+    with pytest.raises(ValueError, match="maxiter must be an integer"):
+        eg.eig_iterative(A, M, 3, maxiter=maxiter)
+    assert counts == {"A": 0, "M": 0}
+    lin = eg.linearize(A, M, eg.eig_dense(eg.make_dense(A_arr), eg.make_spd(M_arr), 3))
+    B, before = np.random.default_rng(1).standard_normal((60, 3)), dict(counts)
+    with pytest.raises(ValueError, match="maxiter must be an integer"):
+        eg.solve_iterative(lin, B, maxiter=maxiter)
+    assert counts == before
+
+
+def test_maxiter_as_a_numpy_integer_caps_as_the_python_one():
+    A_arr, M_arr = sampling.random_spd_pencil(60, np.random.default_rng(0))
+    A, M = eg.make_dense(A_arr), eg.make_spd(M_arr)
+    with pytest.raises(MaxIterExceeded):
+        eg.eig_iterative(A, M, 3, maxiter=2)
+    payloads = []
+    for maxiter in (3, np.int64(3)):
+        with pytest.raises(MaxIterExceeded) as exc:
+            eg.eig_iterative(A, M, 3, maxiter=maxiter, tol=1e-14)
+        payloads.append(exc.value.payload)
+    np.testing.assert_array_equal(payloads[0].X, payloads[1].X)
+    lin = eg.linearize(A, M, eg.eig_dense(A, M, 3))
+    B = np.random.default_rng(1).standard_normal((60, 3))
+    with pytest.raises(MaxIterExceeded) as exc:
+        eg.solve_iterative(lin, B, maxiter=np.int64(3))
+    np.testing.assert_array_equal(exc.value.payload.iterations, [3, 3, 3])

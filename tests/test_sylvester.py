@@ -2,6 +2,7 @@ import ctypes
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -282,6 +283,24 @@ def test_blocked_maps_match_triangular_solves_and_explicit_q(pencil, n):
     # maps miss it by 1e-9 too, as dpotrf's L L^T is M only to eps |M|
     ident = red.to_tri(M @ red.from_tri(W))
     assert np.max(np.abs(ident - W)) <= n * eps * cond_M * np.max(np.abs(W))
+
+
+@pytest.mark.parametrize("n", [300, 500])
+def test_reduction_keeps_one_n_by_n_array(n):
+    # n = 300 runs on scipy's LAPACK, n = 500 on numpy's where it binds; L's
+    # off-diagonal panels live in the triangle dsytrd leaves unused, so a kept
+    # Reduction holds n^2 doubles plus the NB x NB blocks of L^-1 and the T_b
+    A, M = make_pencil([], n, 0, mass="random")
+    Reduction(A, M)    # library lookups and first-call set-up outside the count
+    tracemalloc.start()
+    try:
+        red = Reduction(A, M)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    on_numpy = n >= NUMPY_LAPACK_MIN_N and _blas.numpy_lapack() is not None
+    assert red.lapack.name == ("numpy" if on_numpy else "scipy")
+    assert kept <= 8 * (n * n + 3 * NB * n)
 
 
 @pytest.mark.parametrize("solve", [solve_dense, solve_iterative])
