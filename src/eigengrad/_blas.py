@@ -30,7 +30,7 @@ import numpy as np
 # (scipy-openblas), ILP64-suffixed and plain
 SPELLINGS = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
              "openblas_{}_num_threads64_", "openblas_{}_num_threads")
-# the ILP64 LAPACK and BLAS symbols of numpy's wheel OpenBLAS: scipy-openblas64
+# the ILP64 LAPACK symbols of numpy's wheel OpenBLAS: scipy-openblas64
 # (numpy 2) and openblas64_ (numpy 1.2x); an LP64 build matches neither
 LAPACK_SPELLINGS = ("scipy_{}_64_", "{}_64_")
 # from this order on a reduction runs on numpy's pool. Measured on a 2-core
@@ -117,24 +117,22 @@ class NumpyLapack:
     integers by reference, and gfortran's hidden string lengths last. Each
     routine returns its result in its input where that is a column-major
     float64 array or block of one (:func:`_column_major`), else in a copy,
-    and works on the lower triangle (``dtrtri``: the one it is told), as
-    :data:`SCIPY_LAPACK`'s do. None sets numpy's thread count."""
+    and works on the lower triangle, as :data:`SCIPY_LAPACK`'s do. None sets
+    numpy's thread count."""
 
     name = "numpy"
-    ROUTINES = ("dpotrf", "dsygst", "dsytrd", "dtrtri", "dsyrk")
+    ROUTINES = ("dpotrf", "dsygst", "dsytrd", "dtrtri")
 
-    def __init__(self, potrf, sygst, sytrd, trtri, syrk):
-        i, d, p, c, s = (ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double),
-                         ctypes.c_void_p, ctypes.c_char_p, ctypes.c_size_t)
+    def __init__(self, potrf, sygst, sytrd, trtri):
+        i, p, c, s = (ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p, ctypes.c_char_p,
+                      ctypes.c_size_t)
         for fn, argtypes in (
                 (potrf, [c, i, p, i, i, s]),                       # uplo n a lda info
                 (sygst, [i, c, i, p, i, p, i, i, s]),              # itype uplo n a lda b ldb info
                 (sytrd, [c, i, p, i, p, p, p, p, i, i, s]),        # uplo n a lda d e tau work lwork info
-                (trtri, [c, c, i, p, i, i, s, s]),                 # uplo diag n a lda info
-                (syrk, [c, c, i, i, d, p, i, d, p, i, s, s])):     # uplo trans n k alpha a lda beta c ldc
+                (trtri, [c, c, i, p, i, i, s, s])):                # uplo diag n a lda info
             fn.restype, fn.argtypes = None, argtypes
-        self._potrf, self._sygst, self._sytrd, self._trtri, self._syrk = (
-            potrf, sygst, sytrd, trtri, syrk)
+        self._potrf, self._sygst, self._sytrd, self._trtri = potrf, sygst, sytrd, trtri
 
     @staticmethod
     def _int(value):
@@ -179,24 +177,13 @@ class NumpyLapack:
         call(np.empty(int(query[0])), int(query[0]))
         return a, d, e[:-1], tau[:-1]
 
-    def dtrtri(self, a, lower):
-        """The inverse of a's triangle, non-unit."""
+    def dtrtri(self, a):
+        """The inverse of a's lower triangle, non-unit."""
         (a, ld), info = _column_major(a), ctypes.c_int64()
-        self._trtri(b"L" if lower else b"U", b"N", self._int(a.shape[0]), a.ctypes.data,
-                    self._int(ld), ctypes.byref(info), 1, 1)
+        self._trtri(b"L", b"N", self._int(a.shape[0]), a.ctypes.data, self._int(ld),
+                    ctypes.byref(info), 1, 1)
         self._checked(info, "dtrtri")
         return a
-
-    def dsyrk(self, a):
-        """a^T a in the upper triangle of a new array, zeros below."""
-        a, ld = _column_major(a)
-        n = a.shape[1]
-        out = np.zeros((n, n), order="F")
-        one, zero = ctypes.c_double(1.0), ctypes.c_double(0.0)
-        self._syrk(b"U", b"T", self._int(n), self._int(a.shape[0]), ctypes.byref(one),
-                   a.ctypes.data, self._int(ld), ctypes.byref(zero), out.ctypes.data,
-                   self._int(n), 1, 1)
-        return out
 
 
 class _ScipyLapack:
@@ -220,12 +207,8 @@ class _ScipyLapack:
         return lapack.dsytrd(a, lower=1, lwork=lwork, overwrite_a=1)[:4]
 
     @staticmethod
-    def dtrtri(a, lower):
-        return scipy_linalg().lapack.dtrtri(a, lower=lower, overwrite_c=1)[0]
-
-    @staticmethod
-    def dsyrk(a):
-        return scipy_linalg().blas.dsyrk(1.0, a, trans=1)
+    def dtrtri(a):
+        return scipy_linalg().lapack.dtrtri(a, lower=1, overwrite_c=1)[0]
 
 
 SCIPY_LAPACK = _ScipyLapack()

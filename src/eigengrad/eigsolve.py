@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
 from ._blas import scipy_linalg
 from .errors import DimensionMismatch, MaxIterExceeded, NonFiniteError, NotPositiveDefinite
-from .linop import SymmetricOperator, check_operators
-from .sylvester import Reduction, check_maxiter, linearize
+from .linop import SymmetricOperator, check_operators, is_count
+from .sylvester import Reduction, linearize
 
 DEFAULT_DEGENERACY_RTOL = 1e-8
 # eig_iterative iterates on this many columns beyond the k it returns
@@ -39,7 +38,8 @@ class EigenResult:
 
     DimensionMismatch unless X is 2-D with one column per eigenvalue,
     NonFiniteError unless X and lambdas are finite, ValueError unless
-    ``groups`` partition the columns."""
+    ``groups`` partition the columns and ``which`` is "smallest" or
+    "largest"."""
 
     X: np.ndarray           # n x k, M-orthonormal
     lambdas: np.ndarray     # ascending
@@ -58,6 +58,13 @@ class EigenResult:
         if not (np.isfinite(self.X).all() and np.isfinite(self.lambdas).all()):
             raise NonFiniteError("eigenpairs X and lambdas must be finite")
         self.D = group_mask(self.groups, self.k)
+        check_which(self.which)
+
+
+def check_which(which):
+    """ValueError unless ``which`` is "smallest" or "largest"."""
+    if which not in ("smallest", "largest"):
+        raise ValueError(f"which must be 'smallest' or 'largest', got {which!r}")
 
 
 def group_mask(groups, k):
@@ -107,15 +114,14 @@ def _finalize(X, lam, which):
 
 def _check_request(A, M, k, which):
     """The checks both eigensolvers make on (A, M, k, which) before any work;
-    returns n. k must be an integer (a bool is not), numpy's included."""
+    returns n. k must be a count (:func:`~eigengrad.linop.is_count`) below n."""
     check_operators(A=A, M=M)
     n = A.dim
     if M.dim != n:
         raise DimensionMismatch(f"A has dim {n} but M has dim {M.dim}")
-    if isinstance(k, bool) or not isinstance(k, Integral) or not 1 <= k < n:
+    if not is_count(k) or k >= n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
-    if which not in ("smallest", "largest"):
-        raise ValueError(f"which must be 'smallest' or 'largest', got {which!r}")
+    check_which(which)
     return n
 
 
@@ -252,7 +258,8 @@ def eig_iterative(A, M, k, which="smallest", maxiter=500, tol=1e-9, precond=None
     ``lambda R: R`` included, runs the iteration without it.
     """
     n = _check_request(A, M, k, which)
-    check_maxiter(maxiter)
+    if not is_count(maxiter):
+        raise ValueError(f"maxiter must be an integer >= 1, got {maxiter!r}")
     if not 0 < tol < np.inf:
         raise ValueError(f"need 0 < tol < inf, got tol={tol}")
     if isinstance(precond, SymmetricOperator):

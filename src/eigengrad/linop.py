@@ -9,11 +9,19 @@ on distinct blocks are safe.
 
 from __future__ import annotations
 
+from numbers import Integral
+
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteError, NonSquareError, NotAnOperator
 
 SYMMETRY_TRIALS = 10
+
+
+def is_count(value):
+    """Whether ``value`` is an integer >= 1, numpy's included and a bool not:
+    the one rule for an operator's dim, an eigensolve's k and a maxiter."""
+    return not isinstance(value, bool) and isinstance(value, Integral) and value >= 1
 
 
 class SymmetricOperator:
@@ -25,10 +33,9 @@ class SymmetricOperator:
     """
 
     def __init__(self, dim, apply_fn, apply_batch_fn=None):
-        dim = int(dim)
-        if dim <= 0:
-            raise ValueError(f"dim must be positive, got {dim}")
-        self.dim = dim
+        if not is_count(dim):
+            raise ValueError(f"dim must be positive, got {dim!r} (an integer >= 1)")
+        self.dim = dim = int(dim)
         if apply_batch_fn is None:    # a vector closure, applied column by column
             def apply_batch_fn(V):
                 out = np.empty_like(V)

@@ -26,13 +26,12 @@ from __future__ import annotations
 import copy
 import functools
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from ._blas import reduction_lapack, scipy_linalg
 from .errors import ClusterSplit, DimensionMismatch, MaxIterExceeded, NotPositiveDefinite
-from .linop import as_dense_array, check_operators
+from .linop import as_dense_array, check_operators, is_count
 
 # solves aim at 1e-2 TOL_SOLV |b_j|, b_j projected; ClusterSplit is gated on it
 TOL_SOLV = 1e-10
@@ -63,17 +62,18 @@ class Reduction:
     blocks; and Q = diag(1, Q~) in compact-WY form (Schreiber & Van Loan
     1989): ``wy`` lists (V_b, T_b) with Q~ = prod_b (I - V_b T_b V_b^T) over
     blocks of NB of dsytrd's reflectors, V_b unit lower trapezoidal, a view of
-    C, and T_b upper triangular. The set-up holds L apart from C until the
+    C, and T_b upper triangular, inverted by dtrtri from the Gram matrix
+    V_b^T V_b, a numpy product. The set-up holds L apart from C until the
     panels are copied, so it peaks near 2n^2. :meth:`to_tri` and
     :meth:`from_tri` are then numpy GEMMs alone, O(n^2) per column: they run
     on the BLAS pool the operator products and the caller's code use, where
     scipy's LAPACK would be a second pool that each switch waits on. The
-    set-up's own LAPACK calls run where :func:`._blas.reduction_lapack`
-    routes them, recorded in ``lapack``: from n = ``NUMPY_LAPACK_MIN_N`` on,
-    numpy's OpenBLAS LAPACK, on all the threads of the pool the caller's
-    products keep awake; below it, or without that library, scipy's held at
-    one thread, which neither waits on numpy's spinning workers nor leaves its
-    own spinning.
+    set-up's LAPACK calls, dpotrf, dsygst, dsytrd and dtrtri, all on the lower
+    triangle, run where :func:`._blas.reduction_lapack` routes them, recorded
+    in ``lapack``: from n = ``NUMPY_LAPACK_MIN_N`` on, numpy's OpenBLAS
+    LAPACK, on all the threads of the pool the caller's products keep awake;
+    below it, or without that library, scipy's held at one thread, which
+    neither waits on numpy's spinning workers nor leaves its own spinning.
     """
 
     def __init__(self, A, M):
@@ -91,7 +91,7 @@ class Reduction:
             for j in range(0, n, NB):
                 b, w = slice(j, j + NB), min(NB, n - j)
                 # of a copy, which numpy's dtrtri inverts in place: a view would pin L
-                inv = lapack.dtrtri(np.array(L[b, b], order="F"), lower=1)
+                inv = lapack.dtrtri(np.array(L[b, b], order="F"))
                 inv[_STRICT_UPPER[:w, :w]] = 0.0    # M's entries
                 self.Linv.append(inv)
                 C[:j, b] = L[b, :j].T    # over A's entries
@@ -105,13 +105,15 @@ class Reduction:
                 top[_STRICT_UPPER[:w, :w]] = 0.0
                 np.fill_diagonal(top, 1.0)
                 # T_b = (I + D_b striu(V_b^T V_b))^-1 D_b, D_b = diag(tau_b), valid
-                # where tau is 0 too; dsyrk leaves the lower triangle 0. An inverse
-                # and not dtrsm: OpenBLAS threads dtrsm from 32 columns, and at
-                # small n its workers then wait on numpy's spinning ones
-                S = lapack.dsyrk(V[j:, b])
-                S *= tau[b, None]
+                # where tau is 0 too. S is the transpose of I + D_b striu(V_b^T V_b),
+                # lower triangular and F-ordered, so dtrtri inverts it in place. An
+                # inverse and not dtrsm: OpenBLAS threads dtrsm from 32 columns,
+                # and at small n its workers then wait on numpy's spinning ones
+                S = (V[j:, b].T @ V[j:, b]).T
+                S *= tau[b]
+                S[_STRICT_UPPER[:w, :w]] = 0.0
                 np.fill_diagonal(S, 1.0)
-                T = lapack.dtrtri(S, lower=0)
+                T = lapack.dtrtri(S).T
                 T *= tau[b]
                 self.wy.append((V[j:, b], T))
 
@@ -218,13 +220,6 @@ def check_solver(solver):
         raise ValueError(f"solver must be 'dense' or 'iterative', got {solver!r}")
 
 
-def check_maxiter(maxiter):
-    """ValueError unless ``maxiter`` is an integer >= 1 (a bool is not),
-    numpy's included."""
-    if isinstance(maxiter, bool) or not isinstance(maxiter, Integral) or maxiter < 1:
-        raise ValueError(f"maxiter must be an integer >= 1, got {maxiter!r}")
-
-
 def _entry(lin, B):
     """(B projected off each column's group, D, lambdas), D and lambdas tiled
     to B's s k columns: column c belongs to eigencolumn c mod k. Both solvers
@@ -312,8 +307,8 @@ def solve_iterative(lin, B, maxiter=None):
     an integer >= 1 (default 20 n; ValueError before any apply otherwise),
     bounds the CG steps of each column.
     """
-    if maxiter is not None:
-        check_maxiter(maxiter)
+    if maxiter is not None and not is_count(maxiter):
+        raise ValueError(f"maxiter must be an integer >= 1, got {maxiter!r}")
     B, D, lam = _entry(lin, B)
     eig, n = lin.eig, B.shape[0]
     maxiter = 20 * n if maxiter is None else maxiter

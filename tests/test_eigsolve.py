@@ -379,6 +379,19 @@ def test_eigen_result_rejects_a_mismatched_or_non_finite_pair():
         eg.EigenResult(X=X, lambdas=lam, groups=[[0], [1]])
 
 
+def test_eigen_result_rejects_an_unknown_which():
+    # a dense jvp would ignore a misspelt which, and an iterative one would
+    # apply the operators, then raise ClusterSplit ("an eigenvalue was
+    # missed") on the sign it took from it
+    A, M = make_pencil([], 30, 0, mass="random")
+    eig = eg.eig_dense(A, M, 3)
+    with pytest.raises(ValueError, match="which must be 'smallest' or 'largest', got 'smalest'"):
+        eg.EigenResult(X=eig.X, lambdas=eig.lambdas, groups=eig.groups, which="smalest")
+    for which in ("smallest", "largest"):
+        res = eg.EigenResult(X=eig.X, lambdas=eig.lambdas, groups=eig.groups, which=which)
+        assert res.which == which
+
+
 def _counting(mat, counts, key):
     """A SymmetricOperator over ``mat`` that counts the columns it is applied to."""
     def apply(V):

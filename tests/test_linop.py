@@ -194,6 +194,27 @@ def test_operator_dim_must_be_positive():
         eg.SymmetricOperator(0, lambda v: v)
 
 
+@pytest.mark.parametrize("count", [3.7, True, "5", 0, np.int64(4)])
+def test_dim_k_and_maxiter_follow_one_count_rule(count):
+    # an integer >= 1, numpy's included and a bool not: int() would make 3.7
+    # an operator of dim 3, True one of dim 1 and "5" one of dim 5. At n = 12,
+    # eig_iterative checks maxiter and then takes its dense fallback
+    A, M = make_pencil([], 12, 0, mass="random")
+    calls = [
+        (lambda: eg.SymmetricOperator(count, lambda v: v), "dim must be positive"),
+        (lambda: eg.identity_operator(count), "dim must be positive"),
+        (lambda: eg.eig_dense(A, M, count), "need 1 <= k < n"),
+        (lambda: eg.eig_iterative(A, M, 3, maxiter=count), "maxiter must be an integer >= 1")]
+    if isinstance(count, np.int64):
+        op, eye, dense, iterative = (call() for call, _ in calls)
+        assert op.dim == eye.dim == 4 and type(op.dim) is int
+        assert dense.k == 4 and iterative.k == 3
+        return
+    for call, message in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 def _nan_from(mat, N):
     """A block closure over ``mat`` whose N-th product and later hold a NaN,
     and the list its calls are counted in."""

@@ -1,4 +1,5 @@
 import ctypes
+import inspect
 import os
 import sys
 import threading
@@ -176,12 +177,32 @@ def test_numpy_lapack_works_on_a_copy_where_it_cannot_work_in_place():
         np.testing.assert_allclose(np.tril(L), np.tril(ref), rtol=1e-14, atol=1e-14)
 
 
+@pytest.mark.parametrize("kind", ["numpy", "scipy"])
+def test_adaptors_bind_four_lapack_routines_on_the_lower_triangle(kind):
+    # the compact-WY Gram matrices are numpy products, so no BLAS routine is
+    # bound, and every dtrtri call inverts a lower triangle
+    assert _blas.NumpyLapack.ROUTINES == ("dpotrf", "dsygst", "dsytrd", "dtrtri")
+    lapack = numpy_lapack_or_skip() if kind == "numpy" else _blas.SCIPY_LAPACK
+    routines = sorted(name for name in dir(lapack)
+                      if not name.startswith("_") and callable(getattr(lapack, name)))
+    assert routines == list(_blas.NumpyLapack.ROUTINES)
+    assert list(inspect.signature(lapack.dtrtri).parameters) == ["a"]
+    rng, upper = np.random.default_rng(0), ~np.tri(6, dtype=bool)
+    a = np.asfortranarray(rng.standard_normal((6, 6)) + 6.0 * np.eye(6))
+    a[upper] = 7.0    # never read, never written
+    inv = np.linalg.inv(np.tril(a))
+    out = lapack.dtrtri(a)
+    assert np.shares_memory(out, a) and out.flags.f_contiguous
+    assert np.all(out[upper] == 7.0)
+    np.testing.assert_allclose(np.tril(out), inv, rtol=1e-14, atol=1e-15)
+
+
 def test_numpy_lapack_without_ilp64_symbols_falls_back_to_scipy(monkeypatch):
     # an LP64 build exports plain dpotrf_: no binding, and a large reduction
     # runs on scipy's LAPACK, held at one thread. Only numpy's libraries are
     # faked, so scipy's lookup, and the scope later tests rely on, stay real
     class LP64:
-        dpotrf_ = dsygst_ = dsytrd_ = dtrtri_ = dsyrk_ = object()
+        dpotrf_ = dsygst_ = dsytrd_ = dtrtri_ = object()
 
     _blas.scipy_openblas.cache_clear()
     threads = _blas.scipy_openblas()
