@@ -15,7 +15,7 @@ import numpy as np
 
 from ._blas import scipy_linalg
 from .errors import DimensionMismatch, MaxIterExceeded, NonFiniteError, NotPositiveDefinite
-from .linop import SymmetricOperator, check_operators, is_count
+from .linop import SymmetricOperator, check_pencil, is_count
 from .sylvester import Reduction, linearize
 
 DEFAULT_DEGENERACY_RTOL = 1e-8
@@ -114,11 +114,9 @@ def _finalize(X, lam, which):
 
 def _check_request(A, M, k, which):
     """The checks both eigensolvers make on (A, M, k, which) before any work;
-    returns n. k must be a count (:func:`~eigengrad.linop.is_count`) below n."""
-    check_operators(A=A, M=M)
-    n = A.dim
-    if M.dim != n:
-        raise DimensionMismatch(f"A has dim {n} but M has dim {M.dim}")
+    returns n. The pencil follows :func:`~eigengrad.linop.check_pencil`, and
+    k must be a count (:func:`~eigengrad.linop.is_count`) below n."""
+    n = check_pencil(A, M)
     if not is_count(k) or k >= n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
     check_which(which)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidityViolated
-from .linop import check_operators
+from .linop import check_operators, check_pencil
 from .sylvester import check_solver, linearize, project_rhs, solve_dense, solve_iterative
 
 TOL_COND = 1e-7
@@ -85,7 +85,7 @@ def jvp(A, M, eig, t, solver="dense"):
     M-orthogonal to each group; assemble X' = -1/2 X [I o (X^T M' X)] - Y'.
     """
     check_solver(solver)
-    check_operators(A=A, M=M)    # also where no solve reaches Linearization's check
+    check_pencil(A, M, eig)    # also where no solve reaches Linearization's check
     X, parts = eig.X, []
     for ti in as_directions(t, TangentInput):
         MpX, V, F = _coupling(eig, ti)

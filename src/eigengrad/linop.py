@@ -65,15 +65,22 @@ class SymmetricOperator:
         return out
 
 
+def _square_entries(entries):
+    """``entries`` as a float array; NonSquareError unless it is 2-D and
+    square, NonFiniteError unless every entry is finite."""
+    entries = np.asarray(entries, dtype=float)
+    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+        raise NonSquareError(f"expected a square array, got shape {entries.shape}")
+    if not np.all(np.isfinite(entries)):
+        raise NonFiniteError("matrix entries must be finite")
+    return entries
+
+
 class DenseSymmetric(SymmetricOperator):
     """Fully stored symmetric matrix; construction symmetrizes the entries."""
 
     def __init__(self, entries):
-        entries = np.asarray(entries, dtype=float)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise NonSquareError(f"expected a square array, got shape {entries.shape}")
-        if not np.all(np.isfinite(entries)):
-            raise NonFiniteError("matrix entries must be finite")
+        entries = _square_entries(entries)
         self.entries = 0.5 * (entries + entries.T)
         super().__init__(entries.shape[0], None, self.entries.__matmul__)
 
@@ -242,6 +249,19 @@ def check_operators(**ops):
             raise NotAnOperator(name, op)
 
 
+def check_pencil(A, M, eig=None):
+    """The one operand rule for a pencil: NotAnOperator unless A and M are
+    operators, DimensionMismatch unless M and, where an ``eig`` is given, the
+    rows of its X have A's dim; returns that dim n."""
+    check_operators(A=A, M=M)
+    n = A.dim
+    if M.dim != n:
+        raise DimensionMismatch(f"A has dim {n} but M has dim {M.dim}")
+    if eig is not None and eig.X.shape[0] != n:
+        raise DimensionMismatch(f"A has dim {n} but eig.X has {eig.X.shape[0]} rows")
+    return n
+
+
 def as_dense_array(op):
     """Materialize an operator as a new dense array.
 
@@ -276,9 +296,9 @@ def read_rows(path):
     """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().split()
-        if len(header) != 2 or header[0] != "symmat" or int(header[1]) < 1:
+        n = int(header[1]) if len(header) == 2 and header[1].isdigit() else 0
+        if header[:1] != ["symmat"] or n < 1:
             raise ValueError(f"{path}: bad symmat header {header!r}")
-        n = int(header[1])
         rows = np.loadtxt(fh, ndmin=2, max_rows=n)
     if rows.shape != (n, n):
         raise ValueError(f"{path}: expected {n} rows of {n} entries, got shape {rows.shape}")
@@ -294,6 +314,8 @@ def read_symmat(path):
 
 
 def write_symmat(path, entries):
-    """Write a square array in the ``symmat`` text format (full precision)."""
-    entries = np.asarray(entries, dtype=float)
+    """Write a square array in the ``symmat`` text format (full precision);
+    NonSquareError or NonFiniteError, before the file is opened, for an array
+    :func:`read_symmat` would refuse."""
+    entries = _square_entries(entries)
     np.savetxt(path, entries, fmt="%.17g", header=f"symmat {entries.shape[0]}", comments="")

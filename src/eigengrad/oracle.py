@@ -2,7 +2,8 @@
 
 Two independent routes certify the production derivative code:
   1. explicit spectral series over the full eigendecomposition,
-  2. central finite differences of the dense eigensolver.
+  2. central finite differences of full_spectrum, the oracle's own dense
+     eigensolver, which shares no code with the dense route it checks.
 Everything here is dense-only and capped in size; it certifies the scalable
 path, it does not scale itself.
 """
@@ -13,12 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ClusterSplit, DimensionMismatch, GaugeAlignmentFailed,
-                     NotPositiveDefinite, ValidityViolated)
+from .errors import ClusterSplit, GaugeAlignmentFailed, NotPositiveDefinite, ValidityViolated
 from .eigsolve import DEFAULT_DEGENERACY_RTOL, eig_dense
 from .jvp import TangentOutput, check_forward_validity
 from .vjp import CotangentOutput, check_backward_validity
-from .linop import as_dense_array, check_operators, make_dense, make_spd
+from .linop import as_dense_array, check_operators, check_pencil, make_dense, make_spd
 
 ORACLE_SIZE_CAP = 200
 
@@ -42,18 +42,13 @@ def full_spectrum(A, M):
     # with the route it checks; deferred, as the package imports numpy alone
     import scipy.linalg
 
-    check_operators(A=A, M=M)
-    Ad = as_dense_array(A)
-    Md = as_dense_array(M)
-    n = Ad.shape[0]
+    n = check_pencil(A, M)
     if n > ORACLE_SIZE_CAP:
         raise ValueError(f"oracle capped at n <= {ORACLE_SIZE_CAP}, got {n}")
-    if Md.shape != Ad.shape:
-        raise DimensionMismatch(f"A is {Ad.shape}, M is {Md.shape}")
-    L, info = scipy.linalg.lapack.dpotrf(Md, lower=1)
+    L, info = scipy.linalg.lapack.dpotrf(as_dense_array(M), lower=1)
     if info != 0:
         raise NotPositiveDefinite(f"M is not positive definite (dpotrf info {info})")
-    C, _ = scipy.linalg.lapack.dsygst(Ad, L, lower=1)
+    C, _ = scipy.linalg.lapack.dsygst(as_dense_array(A), L, lower=1)
     E, V = scipy.linalg.eigh(C, lower=True)
     Linv, _ = scipy.linalg.lapack.dtrtri(L, lower=1)
     return FullSpectrum(U=Linv.T @ V, E=E)
@@ -146,24 +141,31 @@ class FdTangent:
 
 
 def finite_difference_jvp(A, M, k, which, t, step=1e-5, base=None):
-    """Second-order central differences of eig_dense along (A', M')."""
-    check_operators(A=A, M=M, Aprime=t.Aprime, Mprime=t.Mprime)
+    """Second-order central differences along (A', M') of the k retrieved
+    eigenpairs of :func:`full_spectrum`, which shares no code with the dense
+    route; ``base`` (default: ``eig_dense``'s result) fixes signs and groups.
+    ValueError unless ``base`` holds the k ``which`` eigenpairs of (A, M)."""
+    check_pencil(A, M, base)
+    check_operators(Aprime=t.Aprime, Mprime=t.Mprime)
     A0 = as_dense_array(A)
     M0 = as_dense_array(M)
     Ap = as_dense_array(t.Aprime)
     Mp = as_dense_array(t.Mprime)
     if base is None:
         base = eig_dense(make_dense(A0), make_spd(M0), k, which)
+    if (base.k, base.which) != (k, which):
+        raise ValueError(f"base holds k={base.k} {base.which} eigenpairs, not k={k} {which}")
+    sel = slice(None, k) if which == "smallest" else slice(-k, None)
 
-    def solve(s):
-        return eig_dense(make_dense(A0 + s * Ap), make_spd(M0 + s * Mp), k, which)
+    def solve(s):    # the k eigenpairs at (A + s A', M + s M'), ascending
+        fs = full_spectrum(make_dense(A0 + s * Ap), make_spd(M0 + s * Mp))
+        return fs.E[sel], fs.U[:, sel]
 
-    ep = solve(+step)
-    em = solve(-step)
+    (lp, Xp), (lm, Xm) = solve(+step), solve(-step)
 
     scale = max(np.max(np.abs(base.lambdas)), 1.0)
-    if (np.max(np.abs(ep.lambdas - base.lambdas)) > 0.5 * scale
-            or np.max(np.abs(em.lambdas - base.lambdas)) > 0.5 * scale):
+    if (np.max(np.abs(lp - base.lambdas)) > 0.5 * scale
+            or np.max(np.abs(lm - base.lambdas)) > 0.5 * scale):
         raise ClusterSplit("retrieved spectrum changed drastically under the FD step")
 
     lam_prime = np.zeros(k)
@@ -174,15 +176,15 @@ def finite_difference_jvp(A, M, k, which, t, step=1e-5, base=None):
         # ascending with -h descending recovers the ascending rates (exact to
         # O(step) per entry, O(step^2) for the group sum), and is the identity
         # on a singleton
-        lam_prime[grp] = (ep.lambdas[grp] - em.lambdas[grp][::-1]) / (2.0 * step)
+        lam_prime[grp] = (lp[grp] - lm[grp][::-1]) / (2.0 * step)
         if len(grp) == 1:
             j = grp[0]
-            xp = _align(ep.X[:, j], base.X[:, j])
-            xm = _align(em.X[:, j], base.X[:, j])
+            xp = _align(Xp[:, j], base.X[:, j])
+            xm = _align(Xm[:, j], base.X[:, j])
             X_prime[:, j] = (xp - xm) / (2.0 * step)
         else:
-            Pp = ep.X[:, grp] @ ep.X[:, grp].T @ (M0 + step * Mp)
-            Pm = em.X[:, grp] @ em.X[:, grp].T @ (M0 - step * Mp)
+            Pp = Xp[:, grp] @ Xp[:, grp].T @ (M0 + step * Mp)
+            Pm = Xm[:, grp] @ Xm[:, grp].T @ (M0 - step * Mp)
             proj_prime[tuple(grp)] = (Pp - Pm) / (2.0 * step)
     return FdTangent(lambda_prime=lam_prime, X_prime=X_prime, proj_prime=proj_prime)
 

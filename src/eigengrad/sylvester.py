@@ -31,7 +31,7 @@ import numpy as np
 
 from ._blas import reduction_lapack, scipy_linalg
 from .errors import ClusterSplit, DimensionMismatch, MaxIterExceeded, NotPositiveDefinite
-from .linop import as_dense_array, check_operators, is_count
+from .linop import as_dense_array, check_pencil, is_count
 
 # solves aim at 1e-2 TOL_SOLV |b_j|, b_j projected; ClusterSplit is gated on it
 TOL_SOLV = 1e-10
@@ -154,7 +154,7 @@ class Linearization:
     """
 
     def __init__(self, A, M, eig):
-        check_operators(A=A, M=M)
+        check_pencil(A, M, eig)
         self.A, self.M, self.eig = A, M, eig
         self.MX = M.apply_batch(eig.X)
         self.precond = None

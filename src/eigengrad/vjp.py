@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteError, ValidityViolated
 from .jvp import as_directions, in_group_defect
-from .linop import LowRank, check_operators
+from .linop import LowRank, check_pencil
 from .sylvester import check_solver, linearize, project_rhs, solve_dense, solve_iterative
 
 
@@ -62,7 +62,7 @@ def vjp(A, M, eig, c, solver="dense"):
     single-pair adjoint and the pairing identity with forward mode.
     """
     check_solver(solver)
-    check_operators(A=A, M=M)    # also where no solve reaches Linearization's check
+    check_pencil(A, M, eig)    # also where no solve reaches Linearization's check
     parts = []
     for ci in as_directions(c, CotangentInput):
         ok, defect = check_backward_validity(eig, ci)

@@ -81,6 +81,13 @@ def test_missing_input_exit_2(tmp_path):
                 "--m", tmp_path / "no.mat", "--out", tmp_path]) == 2
 
 
+def test_non_integer_header_names_the_file_exit_2(tmp_path, capsys, diag_pencil):
+    a, m = diag_pencil
+    a.write_text("symmat 3.5\n1 0 0\n0 2 0\n0 0 3\n")
+    assert run(["jvp", "--a", a, "--m", m, "--out", tmp_path]) == 2
+    assert f"error: {a}: bad symmat header" in capsys.readouterr().err
+
+
 def test_non_finite_input_exit_2(tmp_path, diag_pencil):
     a, m = diag_pencil
     a.write_text("symmat 3\n1 0 0\n0 nan 0\n0 0 3\n")

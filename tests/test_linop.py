@@ -321,6 +321,52 @@ def test_symmat_bad_header(tmp_path):
         eg.read_symmat(path)
 
 
+@pytest.mark.parametrize("size", ["3.5", "-3", "three"])
+def test_symmat_header_with_a_size_that_is_no_count_names_the_file(tmp_path, size):
+    path = tmp_path / "bad.mat"
+    path.write_text(f"symmat {size}\n1 0 0\n0 1 0\n0 0 1\n")
+    with pytest.raises(ValueError, match=rf"bad\.mat: bad symmat header \['symmat', '{size}'\]"):
+        eg.linop.read_rows(path)
+
+
+@pytest.mark.parametrize("entries, error", [
+    (np.ones((2, 3)), NonSquareError),
+    (np.ones(3), NonSquareError),
+    (np.array([[1.0, np.nan], [np.nan, 1.0]]), NonFiniteError),
+    (np.array([[1.0, 0.0], [0.0, np.inf]]), NonFiniteError),
+])
+def test_write_symmat_refuses_what_read_symmat_cannot_read(tmp_path, entries, error):
+    path = tmp_path / "A.mat"
+    with pytest.raises(error):
+        eg.write_symmat(path, entries)
+    assert not path.exists()
+
+
+def test_pencil_operands_follow_one_rule():
+    # A of dim 9 against M and eig of dim 8, then A and M of dim 9 against eig
+    A8, M8 = make_pencil([2.0, 2.0], 8, 0)
+    eig = eg.eig_dense(A8, M8, 4)
+    t = sampling.valid_tangent(eig, M8, np.random.default_rng(1))
+    A9, M9 = eg.make_dense(np.eye(9)), eg.identity_operator(9)
+    calls = [
+        lambda A, M: eg.jvp(A, M, eig, t),
+        lambda A, M: eg.jvp(A, M, eig, []),
+        lambda A, M: eg.vjp(A, M, eig, eg.CotangentInput(np.ones(4), np.zeros((8, 4)))),
+        lambda A, M: eg.vjp(A, M, eig, eg.CotangentInput(np.ones(4), np.ones((8, 4)))),
+        lambda A, M: eg.linearize(A, M, eig),
+        lambda A, M: eg.Linearization(A, M, eig),
+    ]
+    for call in calls:
+        with pytest.raises(DimensionMismatch, match="A has dim 9 but M has dim 8"):
+            call(A9, M8)
+        with pytest.raises(DimensionMismatch, match="A has dim 9 but eig.X has 8 rows"):
+            call(A9, M9)
+    for call in (lambda A, M: eg.eig_dense(A, M, 2), lambda A, M: eg.eig_iterative(A, M, 2),
+                 oracle.full_spectrum):
+        with pytest.raises(DimensionMismatch, match="A has dim 9 but M has dim 8"):
+            call(A9, M8)
+
+
 @pytest.fixture
 def low_rank():
     gen = np.random.default_rng(5)

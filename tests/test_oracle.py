@@ -1,3 +1,4 @@
+import importlib
 import warnings
 
 import numpy as np
@@ -286,6 +287,69 @@ def test_fd_step_that_moves_the_spectrum_is_a_cluster_split():
     t = eg.TangentInput(Aprime=eg.make_dense(np.eye(3)), Mprime=eg.make_dense(np.zeros((3, 3))))
     with pytest.raises(ClusterSplit, match="changed drastically"):
         oracle.finite_difference_jvp(A, eg.identity_operator(3), 2, "smallest", t, step=2.0)
+
+
+def _differences_of_eig_dense(A_arr, M_arr, eig, t, h):
+    """(lambda', X', projector') from eig_dense's eigenpairs at +-h, paired and
+    aligned as finite_difference_jvp pairs and aligns full_spectrum's."""
+    Ap, Mp = eg.as_dense_array(t.Aprime), eg.as_dense_array(t.Mprime)
+    ep, em = (eg.eig_dense(eg.make_dense(A_arr + s * Ap), eg.make_spd(M_arr + s * Mp),
+                           eig.k, eig.which) for s in (h, -h))
+    lam, X, proj = np.zeros(eig.k), np.zeros_like(eig.X), {}
+    for grp in eig.groups:
+        lam[grp] = (ep.lambdas[grp] - em.lambdas[grp][::-1]) / (2.0 * h)
+        if len(grp) == 1:
+            X[:, grp[0]] = (oracle._align(ep.X[:, grp[0]], eig.X[:, grp[0]])
+                            - oracle._align(em.X[:, grp[0]], eig.X[:, grp[0]])) / (2.0 * h)
+        else:
+            proj[tuple(grp)] = (ep.X[:, grp] @ ep.X[:, grp].T @ (M_arr + h * Mp)
+                                - em.X[:, grp] @ em.X[:, grp].T @ (M_arr - h * Mp)) / (2.0 * h)
+    return lam, X, proj
+
+
+@pytest.mark.parametrize("which", ["smallest", "largest"])
+def test_fd_differentiates_full_spectrum_without_the_dense_route(monkeypatch, which):
+    # the bottom and the top pair are exact doubles: either which retrieves a group
+    A_arr, M_arr = sampling.pencil_from_spectrum([1.0, 1.0, 2.0, 3.0, 4.0, 4.0], 6,
+                                                 np.random.default_rng(3), mass="random")
+    A, M = eg.make_dense(A_arr), eg.make_spd(M_arr)
+    eig = eg.eig_dense(A, M, 3, which)
+    assert [len(g) for g in eig.groups] == ([2, 1] if which == "smallest" else [1, 2])
+    t = sampling.valid_tangent(eig, M, np.random.default_rng(4))
+    lam, X, proj = _differences_of_eig_dense(A_arr, M_arr, eig, t, 1e-5)
+
+    def dense_route(*args, **kwargs):
+        pytest.fail("finite differences reached the dense eigensolver")
+
+    monkeypatch.setattr(oracle, "eig_dense", dense_route)
+    monkeypatch.setattr(importlib.import_module("eigengrad.eigsolve"), "Reduction", dense_route)
+    monkeypatch.setattr(importlib.import_module("eigengrad.sylvester"), "Reduction", dense_route)
+    fd = oracle.finite_difference_jvp(A, M, 3, which, t, step=1e-5, base=eig)
+    np.testing.assert_allclose(fd.lambda_prime, lam, rtol=0, atol=1e-8)
+    np.testing.assert_allclose(fd.X_prime, X, rtol=0, atol=1e-8)
+    assert fd.proj_prime.keys() == proj.keys()
+    for grp, P in proj.items():
+        np.testing.assert_allclose(fd.proj_prime[grp], P, rtol=0, atol=1e-8)
+
+
+def test_fd_is_capped_with_the_oracle():
+    n = oracle.ORACLE_SIZE_CAP + 1
+    t = eg.TangentInput(Aprime=eg.make_dense(np.eye(n)), Mprime=eg.make_dense(np.zeros((n, n))))
+    with pytest.raises(ValueError, match=f"oracle capped at n <= {n - 1}, got {n}"):
+        oracle.finite_difference_jvp(eg.make_dense(np.diag(np.arange(1.0, n + 1))),
+                                     eg.identity_operator(n), 2, "smallest", t)
+
+
+def test_fd_base_must_hold_the_requested_eigenpairs():
+    A, M = make_pencil([2.0, 2.0, 5.0], 5, 59)
+    eig = eg.eig_dense(A, M, 3)
+    t = sampling.valid_tangent(eig, M, np.random.default_rng(0))
+    for k, which in ((2, "smallest"), (3, "largest"), (3, "smalest")):
+        with pytest.raises(ValueError, match="base holds k=3 smallest eigenpairs"):
+            oracle.finite_difference_jvp(A, M, k, which, t, base=eig)
+    with pytest.raises(DimensionMismatch, match="A has dim 6 but eig.X has 5 rows"):
+        oracle.finite_difference_jvp(eg.make_dense(np.eye(6)), eg.identity_operator(6), 3,
+                                     "smallest", t, base=eig)
 
 
 def test_align_rejects_a_vector_far_from_the_reference():
