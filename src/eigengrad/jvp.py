@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidityViolated
-from .linop import check_operators, check_pencil
+from .linop import check_pencil, check_tangent
 from .sylvester import check_solver, linearize, project_rhs, solve_dense, solve_iterative
 
 TOL_COND = 1e-7
@@ -39,7 +39,7 @@ class TangentOutput:
 def _coupling(eig, t):
     """M'X, V = A'X - M'X Lambda and the k x k coupling F = X^T V."""
     X = eig.X
-    check_operators(Aprime=t.Aprime, Mprime=t.Mprime)
+    check_tangent(t, X.shape[0])
     MpX = t.Mprime.apply_batch(X)
     V = t.Aprime.apply_batch(X) - MpX * eig.lambdas
     return MpX, V, X.T @ V

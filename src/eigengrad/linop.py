@@ -9,7 +9,7 @@ on distinct blocks are safe.
 
 from __future__ import annotations
 
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -86,26 +86,23 @@ class DenseSymmetric(SymmetricOperator):
 
 
 class LowRank:
-    """The n x n matrix U W^T, kept as its two n x k factors.
+    """The n x n matrix U W^T, kept as its two n x k factors (O(nk) memory).
 
-    Costs O(nk) memory; ``.dense()`` (or ``np.asarray``) forms the n x n
-    array. ``@`` applies it as U (W^T V), ``.pair(P)`` is the Frobenius inner
-    product with a matrix, LowRank or :class:`SymmetricOperator` (one apply to
-    k columns), ``.T`` swaps the factors, a scalar ``*``, ``/`` and unary ``-``
-    scale U, and ``+``/``-`` between LowRanks concatenate the factors (ranks add).
-    Every result is a new LowRank: no method writes the factors, which may
-    alias the caller's arrays (a ``vjp`` output's W is ``eig.X``). The numpy
-    calls in ``_NUMPY`` stay factored: ``np.diagonal``, ``np.trace``, ``np.vdot``,
-    ``np.transpose``, ``np.matmul``/``np.dot`` with a block or LowRank, a scalar
-    ``np.multiply`` (``np.float64(2.0) * L``), ``np.divide`` by a scalar and
-    ``np.negative``. Any other numpy function or ufunc (``np.sum``,
-    ``ndarray * L``) gets the dense array.
+    ``.dense()`` or ``np.asarray`` forms the n x n array. ``@`` (from either
+    side), ``.pair``, ``.diagonal()``, ``.T``, a scalar ``*`` or ``/``, unary
+    ``-``, and ``+``/``-`` between LowRanks (ranks add) work on the factors and
+    never write them, as they may alias the caller's arrays (a ``vjp``
+    output's W is ``eig.X``). ``+``, ``-``, ``*`` and ``/`` with a non-scalar
+    ndarray give the dense array. ``np.diagonal`` and ``np.vdot`` call
+    ``.diagonal()`` and ``.pair``; any other numpy function raises TypeError.
     """
 
+    __array_ufunc__ = None    # numpy's operators defer to the methods below
+
     def __init__(self, U, W):
+        U, W = np.asarray(U, dtype=float), np.asarray(W, dtype=float)
         if U.ndim != 2 or W.ndim != 2 or U.shape[1] != W.shape[1]:
-            raise DimensionMismatch(f"factors of shapes {U.shape} and {W.shape} "
-                                    "do not form U W^T")
+            raise DimensionMismatch(f"factors of shapes {U.shape} and {W.shape} do not form U W^T")
         self.U, self.W = U, W
 
     @property
@@ -124,12 +121,17 @@ class LowRank:
             raise ValueError("a LowRank has no n x n array to share; np.asarray forms one")
         return self.dense() if dtype is None else self.dense().astype(dtype, copy=False)
 
+    def diagonal(self):
+        return np.einsum("ij,ij->i", *(F[:min(self.shape)] for F in (self.U, self.W)))
+
     def pair(self, P):
         """<U W^T, P>_F = sum U o (P W), one apply of ``P`` to k columns; for a
         LowRank P = U2 W2^T, sum (U^T U2) o (W^T W2). DimensionMismatch unless
-        ``P`` has this shape."""
+        ``P`` has this shape, TypeError unless it is real."""
         if not isinstance(P, (SymmetricOperator, LowRank)):
             P = np.asarray(P)
+            if P.dtype.kind not in "biuf":
+                raise TypeError(f"cannot pair a LowRank with an array of dtype {P.dtype}")
         shape = (P.dim, P.dim) if isinstance(P, SymmetricOperator) else P.shape
         if shape != self.shape:
             raise DimensionMismatch(f"cannot pair a LowRank of shape {self.shape} "
@@ -139,88 +141,56 @@ class LowRank:
         PW = P.apply_batch(self.W) if isinstance(P, SymmetricOperator) else P @ self.W
         return float(np.vdot(self.U, PW))
 
+    def __array_function__(self, func, types, args, kwargs):
+        if func is np.diagonal and len(args) == 1 and not kwargs:
+            return self.diagonal()
+        if func is np.vdot and len(args) == 2:    # <a, b>_F = <b, a>_F, as both are real
+            return self.pair(args[1] if args[0] is self else args[0])
+        return NotImplemented
+
     def __matmul__(self, V):
         if isinstance(V, LowRank):
             return LowRank(self.U @ (self.W.T @ V.U), V.W)
         return self.U @ (self.W.T @ V)
 
+    def __rmatmul__(self, V):
+        return (V @ self.U) @ self.W.T
+
+    def _elementwise(self, op, s):
+        """op(U, s) as a LowRank for a real scalar s, op(dense, s) for an ndarray s."""
+        if isinstance(s, (Real, np.ndarray)) and np.ndim(s) == 0 and np.isrealobj(s):
+            return LowRank(op(self.U, s), self.W)
+        return op(self.dense(), s) if isinstance(s, np.ndarray) else NotImplemented
+
     def __mul__(self, s):
-        if isinstance(s, LowRank) or np.ndim(s) != 0:
-            return NotImplemented
-        return LowRank(self.U * s, self.W)
+        return self._elementwise(np.multiply, s)
 
     __rmul__ = __mul__
 
     def __truediv__(self, s):
-        if isinstance(s, LowRank) or np.ndim(s) != 0:
-            return NotImplemented
-        return LowRank(self.U / s, self.W)
+        return self._elementwise(np.divide, s)
 
     def __neg__(self):
         return LowRank(-self.U, self.W)
 
     def __add__(self, other):
+        if isinstance(other, np.ndarray):
+            return self.dense() + other
         if not isinstance(other, LowRank):
             return NotImplemented
         if other.shape != self.shape:
             raise DimensionMismatch(f"cannot add LowRanks of shapes {self.shape} and {other.shape}")
         return LowRank(np.hstack([self.U, other.U]), np.hstack([self.W, other.W]))
 
+    __radd__ = __add__
+
     def __sub__(self, other):
+        if isinstance(other, np.ndarray):
+            return self.dense() - other
         return self + -other if isinstance(other, LowRank) else NotImplemented
 
-    # binary entries of _NUMPY: the LowRank may be either argument
-    def _vdot(a, b):
-        L, P = (a, b) if isinstance(a, LowRank) else (b, a)
-        real = isinstance(P, LowRank) or (isinstance(P, np.ndarray) and P.dtype.kind in "biuf")
-        return L.pair(P) if real else NotImplemented
-
-    def _matmul(a, b):
-        if not isinstance(b, LowRank):
-            return a @ b if np.ndim(b) in (1, 2) else NotImplemented
-        if not isinstance(a, LowRank):
-            return (a @ b.U) @ b.W.T if np.ndim(a) in (1, 2) else NotImplemented
-        return a @ b
-
-    # numpy functions and ufuncs answered from the factors: func -> (number of
-    # positional arguments, implementation); an implementation's NotImplemented,
-    # like any keyword argument, leaves the call to the dense array
-    _NUMPY = {
-        np.diagonal: (1, lambda L: np.einsum("ij,ij->i", *(F[:min(L.shape)] for F in (L.U, L.W)))),
-        np.trace: (1, lambda L: np.sum(np.diagonal(L))),
-        np.transpose: (1, lambda L: L.T),
-        np.negative: (1, lambda L: -L),
-        np.multiply: (2, lambda a, b: a.__mul__(b) if isinstance(a, LowRank) else b.__rmul__(a)),
-        np.divide: (2, lambda a, b: (a.__truediv__(b) if isinstance(a, LowRank)
-                                     else NotImplemented)),
-        np.vdot: (2, _vdot),
-        np.matmul: (2, _matmul),
-        np.dot: (2, _matmul),
-    }
-
-    def _factored(self, func, args, kwargs):
-        arity, impl = self._NUMPY.get(func, (None, None))
-        return impl(*args) if arity == len(args) and not kwargs else NotImplemented
-
-    def __array_function__(self, func, types, args, kwargs):
-        if not all(issubclass(t, (np.ndarray, LowRank)) for t in types):
-            return NotImplemented
-        out = self._factored(func, args, kwargs)
-        if out is NotImplemented and hasattr(func, "_implementation"):
-            out = func._implementation(*args, **kwargs)    # numpy's own code, through __array__
-        return out
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        outs = kwargs.get("out", ())
-        if any(isinstance(x, LowRank) for x in outs) or any(
-                hasattr(x, "__array_ufunc__") and not isinstance(x, (np.ndarray, LowRank))
-                for x in inputs + outs):
-            return NotImplemented
-        out = self._factored(ufunc, inputs, kwargs) if method == "__call__" else NotImplemented
-        if out is NotImplemented:
-            out = getattr(ufunc, method)(*(x.dense() if isinstance(x, LowRank) else x
-                                           for x in inputs), **kwargs)
-        return out
+    def __rsub__(self, other):
+        return other - self.dense() if isinstance(other, np.ndarray) else NotImplemented
 
 
 def make_dense(entries):
@@ -260,6 +230,16 @@ def check_pencil(A, M, eig=None):
     if eig is not None and eig.X.shape[0] != n:
         raise DimensionMismatch(f"A has dim {n} but eig.X has {eig.X.shape[0]} rows")
     return n
+
+
+def check_tangent(t, n):
+    """The operand rule for a tangent: NotAnOperator unless ``t.Aprime`` and
+    ``t.Mprime`` are operators, DimensionMismatch unless both have the
+    pencil's dim n; checked before either is applied."""
+    check_operators(Aprime=t.Aprime, Mprime=t.Mprime)
+    for name, op in (("Aprime", t.Aprime), ("Mprime", t.Mprime)):
+        if op.dim != n:
+            raise DimensionMismatch(f"the pencil has dim {n} but {name} has dim {op.dim}")
 
 
 def as_dense_array(op):

@@ -18,7 +18,7 @@ from .errors import ClusterSplit, GaugeAlignmentFailed, NotPositiveDefinite, Val
 from .eigsolve import DEFAULT_DEGENERACY_RTOL, eig_dense
 from .jvp import TangentOutput, check_forward_validity
 from .vjp import CotangentOutput, check_backward_validity
-from .linop import as_dense_array, check_operators, check_pencil, make_dense, make_spd
+from .linop import as_dense_array, check_pencil, check_tangent, make_dense, make_spd
 
 ORACLE_SIZE_CAP = 200
 
@@ -145,8 +145,7 @@ def finite_difference_jvp(A, M, k, which, t, step=1e-5, base=None):
     eigenpairs of :func:`full_spectrum`, which shares no code with the dense
     route; ``base`` (default: ``eig_dense``'s result) fixes signs and groups.
     ValueError unless ``base`` holds the k ``which`` eigenpairs of (A, M)."""
-    check_pencil(A, M, base)
-    check_operators(Aprime=t.Aprime, Mprime=t.Mprime)
+    check_tangent(t, check_pencil(A, M, base))
     A0 = as_dense_array(A)
     M0 = as_dense_array(M)
     Ap = as_dense_array(t.Aprime)

@@ -1,8 +1,11 @@
 """The matrix-free route runs on numpy alone; scipy loads on the first dense
-call; the oracles load only on request. Each test runs in a fresh
-interpreter, since this one has scipy and the oracles loaded already."""
+call; the oracles load only on request. Each of these tests runs in a fresh
+interpreter, since this one has scipy and the oracles loaded already. The
+package's source reads no private numpy name."""
 
 import os
+import pathlib
+import re
 import subprocess
 import sys
 import textwrap
@@ -93,3 +96,14 @@ def test_package_root_leaves_the_oracles_unloaded():
             assert name not in eg.__all__ and not hasattr(eg, name), name
             assert getattr(eigengrad.oracle, name).__module__ == "eigengrad.oracle"
     """)
+
+
+def test_the_package_reads_no_private_numpy_name():
+    # numpy may change or drop a private name in any release, and CI tests
+    # only the newest numpy and the declared floor
+    private = re.compile(r"_implementation|numpy\.core|np\._|numpy\._")
+    found = [f"{path.name}:{i}: {line.strip()}"
+             for path in sorted(pathlib.Path(eg.__file__).parent.rglob("*.py"))
+             for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if private.search(line)]
+    assert not found, found

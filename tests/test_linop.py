@@ -1,3 +1,4 @@
+import operator
 import tracemalloc
 
 import numpy as np
@@ -367,6 +368,29 @@ def test_pencil_operands_follow_one_rule():
             call(A9, M8)
 
 
+@pytest.mark.parametrize("call", [
+    lambda A, M, eig, t: eg.jvp(A, M, eig, t),
+    lambda A, M, eig, t: eg.check_forward_validity(eig, t),
+    lambda A, M, eig, t: oracle.jvp_series(oracle.full_spectrum(A, M), M, eig, t),
+    lambda A, M, eig, t: oracle.finite_difference_jvp(A, M, 2, "smallest", t, base=eig),
+], ids=["jvp", "check_forward_validity", "jvp_series", "finite_difference_jvp"])
+@pytest.mark.parametrize("wrong", ["Aprime", "Mprime"])
+def test_a_tangent_of_another_dim_is_named_before_any_apply(call, wrong):
+    A, M = eg.make_dense(np.diag([1.0, 2.0, 3.0])), eg.identity_operator(3)
+    eig = eg.eig_dense(A, M, 2)
+    applied = []
+
+    def apply(V):
+        applied.append(V.shape)
+        return V
+
+    ops = {"Aprime": eg.make_dense(np.eye(3)), "Mprime": eg.SymmetricOperator(3, None, apply)}
+    ops[wrong] = eg.SymmetricOperator(4, None, apply)
+    with pytest.raises(DimensionMismatch, match=f"the pencil has dim 3 but {wrong} has dim 4"):
+        call(A, M, eig, eg.TangentInput(**ops))
+    assert applied == []
+
+
 @pytest.fixture
 def low_rank():
     gen = np.random.default_rng(5)
@@ -447,15 +471,34 @@ def test_low_rank_shape_errors(low_rank):
     for other in (L6, P6):
         with pytest.raises(DimensionMismatch):
             np.vdot(L, other)
+    # a complex one is refused, not cast to its real part
+    for call in (L.pair, lambda P: np.vdot(P, L)):
+        with pytest.raises(TypeError, match="complex128"):
+            call(1j * np.ones((7, 7)))
+
+
+def test_low_rank_takes_array_likes_and_keeps_float_arrays():
+    L = eg.LowRank([[1.0], [2.0]], [[3], [4]])
+    assert L.U.dtype == L.W.dtype == np.float64
+    np.testing.assert_array_equal(L.dense(), [[3.0, 4.0], [6.0, 8.0]])
+    for U, W in [(np.ones(3), np.ones((3, 1))), (np.ones((3, 1)), np.ones((3, 1, 1))),
+                 ([[1.0, 2.0]], [[1.0]])]:
+        with pytest.raises(DimensionMismatch, match="do not form U W"):
+            eg.LowRank(U, W)
+    # a float64 factor is not copied: a vjp output's W is eig.X itself
+    A, M = make_pencil([1.0, 2.0, 2.0], 6, 0)
+    eig = eg.eig_dense(A, M, 3)
+    out = eg.vjp(A, M, eig, sampling.valid_cotangent(eig, M, np.random.default_rng(1)))
+    assert out.A_bar.W is eig.X and out.M_bar.W is eig.X
 
 
 def test_low_rank_divided_by_a_scalar_stays_factored(low_rank):
     L, D = low_rank
     for s in (4.0, np.float64(4.0), np.array(4.0)):
-        for out in (L / s, np.divide(L, s)):
-            assert isinstance(out, eg.LowRank) and out.W is L.W
-            np.testing.assert_array_equal(out.U, L.U / s)
-            close(np.asarray(out), D / 4.0)
+        out = L / s
+        assert isinstance(out, eg.LowRank) and out.W is L.W
+        np.testing.assert_array_equal(out.U, L.U / s)
+        close(np.asarray(out), D / 4.0)
     close(L / np.arange(1.0, 8.0), D / np.arange(1.0, 8.0))   # not a scalar: dense
 
 
@@ -477,8 +520,8 @@ def factored(draw):
 
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
 @given(factored(), st.sampled_from([2.5, np.float64(-1.5), np.array(0.75)]))
-def test_numpy_calls_on_a_low_rank_stay_factored(case, s):
-    # each handled call against the same call on the dense array, to 1e-12 of the
+def test_low_rank_operations_match_the_dense_array(case, s):
+    # each operation on (L, L2) against the same on (D, D2), to 1e-12 of the
     # magnitude |U| |W| |other| bounding its terms, and of the documented type
     L, L2, D, D2 = case
     n = D.shape[0]
@@ -486,66 +529,66 @@ def test_numpy_calls_on_a_low_rank_stay_factored(case, s):
     P, V = gen.standard_normal((n, n)), gen.standard_normal((n, 3))
     mag = np.linalg.norm(L.U) * np.linalg.norm(L.W) * max(
         np.linalg.norm(P), np.linalg.norm(V), np.linalg.norm(D2), 1.0)
-    calls = [
-        (np.ndarray, np.diagonal, (L,), (D,)),
-        (float, np.trace, (L,), (D,)),
-        (float, np.vdot, (L, P), (D, P)),
-        (float, np.vdot, (P, L), (P, D)),
-        (float, np.vdot, (L, L2), (D, D2)),
-        (float, L.pair, (L2,), (D2,)),
-        (eg.LowRank, np.transpose, (L,), (D,)),
-        (np.ndarray, np.matmul, (L, V), (D, V)),
-        (np.ndarray, np.matmul, (V.T, L), (V.T, D)),
-        (np.ndarray, np.dot, (L, V[:, 0]), (D, V[:, 0])),
-        (np.ndarray, np.dot, (V.T, L), (V.T, D)),
-        (np.ndarray, lambda a, b: a @ b, (V.T, L), (V.T, D)),
-        (eg.LowRank, lambda a, b: a @ b, (L, L2), (D, D2)),
-        (eg.LowRank, np.matmul, (L, L2), (D, D2)),
-        (eg.LowRank, np.dot, (L, L2), (D, D2)),
-        (eg.LowRank, np.multiply, (s, L), (s, D)),
-        (eg.LowRank, np.multiply, (L, s), (D, s)),
-        (eg.LowRank, lambda a, b: a * b, (s, L), (s, D)),
-        (eg.LowRank, np.negative, (L,), (D,)),
-        (eg.LowRank, lambda a: -a, (L,), (D,)),
+    ops = [
+        (np.ndarray, lambda a, b: a @ V), (np.ndarray, lambda a, b: a @ V[:, 0]),
+        (np.ndarray, lambda a, b: V.T @ a), (np.ndarray, lambda a, b: V[:, 0] @ a),
+        (eg.LowRank, lambda a, b: a @ b), (eg.LowRank, lambda a, b: a.T),
+        (eg.LowRank, lambda a, b: s * a), (eg.LowRank, lambda a, b: a * s),
+        (eg.LowRank, lambda a, b: a / s), (eg.LowRank, lambda a, b: -a),
+        (eg.LowRank, lambda a, b: a + b), (eg.LowRank, lambda a, b: a - b),
+        (np.ndarray, lambda a, b: a + P), (np.ndarray, lambda a, b: P + a),
+        (np.ndarray, lambda a, b: a - P), (np.ndarray, lambda a, b: P - a),
+        (np.ndarray, lambda a, b: a * P), (np.ndarray, lambda a, b: P * a),
+        (np.ndarray, lambda a, b: a / P),
+        (np.ndarray, lambda a, b: a.diagonal()), (np.ndarray, lambda a, b: np.diagonal(a)),
+        (float, lambda a, b: np.vdot(a, P)), (float, lambda a, b: np.vdot(P, a)),
+        (float, lambda a, b: np.vdot(a, b)),
     ]
-    for kind, func, args, dense_args in calls:
-        got, want = func(*args), func(*dense_args)
-        assert isinstance(got, kind), (func, type(got))
+    for kind, op in ops:
+        got, want = op(L, L2), op(D, D2)
+        assert isinstance(got, kind), (kind, type(got))
         np.testing.assert_allclose(np.asarray(got), want, rtol=1e-12, atol=1e-12 * mag)
+    for other, dense_other in ((P, P), (L2, D2), (eg.make_dense(P), 0.5 * (P + P.T))):
+        np.testing.assert_allclose(L.pair(other), np.vdot(D, dense_other),
+                                   rtol=1e-12, atol=1e-12 * mag)
 
 
-def test_unhandled_numpy_calls_get_the_dense_array(low_rank):
+def test_unhandled_numpy_calls_raise_type_error(low_rank):
+    # rather than form the n x n array, which np.asarray or .dense() forms on request
     L, D = low_rank
-    P = np.random.default_rng(9).standard_normal((7, 7))
-    calls = [(np.linalg.norm, (L,), (D,)), (np.sum, (L,), (D,)),
-             (np.concatenate, ([L, P],), ([D, P],)), (np.allclose, (L, P), (D, P)),
-             (lambda a, b: b + a, (L, P), (D, P)), (lambda a, b: b * a, (L, P), (D, P)),
-             (np.shape, (L,), (D,))]
-    for func, args, dense_args in calls:
-        got, want = func(*args), func(*dense_args)
-        assert type(got) is type(want)
-        np.testing.assert_array_equal(got, want)
+    calls = [np.sum, np.trace, np.abs, lambda a: np.divide(a, 2.0), np.linalg.norm,
+             np.transpose, lambda a: np.diagonal(a, 1), lambda a: np.vdot(a, 1j * D),
+             lambda a: np.matmul(a, D), lambda a: operator.iadd(np.zeros((7, 7)), a)]
+    for call in calls:
+        with pytest.raises(TypeError):
+            call(L)
 
 
 def test_low_rank_defers_to_other_array_types(low_rank):
+    # an operand of another type gets its own reflected operator, not a dense array
     L, _ = low_rank
 
     class Duck:
+        __array_ufunc__ = None
+
         def __array_function__(self, func, types, args, kwargs):
             return NotImplemented
 
-        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-            return NotImplemented
+        def __radd__(self, other):
+            return "duck"
+
+        __rsub__ = __rmul__ = __rtruediv__ = __radd__
 
     duck = Duck()
-    assert L.__array_function__(np.diagonal, (type(L), Duck), (L,), {}) is NotImplemented
-    assert L.__array_ufunc__(np.multiply, "__call__", 2.0, duck) is NotImplemented
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        assert op(L, duck) == "duck"
     with pytest.raises(TypeError):
         np.multiply(L, duck)
 
 
 def test_numpy_calls_on_vjp_adjoints_allocate_no_n_by_n_array():
-    # one n x n array would be n^2 8 bytes; each call stays under an eighth of it
+    # one n x n array would be n^2 8 bytes; each call, or each refused call,
+    # stays under an eighth of it
     K, Mm = membrane(40)
     A, M = sparse_ops(K, Mm)
     n = K.shape[0]
@@ -554,16 +597,23 @@ def test_numpy_calls_on_vjp_adjoints_allocate_no_n_by_n_array():
                  solver="iterative")
     A_bar, M_bar = out.A_bar, out.M_bar
     P = np.random.default_rng(5).standard_normal((n, n))
-    calls = {"diagonal": lambda: np.diagonal(A_bar), "trace": lambda: np.trace(A_bar),
+    calls = {"diagonal": A_bar.diagonal, "np.diagonal": lambda: np.diagonal(A_bar),
+             "pair dense": lambda: A_bar.pair(P), "pair adjoints": lambda: A_bar.pair(M_bar),
              "vdot dense": lambda: np.vdot(A_bar, P),
-             "vdot adjoints": lambda: np.vdot(A_bar, M_bar), "pair": lambda: A_bar.pair(M_bar),
+             "vdot adjoints": lambda: np.vdot(A_bar, M_bar),
              "product": lambda: A_bar @ M_bar, "numpy scalar": lambda: np.float64(2.0) * A_bar,
              "negation": lambda: -A_bar}
+    refused = {"sum": lambda: np.sum(A_bar), "trace": lambda: np.trace(A_bar),
+               "abs": lambda: np.abs(A_bar)}
     peaks = {}
-    for name, call in calls.items():
+    for name, call in {**calls, **refused}.items():
         tracemalloc.start()
         try:
-            call()
+            if name in refused:
+                with pytest.raises(TypeError):
+                    call()
+            else:
+                call()
             peaks[name] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
